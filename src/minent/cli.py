@@ -490,9 +490,6 @@ def cmd_check(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--workers", type=int, default=1,
-                        help="worker count (results are seed-deterministic "
-                             "regardless)")
     common.add_argument("--tolerance", action="append", default=[],
                         metavar="NAME=VALUE", help="override a tolerance")
     common.add_argument("--json", action="store_true",

@@ -190,9 +190,11 @@ def env_decoupling_dual(n: QuantumChannel, n_samples: int, seed: int) -> float:
     """log2 of the best sampled |A| F(V(rho), pi_A (x) sigma_E).
 
     Pure inputs give the closed form lambda_max(tr_A of the pure
-    Stinespring output); mixed candidates (including the maximally mixed
-    input, which is optimal for unitary channels) go through the
-    fidelity maximization over sigma_E.
+    Stinespring output). Mixed candidates (including the maximally mixed
+    input, which is optimal for unitary and covariant channels) go
+    through `entropies.max_fidelity_uniform`: a fidelity SDP over
+    sigma_E whose value is reported as the fidelity attained at the
+    SDP's sigma_E, so every candidate lower-bounds -S_min[N].
     """
     gen = _sampling.stream(seed, 0xE49A)
     iso = stinespring_isometry(n)

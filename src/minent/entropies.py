@@ -413,62 +413,49 @@ def _fidelity_to_uniform(sqrt_rho: np.ndarray, sigma: np.ndarray,
     return float(sv.sum()) ** 2
 
 
-def _theta_to_state(theta: np.ndarray, db: int) -> np.ndarray:
-    low = np.zeros((db, db), dtype=complex)
-    k = db
-    low[np.diag_indices(db)] = theta[:db]
-    for i in range(db):
-        for j in range(i):
-            low[i, j] = theta[k] + 1j * theta[k + 1]
-            k += 2
-    g = low @ low.conj().T
-    tr = float(np.trace(g).real)
-    if tr < 1e-14:
-        return np.eye(db) / db
-    return g / tr
-
-
-def _state_to_theta(sigma: np.ndarray, db: int) -> np.ndarray:
-    w, v = np.linalg.eigh((sigma + sigma.conj().T) / 2)
-    w = np.clip(w, 1e-12, None)
-    low = np.linalg.cholesky((v * w) @ v.conj().T)
-    theta = np.zeros(db * db)
-    theta[:db] = low[np.diag_indices(db)].real
-    k = db
-    for i in range(db):
-        for j in range(i):
-            theta[k] = low[i, j].real
-            theta[k + 1] = low[i, j].imag
-            k += 2
-    return theta
-
-
 def max_fidelity_uniform(rho: DensityOperator) -> float:
     """sup over states sigma_B of F(rho_AB, 1_A (x) sigma_B).
 
     Equals 2^(S_1/2-up(A|B)); the workhorse behind the duality checks
     and the environment-decoupling dual. Pure states admit the closed
-    form lambda_max(tr_A rho); mixed states are handled by simplex
-    ascent over sigma from several deterministic starts (the objective
-    is concave in sigma, so local maxima are global).
-    """
-    from scipy.optimize import minimize
+    form lambda_max(tr_A rho). Mixed states go through the fidelity SDP
+    (Watrous) restricted to the support of rho = K K^dag:
 
+        sqrt F = max Re tr X  s.t.  [[1, X], [X^dag, K^dag (1 (x) sigma) K]] >= 0,
+                                    sigma >= 0,  tr sigma = 1.
+
+    The returned value is the closed-form fidelity at the SDP's sigma
+    (clipped to PSD and normalized), so it is attained and can never
+    exceed the true supremum. Raises SdpFailure unless the SDP is optimal.
+    """
     da, db = _split_dims(rho)
-    w = np.linalg.eigvalsh(rho.matrix)
+    w, v = np.linalg.eigh(rho.matrix)
     if w[-1] > rho.trace() - 1e-12:  # pure: F(psi, 1 (x) s) = <psi|1 (x) s|psi>
         red = np.einsum("ikil->kl", rho.matrix.reshape(da, db, da, db))
         return float(np.linalg.eigvalsh(red).max())
-    sqrt_rho = psd_sqrt(rho.matrix)
-    rho_b = partial_trace(rho.op, [1]).matrix
-    rho_b = rho_b / max(np.trace(rho_b).real, 1e-300)
-    starts = [np.eye(db) / db, rho_b, 0.5 * rho_b + 0.5 * np.eye(db) / db]
-    best = 0.0
-    for sig0 in starts:
-        theta0 = _state_to_theta(sig0, db)
-        res = minimize(
-            lambda th: -_fidelity_to_uniform(sqrt_rho, _theta_to_state(th, db), da),
-            theta0, method="Nelder-Mead",
-            options={"maxiter": 6000, "fatol": 1e-13, "xatol": 1e-9})
-        best = max(best, -float(res.fun))
-    return best
+    keep = w > TOL.support
+    r = int(keep.sum())
+    k3 = (v[:, keep] * np.sqrt(w[keep])).reshape(da, db, r)
+    basis = hermitian_basis(r)
+    # blocks: sigma (db), Z = [[P, X], [X^dag, Q]] (2r); P = 1 and
+    # Q = K^dag (1 (x) sigma) K, i.e. tr(E Q) = tr(tr_A(K E K^dag) sigma)
+    n = db + 2 * r
+    p_, q_ = slice(db, db + r), slice(db + r, n)
+    a = np.zeros((2 * r * r + 1, n, n), dtype=complex)
+    b = np.zeros(2 * r * r + 1)
+    a[:r * r, p_, p_] = basis
+    b[:r * r] = np.einsum("kii->k", basis).real
+    a[r * r:-1, q_, q_] = basis
+    a[r * r:-1, :db, :db] = -np.einsum("aei,kij,afj->kef", k3, basis, k3.conj())
+    a[-1, :db, :db] = np.eye(db)
+    b[-1] = 1.0
+    c = np.zeros((n, n), dtype=complex)
+    c[p_, q_] = c[q_, p_] = np.eye(r) / 2
+    prob = sdp.SdpProblem(c, tuple(zip(a, b)), "max", (db, 2 * r))
+    sol = sdp.solve(prob, keep_trace=False)
+    if sol.status != "optimal":
+        raise sdp.SdpFailure(f"fidelity SDP status {sol.status}")
+    ws, vs = np.linalg.eigh(sol.primal_matrix.matrix[:db, :db])
+    ws = np.clip(ws, 0.0, None)
+    sigma = (vs * (ws / ws.sum())) @ vs.conj().T
+    return _fidelity_to_uniform(psd_sqrt(rho.matrix), sigma, da)

@@ -154,16 +154,41 @@ def _sym(m):
     return (m + m.swapaxes(-1, -2)) / 2
 
 
+def _chol_each(m):
+    """Cholesky factor of each instance, NaN where that instance's own
+    factorization fails; a failing stack is bisected to find it."""
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        if len(m) == 1:
+            return np.full_like(m, np.nan)
+        half = len(m) // 2
+        return np.concatenate([_chol_each(m[:half]), _chol_each(m[half:])])
+
+
 def _chol_psd(m):
     """Batched Cholesky with an eigenvalue-clamp fallback for stray
-    indefiniteness from roundoff."""
-    try:
-        return np.linalg.cholesky(_sym(m))
-    except np.linalg.LinAlgError:
-        w, q = np.linalg.eigh(_sym(m))
+    indefiniteness from roundoff.
+
+    The fallback is per instance, so no instance's trajectory depends on
+    the rest of its stack. An instance is clamped when its own
+    factorization fails or when a squared pivot, which bounds its
+    smallest eigenvalue from above, shows an eigenvalue below the clamp
+    floor: a near-singular slack that still factors would otherwise
+    blow the primal iterate up (replacer-channel scans do this).
+    """
+    m = _sym(m)
+    lf = _chol_each(m)
+    piv = np.diagonal(lf, axis1=-2, axis2=-1).min(axis=-1) ** 2
+    # the largest diagonal entry is a lower bound on the largest eigenvalue
+    scale = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1), 1.0)
+    bad = ~(piv >= 1e-14 * scale)  # NaN factors count as failed
+    if bad.any():
+        w, q = np.linalg.eigh(m[bad])
         w = np.maximum(w, 1e-14 * np.maximum(w[..., -1:], 1.0))
-        fixed = (q * w[..., None, :]) @ q.swapaxes(-1, -2)
-        return np.linalg.cholesky(_sym(fixed))
+        lf[bad] = np.linalg.cholesky(_sym((q * w[..., None, :])
+                                          @ q.swapaxes(-1, -2)))
+    return lf
 
 
 def _nt_scaling(lx, ls):

@@ -124,6 +124,14 @@ class TestDuals:
             assert val <= target + 1e-6
             assert val >= target - 0.02  # mixed candidates reach the optimum
 
+    def test_env_dual_exact_on_depolarizing(self):
+        # covariance makes the maximally mixed input optimal, so the
+        # fidelity SDP at that input attains -S_min
+        for p in (0.2, 0.6):
+            ch = depolarizing(p)
+            assert env_decoupling_dual(ch, 64, 7) == pytest.approx(
+                -channel_min_entropy(ch), abs=1e-6)
+
     def test_duals_reach_on_named_families(self):
         for fam, p in (("depolarizing", 0.3), ("dephasing1", 0.5),
                        ("dephasing2", 0.7)):

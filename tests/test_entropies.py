@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minent import _sampling
-from minent.channels import apply, depolarizing
+from minent.channels import apply, depolarizing, stinespring_output
 from minent.entropies import (RenyiOrder, SmoothingBall, cond_hypothesis_entropy,
                               cond_min_entropy_down, cond_min_entropy_down_sdp,
                               cond_min_entropy_up, d_hypothesis, d_max,
@@ -14,7 +14,7 @@ from minent.linalg import (DensityOperator, HermitianOperator, basis_state,
                            maximally_entangled, maximally_mixed, partial_trace,
                            pure_state)
 
-from conftest import random_two_qubit_states
+from conftest import random_qubit_channels, random_two_qubit_states
 
 PI = maximally_mixed(2)
 PHI = maximally_entangled(2)
@@ -24,6 +24,16 @@ IDENT2 = HermitianOperator(np.eye(2))
 
 def product_state(a, b):
     return DensityOperator(np.kron(a.matrix, b.matrix), (a.dim, b.dim))
+
+
+def fidelity_to_uniform(rho, sigma):
+    """F(rho_AB, 1_A (x) sigma_B) = ||sqrt(rho) (1 (x) sqrt(sigma))||_1^2."""
+    def sqrtm(m):
+        w, v = np.linalg.eigh(m)
+        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    da = rho.dims[0]
+    prod = sqrtm(rho.matrix) @ np.kron(np.eye(da), sqrtm(sigma))
+    return float(np.linalg.svd(prod, compute_uv=False).sum()) ** 2
 
 
 class TestDmax:
@@ -209,3 +219,20 @@ class TestMaxFidelityUniform:
         sig = DensityOperator(_sampling.random_density_matrices(rng, 2, 1)[0])
         rho = product_state(PI, sig)
         assert max_fidelity_uniform(rho) == pytest.approx(2.0, abs=1e-7)
+
+    def test_full_rank_dominates_sampled_sigmas(self, rng):
+        # rank 4 = d: the support reduction keeps every eigenvector
+        for rho in random_two_qubit_states(61, 3):
+            assert np.linalg.matrix_rank(rho.matrix) == 4
+            best = max_fidelity_uniform(rho)
+            for sig in _sampling.random_density_matrices(rng, 2, 6):
+                assert best >= fidelity_to_uniform(rho, sig) - 1e-9
+
+    def test_rank_two_stinespring_outputs_dominate_sampled_sigmas(self, rng):
+        inputs = _sampling.random_density_matrices(rng, 2, 3)
+        for ch, rho_in in zip(random_qubit_channels(62, 3), inputs):
+            rho = stinespring_output(ch, DensityOperator(rho_in))
+            assert np.linalg.matrix_rank(rho.matrix, tol=1e-9) == 2
+            best = max_fidelity_uniform(rho)
+            for sig in _sampling.random_density_matrices(rng, rho.dims[1], 6):
+                assert best >= fidelity_to_uniform(rho, sig) - 1e-9

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from minent import _sampling
+from minent import _sampling, sdp
+from minent.channels import (_diamond_objective, _diamond_problem_data,
+                             choi_matrix)
 from minent.linalg import hermitian_basis, maximally_entangled
 from minent.sdp import (SdpProblem, embed_hermitian, embed_matrix, solve,
                         solve_stack)
+
+from conftest import random_qubit_channels
 
 
 def cond_min_problem(rho, da, db, scale=1.0):
@@ -153,3 +157,32 @@ class TestSolveStack:
             single = solve(cond_min_problem(mats[i], 2, 2))
             assert res["primal_value"][i] == pytest.approx(single.primal_value,
                                                            abs=1e-6)
+
+    def test_cholesky_fallback_leaves_siblings_alone(self, monkeypatch):
+        # qubit diamond-norm instances whose iterates lose definiteness to
+        # roundoff, so the batched Cholesky raises inside the stack
+        chans = random_qubit_channels(2, 12)
+        chois = [choi_matrix(ch, normalized=False).matrix for ch in chans]
+        cs = np.stack([_diamond_objective(chois[i] - chois[i + 1], 2, 2)
+                       for i in range(0, 12, 2)])
+        a, b, blocks = _diamond_problem_data(2, 2)
+        fired = []
+        chol = sdp._chol_psd
+
+        def spy(m):
+            try:
+                np.linalg.cholesky(sdp._sym(m))
+            except np.linalg.LinAlgError:
+                fired.append(m.shape[0])
+            return chol(m)
+
+        monkeypatch.setattr(sdp, "_chol_psd", spy)
+        res = solve_stack(cs, a, b, "max", blocks)
+        assert any(size > 1 for size in fired)
+        monkeypatch.undo()
+        for i, c in enumerate(cs):
+            solo = solve_stack(c, a, b, "max", blocks)
+            assert res["status_str"][i] == solo["status_str"][0]
+            assert res["iters"][i] == solo["iters"][0]
+            assert res["primal_value"][i] == pytest.approx(
+                solo["primal_value"][0], abs=1e-11)
