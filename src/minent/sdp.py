@@ -15,6 +15,15 @@ the diagonal blocks is ignored by the solver, which keeps iterates
 block diagonal. A vectorized multi-instance path (`solve_stack`) solves
 many problems that share constraint structure in one sweep; it exists
 because the Monte Carlo layers above solve thousands of small SDPs.
+
+Each matrix is factored once per iteration: the Cholesky factors of the
+primal and dual iterates are inverted once and reused for the step
+lengths and S^-1, and the Schur complement gets one Cholesky factor per
+instance, applied by matmuls in the predictor, the corrector and their
+refinement steps. Every fallback (eigenvalue clamp, Schur ridge) is per
+instance, so no instance's path depends on the rest of its stack; an
+instance whose iterate turns non-finite, or whose Schur factor fails at
+the largest ridge, ends with status "numerical-error".
 """
 
 from __future__ import annotations
@@ -33,11 +42,13 @@ class SdpFailure(RuntimeError):
     """Raised when a solve that must certify optimality fails to."""
 
 
-_STATUS = ("optimal", "infeasible", "max-iterations")
+_STATUS = ("optimal", "infeasible", "max-iterations", "numerical-error")
 
 MAX_ITER = 500
 STEP_FRACTION = 0.98
 DIVERGENCE = 1e10
+SCHUR_RIDGES = (1e-12, 1e-9, 1e-6)  # times the mean Schur diagonal
+SCHUR_CHUNK = 1 << 18  # entries in one Schur-assembly temporary
 
 
 @dataclass(frozen=True)
@@ -204,16 +215,81 @@ def _nt_scaling(lx, ls):
     return _sym(lx @ core @ lx.swapaxes(-1, -2))
 
 
-def _max_step(l_factors, d):
-    """Largest alpha with X + alpha D >= 0, from Cholesky factors of X."""
+def _tri_inv(lf):
+    """Inverse of each triangular factor, from one batched solve against I."""
+    return np.linalg.solve(lf, np.broadcast_to(np.eye(lf.shape[-1]), lf.shape))
+
+
+def _max_step(l_inv, d):
+    """Largest alpha with X + alpha D >= 0, from the inverse Cholesky
+    factors L^-1 of X: it is 1 / lambda_max(-L^-1 D L^-T). NaN for an
+    instance whose direction is not finite."""
     steps = None
-    for lf, db in zip(l_factors, d):
-        g1 = np.linalg.solve(lf, db)
-        g = _sym(np.linalg.solve(lf, g1.swapaxes(-1, -2)))
-        lam = np.linalg.eigvalsh(-g)[..., -1]
+    for li, db in zip(l_inv, d):
+        g = -_sym(li @ db @ li.swapaxes(-1, -2))
+        finite = np.isfinite(g).all(axis=(-1, -2))
+        g[~finite] = 0.0
+        lam = np.linalg.eigvalsh(g)[..., -1]
         s = np.where(lam > 1e-13, 1.0 / np.where(lam > 1e-13, lam, 1.0), np.inf)
+        s[~finite] = np.nan
         steps = s if steps is None else np.minimum(steps, s)
     return steps
+
+
+def _schur_matrix(w_nt, a_blocks):
+    """Schur complement M_ij = sum over blocks of tr(W A_i W A_j).
+
+    With T_i = W A_i, M_ij = sum_kl T_i[k, l] T_j[l, k]. T is formed for a
+    chunk of instances at a time, so the temporaries stay small whatever
+    the stack size.
+    """
+    count, m = w_nt[0].shape[0], a_blocks[0].shape[0]
+    schur = np.zeros((count, m, m))
+    for w, a in zip(w_nt, a_blocks):
+        step = max(1, SCHUR_CHUNK // a.size)
+        for lo in range(0, count, step):
+            t = w[lo:lo + step, None] @ a[None]
+            k = t.shape[0]
+            schur[lo:lo + k] += t.reshape(k, m, -1) @ \
+                t.swapaxes(-1, -2).reshape(k, m, -1).swapaxes(-1, -2)
+    return _sym(schur)
+
+
+def _inv_chol(m):
+    """Inverse Cholesky factor of each instance, and a mask of the
+    instances whose factor or inverse is not finite (their rows NaN)."""
+    lf = _chol_each(m)
+    bad = ~np.isfinite(lf).all(axis=(-1, -2))
+    lf[bad] = np.eye(m.shape[-1])
+    li = _tri_inv(lf)
+    bad |= ~np.isfinite(li).all(axis=(-1, -2))
+    li[bad] = np.nan
+    return li, bad
+
+
+def _schur_inv_factor(schur, dscale):
+    """L^-1 of each Schur matrix, so that M^-1 = L^-T L^-1.
+
+    An instance whose own factor fails is retried with the ridges
+    SCHUR_RIDGES times its `dscale`; the accepted ridge is written into
+    that instance's rows of `schur`, so refinement residuals are taken
+    against the matrix that was factored. Rows stay NaN for an instance
+    that fails at the largest ridge.
+    """
+    li, bad = _inv_chol(schur)
+    idx = np.arange(schur.shape[-1])
+    for ridge in SCHUR_RIDGES:
+        sel = np.nonzero(bad)[0]
+        if not sel.size:
+            break
+        trial = schur[sel]
+        trial[:, idx, idx] += ridge * dscale[sel, None]
+        lt, still = _inv_chol(trial)
+        fixed = sel[~still]
+        schur[fixed] = trial[~still]
+        li[fixed] = lt[~still]
+        bad[fixed] = False
+    return li
 
 
 def _inner(a, b):
@@ -237,10 +313,6 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     ntot = sum(dims)
     a_flat = [a.reshape(m, -1) for a in a_blocks]
 
-    def eye_stack(count):
-        return [np.broadcast_to(np.eye(nb), (count, nb, nb)).copy()
-                for nb in dims]
-
     def op_a(xb):
         cnt = xb[0].shape[0]
         return sum(xb[i].reshape(cnt, 1, -1) @ a_flat[i].T
@@ -258,9 +330,8 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     c_scale = np.sqrt(sum(np.sum(c * c, axis=(-1, -2)) for c in c_blocks) / ntot)
     tau_d = np.clip(c_scale, 1.0, 1e6)
 
-    eyes = eye_stack(bsz)
-    x = [eyes[i] * tau_p[:, None, None] for i in range(nblk)]
-    s = [eyes[i] * tau_d[:, None, None] for i in range(nblk)]
+    x = [np.eye(nb) * tau_p[:, None, None] for nb in dims]
+    s = [np.eye(nb) * tau_d[:, None, None] for nb in dims]
     y = np.zeros((bsz, m))
 
     b_norm = 1.0 + np.linalg.norm(b, axis=1)
@@ -275,6 +346,8 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     }
     trace = []
     cur = np.arange(bsz)  # global index of each working instance
+    stall = np.zeros(bsz, dtype=int)
+    mu_prev = np.full(bsz, np.inf)
 
     def record(mask, code, pobj, dobj, pres, dres, it):
         gidx = cur[mask]
@@ -289,20 +362,45 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
             out["x"][i][gidx] = x[i][mask]
         out["y"][gidx] = y[mask]
 
-    stall = np.zeros(bsz, dtype=int)
-    mu_prev = np.full(bsz, np.inf)
+    def keep_only(keep):
+        # compact the working set down to the instances in `keep`
+        nonlocal cur, x, s, y, b, c_blocks, b_norm, c_norm, stall, mu_prev
+        cur = cur[keep]
+        x = [xb[keep] for xb in x]
+        s = [sb[keep] for sb in s]
+        y, b = y[keep], b[keep]
+        c_blocks = [cb[keep] for cb in c_blocks]
+        b_norm, c_norm = b_norm[keep], c_norm[keep]
+        stall, mu_prev = stall[keep], mu_prev[keep]
 
-    for it in range(1, MAX_ITER + 1):
-        ax = op_a(x)
-        rp = b - ax
+    def drop_nonfinite(it):
+        # an iterate that overflowed (or a failed Schur factor, whose NaN
+        # direction lands here) ends that instance, and only that one
+        finite = np.isfinite(y).all(axis=1)
+        for xb, sb in zip(x, s):
+            finite &= np.isfinite(xb).all(axis=(-1, -2))
+            finite &= np.isfinite(sb).all(axis=(-1, -2))
+        if not finite.all():
+            nan = np.full(cur.size, np.nan)
+            record(~finite, 3, nan, nan, nan, nan, it)
+            keep_only(np.nonzero(finite)[0])
+
+    def residuals():
+        rp = b - op_a(x)
         aty = op_at(y)
         rd = [c_blocks[i] - s[i] - aty[i] for i in range(nblk)]
-
         pobj = _inner(c_blocks, x)
         dobj = np.einsum("bm,bm->b", y, b)
-        mu = _inner(x, s) / ntot
         pres = np.linalg.norm(rp, axis=1)
         dres = np.sqrt(sum(np.sum(r * r, axis=(-1, -2)) for r in rd))
+        return rp, rd, pobj, dobj, pres, dres
+
+    for it in range(1, MAX_ITER + 1):
+        drop_nonfinite(it - 1)
+        if not cur.size:
+            break
+        rp, rd, pobj, dobj, pres, dres = residuals()
+        mu = _inner(x, s) / ntot
         gap = np.abs(pobj - dobj)
 
         # classification happens at the complex scale, where embedded
@@ -330,64 +428,41 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
             break
 
         if not active.all():
-            # compact the working set down to the unfinished instances
             keep = np.nonzero(active)[0]
-            cur = cur[keep]
-            x = [x[i][keep] for i in range(nblk)]
-            s = [s[i][keep] for i in range(nblk)]
-            y = y[keep]
-            b = b[keep]
-            c_blocks = [c_blocks[i][keep] for i in range(nblk)]
-            b_norm, c_norm = b_norm[keep], c_norm[keep]
-            stall, mu_prev = stall[keep], mu_prev[keep]
+            keep_only(keep)
             rp = rp[keep]
-            rd = [rd[i][keep] for i in range(nblk)]
+            rd = [r[keep] for r in rd]
             pres, mu = pres[keep], mu[keep]
-            eyes = eye_stack(len(keep))
 
-        lx = [_chol_psd(x[i]) for i in range(nblk)]
-        ls = [_chol_psd(s[i]) for i in range(nblk)]
-        s_inv = []
-        for i in range(nblk):
-            g = np.linalg.solve(ls[i], eyes[i])
-            s_inv.append(_sym(g.swapaxes(-1, -2) @ g))
+        # one factorization per matrix: the Cholesky factors give the NT
+        # scaling point, their inverses the step lengths and S^-1
+        lx = [_chol_psd(xb) for xb in x]
+        ls = [_chol_psd(sb) for sb in s]
+        lx_inv = [_tri_inv(lf) for lf in lx]
+        ls_inv = [_tri_inv(lf) for lf in ls]
+        s_inv = [_sym(g.swapaxes(-1, -2) @ g) for g in ls_inv]
         w_nt = [_nt_scaling(lx[i], ls[i]) for i in range(nblk)]
 
-        # Schur complement M_ij = sum_blocks <A_i, W A_j W>
-        count = len(cur)
-        schur = np.zeros((count, m, m))
-        wrw = []
-        for i in range(nblk):
-            t = w_nt[i][:, None] @ a_blocks[i][None] @ w_nt[i][:, None]
-            schur += t.reshape(count, m, -1) @ a_flat[i].T
-            wrw.append(_sym(w_nt[i] @ rd[i] @ w_nt[i]))
-        schur = (schur + schur.swapaxes(-1, -2)) / 2
+        schur = _schur_matrix(w_nt, a_blocks)
         dscale = np.maximum(np.einsum("bii->b", schur) / m, 1.0)
         idx = np.arange(m)
         schur[:, idx, idx] += 1e-12  # absolute jitter; scale-free on purpose
+        schur_inv = _schur_inv_factor(schur, dscale)
+        schur_inv_t = schur_inv.swapaxes(-1, -2)
 
-        a_wrw = op_a(wrw)
+        a_wrw = op_a([_sym(w_nt[i] @ rd[i] @ w_nt[i]) for i in range(nblk)])
         a_sinv = op_a(s_inv)
 
         def solve_schur(rhs):
-            # direct solve plus iterative refinement; the Schur matrix gets
-            # very ill-conditioned near degenerate optima
-            ridge_extra = 0.0
-            for attempt in range(4):
-                try:
-                    mm = schur if ridge_extra == 0.0 else (
-                        schur + ridge_extra * dscale[:, None, None]
-                        * np.eye(m))
-                    dy = np.linalg.solve(mm, rhs[..., None])[..., 0]
-                    for _ in range(2):
-                        resid = rhs - np.einsum("bmn,bn->bm", mm, dy)
-                        dy = dy + np.linalg.solve(mm, resid[..., None])[..., 0]
-                    if np.all(np.isfinite(dy)):
-                        return dy
-                except np.linalg.LinAlgError:
-                    pass
-                ridge_extra = 10.0 ** (-12 + 3 * attempt)
-            return np.nan_to_num(dy)
+            # factored solve plus iterative refinement; the Schur matrix
+            # gets very ill-conditioned near degenerate optima
+            def apply(r):
+                return (schur_inv_t @ (schur_inv @ r[..., None]))[..., 0]
+
+            dy = apply(rhs)
+            for _ in range(2):
+                dy = dy + apply(rhs - np.einsum("bmn,bn->bm", schur, dy))
+            return dy
 
         def newton(sigma_mu, corr=None):
             rhs = b - sigma_mu[:, None] * a_sinv + a_wrw
@@ -402,10 +477,9 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
             return dy, dx, ds
 
         # predictor (affine scaling) step fixes the centering parameter
-        count = len(cur)
-        _, dxa, dsa = newton(np.zeros(count))
-        ap = np.minimum(_max_step(lx, dxa), 1.0)
-        ad = np.minimum(_max_step(ls, dsa), 1.0)
+        _, dxa, dsa = newton(np.zeros(cur.size))
+        ap = np.minimum(_max_step(lx_inv, dxa), 1.0)
+        ad = np.minimum(_max_step(ls_inv, dsa), 1.0)
         mu_aff = (_inner(x, s) + ap * _inner(dxa, s) + ad * _inner(x, dsa)
                   + ap * ad * _inner(dxa, dsa)) / ntot
         ratio = np.minimum(np.maximum(mu_aff, 0.0) / np.maximum(mu, 1e-300), 2.0)
@@ -414,8 +488,8 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         # Mehrotra second-order term, symmetrized HKM style
         corr = [_sym(dxa[i] @ dsa[i] @ s_inv[i]) for i in range(nblk)]
         dy, dx, ds = newton(sigma * mu, corr)
-        ap = np.minimum(STEP_FRACTION * _max_step(lx, dx), 1.0)
-        ad = np.minimum(STEP_FRACTION * _max_step(ls, ds), 1.0)
+        ap = np.minimum(STEP_FRACTION * _max_step(lx_inv, dx), 1.0)
+        ad = np.minimum(STEP_FRACTION * _max_step(ls_inv, ds), 1.0)
 
         # guard against inaccurate directions: shrink any step that makes
         # the attached residual grow beyond its linear model
@@ -430,29 +504,13 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         s = [_sym(s[i] + ad[:, None, None] * ds[i]) for i in range(nblk)]
         y = y + ad[:, None] * dy
 
+    drop_nonfinite(MAX_ITER)
     if cur.size:
-        ax = op_a(x)
-        rp = b - ax
-        aty = op_at(y)
-        rd = [c_blocks[i] - s[i] - aty[i] for i in range(nblk)]
-        pobj = _inner(c_blocks, x)
-        dobj = np.einsum("bm,bm->b", y, b)
-        pres = np.linalg.norm(rp, axis=1)
-        dres = np.sqrt(sum(np.sum(r * r, axis=(-1, -2)) for r in rd))
-        gap = np.abs(pobj - dobj)
-        ok = (pres < 1.8 * TOL.sdp_feas) & (gap < 1.8 * TOL.sdp_gap)
-        if ok.any():
-            record(ok, 0, pobj, dobj, pres, dres, MAX_ITER)
-            cur_mask = ~ok
-            cur = cur[cur_mask]
-            if cur.size:
-                x = [x[i][cur_mask] for i in range(nblk)]
-                y = y[cur_mask]
-                pobj, dobj = pobj[cur_mask], dobj[cur_mask]
-                pres, dres = pres[cur_mask], dres[cur_mask]
-        if cur.size:
-            record(np.ones(cur.size, dtype=bool), 2, pobj, dobj, pres, dres,
-                   MAX_ITER)
+        _, _, pobj, dobj, pres, dres = residuals()
+        ok = (pres < 1.8 * TOL.sdp_feas) & \
+             (np.abs(pobj - dobj) < 1.8 * TOL.sdp_gap)
+        record(ok, 0, pobj, dobj, pres, dres, MAX_ITER)
+        record(~ok, 2, pobj, dobj, pres, dres, MAX_ITER)
 
     out["status"] = status
     out["trace"] = trace

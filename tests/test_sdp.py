@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from minent import _sampling, sdp
 from minent.channels import (_diamond_objective, _diamond_problem_data,
@@ -186,3 +187,112 @@ class TestSolveStack:
             assert res["iters"][i] == solo["iters"][0]
             assert res["primal_value"][i] == pytest.approx(
                 solo["primal_value"][0], abs=1e-11)
+
+    def test_schur_ridge_leaves_siblings_alone(self, monkeypatch):
+        # near their optima some diamond-norm instances have a Schur
+        # complement whose own Cholesky factorization fails; only those
+        # get the ridge, so each instance follows its solo path
+        cs, a, b, blocks = diamond_stack(3, 12)
+        fired = []
+        factor = sdp._schur_inv_factor
+
+        def spy(schur, dscale):
+            bad = ~np.isfinite(sdp._chol_each(schur.copy())).all(axis=(-1, -2))
+            if bad.any() and not bad.all():
+                fired.append(len(schur))
+            return factor(schur, dscale)
+
+        monkeypatch.setattr(sdp, "_schur_inv_factor", spy)
+        res = solve_stack(cs, a, b, "max", blocks)
+        assert fired
+        monkeypatch.undo()
+        assert_matches_solo(res, cs, a, b, blocks)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_iterate_ends_only_its_instance(self, monkeypatch):
+        # an overflow in one instance turns its iterate non-finite; that
+        # instance ends with "numerical-error", the others run on unchanged
+        cs, a, b, blocks = diamond_stack(3, 12)
+        victim = 2
+        done = []
+        tri_inv = sdp._tri_inv
+
+        def poisoned(lf):
+            # the first call inverts the full stack's first X factor
+            li = tri_inv(lf)
+            if not done:
+                done.append(True)
+                li[victim] = np.inf
+            return li
+
+        monkeypatch.setattr(sdp, "_tri_inv", poisoned)
+        res = solve_stack(cs, a, b, "max", blocks)
+        monkeypatch.undo()
+        assert res["status_str"][victim] == "numerical-error"
+        assert res["iters"][victim] == 1
+        others = [i for i in range(len(cs)) if i != victim]
+        assert_matches_solo(res, cs, a, b, blocks, others)
+
+
+def diamond_stack(seed, count):
+    """Qubit diamond-norm problems for count/2 differences of channels."""
+    chans = random_qubit_channels(seed, count)
+    chois = [choi_matrix(ch, normalized=False).matrix for ch in chans]
+    cs = np.stack([_diamond_objective(chois[i] - chois[i + 1], 2, 2)
+                   for i in range(0, count, 2)])
+    return (cs,) + _diamond_problem_data(2, 2)
+
+
+def assert_matches_solo(res, cs, a, b, blocks, which=None):
+    for i in range(len(cs)) if which is None else which:
+        solo = solve_stack(cs[i], a, b, "max", blocks)
+        assert res["status_str"][i] == solo["status_str"][0]
+        assert res["iters"][i] == solo["iters"][0]
+        assert res["primal_value"][i] == pytest.approx(
+            solo["primal_value"][0], abs=1e-11)
+
+
+class TestMaxStep:
+    @staticmethod
+    def reference(xs, ds):
+        # largest alpha with X + alpha D >= 0 from the generalized
+        # eigenproblem -D v = lambda X v, block by block
+        out = []
+        for k in range(len(xs[0])):
+            lam = max(scipy.linalg.eigh(-d[k], x[k], eigvals_only=True)[-1]
+                      for x, d in zip(xs, ds))
+            out.append(1.0 / lam if lam > 1e-13 else np.inf)
+        return np.array(out)
+
+    @staticmethod
+    def stack(rng, count, dims, cond):
+        # X = S Q diag(w) Q^T S with random Q, w in [0.1, 1] and the
+        # grading S = diag(1 .. cond^-1/2): cond(X) is about `cond`, yet the
+        # step is determined to near machine precision by the stored X (a
+        # randomly rotated X of condition 1e10 fixes it only to ~1e-7, for
+        # any method that starts from a Cholesky factor)
+        xs, ds = [], []
+        for nb in dims:
+            q, _ = np.linalg.qr(rng.normal(size=(count, nb, nb)))
+            w = rng.uniform(0.1, 1.0, size=(count, 1, nb))
+            grade = np.logspace(0, -0.5 * np.log10(cond), nb)
+            core = (q * w) @ q.swapaxes(-1, -2)
+            xs.append(sdp._sym(grade[:, None] * core * grade[None, :]))
+            ds.append(sdp._sym(rng.normal(size=(count, nb, nb))))
+        return xs, ds
+
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
+    def test_matches_generalized_eigenvalues(self, rng, cond):
+        xs, ds = self.stack(rng, 20, (4, 8), cond)
+        assert np.linalg.cond(xs[1]).max() > 0.1 * cond
+        l_inv = [sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
+        step = sdp._max_step(l_inv, ds)
+        assert np.all(np.isfinite(step))
+        np.testing.assert_allclose(step, self.reference(xs, ds), rtol=1e-8)
+
+    def test_psd_direction_is_unbounded(self, rng):
+        xs, ds = self.stack(rng, 10, (4, 8), 1e10)
+        ds = [d @ d.swapaxes(-1, -2) for d in ds]
+        l_inv = [sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
+        assert np.all(self.reference(xs, ds) == np.inf)
+        assert np.all(sdp._max_step(l_inv, ds) == np.inf)
