@@ -16,14 +16,21 @@ block diagonal. A vectorized multi-instance path (`solve_stack`) solves
 many problems that share constraint structure in one sweep; it exists
 because the Monte Carlo layers above solve thousands of small SDPs.
 
-Each matrix is factored once per iteration: the Cholesky factors of the
-primal and dual iterates are inverted once and reused for the step
-lengths and S^-1, and the Schur complement gets one Cholesky factor per
-instance, applied by matmuls in the predictor, the corrector and their
-refinement steps. Every fallback (eigenvalue clamp, Schur ridge) is per
-instance, so no instance's path depends on the rest of its stack; an
-instance whose iterate turns non-finite, or whose Schur factor fails at
-the largest ridge, ends with status "numerical-error".
+Each matrix is factored once per iteration. The Cholesky factors Lx,
+Ls of the primal and dual iterates feed one SVD, G = Ls^T Lx = U Sig V^T,
+as in Todd, Toh and Tutuncu, "On the Nesterov-Todd direction in
+semidefinite programming" (SIAM J. Optim. 1998). That SVD gives the NT
+scaling point W, S^-1 and the whitening factors Px, Ps for the step
+lengths, so no iterate factor is ever inverted. The Schur complement gets
+one Cholesky factor per instance, inverted once and applied by matmuls in
+the predictor, the corrector and their refinement steps.
+
+A stack is factored in one call to numpy's batched Cholesky gufunc, which
+writes NaN for exactly the instances whose own factorization fails.
+Every fallback (eigenvalue clamp, Schur ridge) is per instance, so no
+instance's path depends on the rest of its stack; an instance whose
+iterate turns non-finite, or whose Schur factor fails at the largest
+ridge, ends with status "numerical-error".
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .linalg import TOL, HermitianOperator
 
@@ -47,7 +55,7 @@ _STATUS = ("optimal", "infeasible", "max-iterations", "numerical-error")
 MAX_ITER = 500
 STEP_FRACTION = 0.98
 DIVERGENCE = 1e10
-SCHUR_RIDGES = (1e-12, 1e-9, 1e-6)  # times the mean Schur diagonal
+SCHUR_RIDGES = (1e-15, 1e-12, 1e-9, 1e-6)  # times the mean Schur diagonal
 SCHUR_CHUNK = 1 << 18  # entries in one Schur-assembly temporary
 
 
@@ -166,15 +174,17 @@ def _sym(m):
 
 
 def _chol_each(m):
-    """Cholesky factor of each instance, NaN where that instance's own
-    factorization fails; a failing stack is bisected to find it."""
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        if len(m) == 1:
-            return np.full_like(m, np.nan)
-        half = len(m) // 2
-        return np.concatenate([_chol_each(m[:half]), _chol_each(m[half:])])
+    """Cholesky factor of each instance, all NaN where that instance's own
+    factorization fails or is not finite.
+
+    This is numpy's batched Cholesky gufunc itself: it factors each
+    instance on its own and writes NaN for the ones that fail, where
+    np.linalg.cholesky would raise for the whole stack.
+    """
+    with np.errstate(invalid="ignore"):
+        lf = _umath_linalg.cholesky_lo(m, signature="d->d")
+    lf[~np.isfinite(lf).all(axis=(-1, -2))] = np.nan
+    return lf
 
 
 def _chol_psd(m):
@@ -203,16 +213,24 @@ def _chol_psd(m):
 
 
 def _nt_scaling(lx, ls):
-    """NT scaling point W with W S W = X from Cholesky factors.
+    """NT scaling of X = Lx Lx^T and S = Ls Ls^T from one SVD.
 
-    With G = Ls^T Lx = U diag(sig) V^T, W = Lx V diag(1/sig) V^T Lx^T.
+    With G = Ls^T Lx = U Sig V^T, returns (W, S^-1, Px, Ps):
+      W    = Lx V Sig^-1 V^T Lx^T, the NT point with W S W = X;
+      S^-1 = Lx V Sig^-2 V^T Lx^T, since Ls^-T = Lx V Sig^-1 U^T;
+      Px   = Sig^-1 U^T Ls^T, with Px X Px^T = I;
+      Ps   = Sig^-1 V^T Lx^T, with Ps S Ps^T = I.
+    Px and Ps whiten X and S for `_max_step`, so neither factor is
+    inverted.
     """
-    g = ls.swapaxes(-1, -2) @ lx
-    _, sig, vt = np.linalg.svd(g)
-    sig = np.maximum(sig, 1e-150)
-    v = vt.swapaxes(-1, -2)
-    core = (v / sig[..., None, :]) @ vt
-    return _sym(lx @ core @ lx.swapaxes(-1, -2))
+    u, sig, vt = np.linalg.svd(ls.swapaxes(-1, -2) @ lx)
+    sig = np.maximum(sig, 1e-150)[..., None]
+    vlx = vt @ lx.swapaxes(-1, -2)
+    ps = vlx / sig
+    px = (u.swapaxes(-1, -2) @ ls.swapaxes(-1, -2)) / sig
+    w = _sym(vlx.swapaxes(-1, -2) @ ps)
+    s_inv = _sym(ps.swapaxes(-1, -2) @ ps)
+    return w, s_inv, px, ps
 
 
 def _tri_inv(lf):
@@ -220,13 +238,14 @@ def _tri_inv(lf):
     return np.linalg.solve(lf, np.broadcast_to(np.eye(lf.shape[-1]), lf.shape))
 
 
-def _max_step(l_inv, d):
-    """Largest alpha with X + alpha D >= 0, from the inverse Cholesky
-    factors L^-1 of X: it is 1 / lambda_max(-L^-1 D L^-T). NaN for an
+def _max_step(p, d):
+    """Largest alpha with X + alpha D >= 0, from any factors P with
+    P X P^T = I (the Px or Ps of `_nt_scaling`): it is
+    1 / lambda_max(-P D P^T), the same for every such P. NaN for an
     instance whose direction is not finite."""
     steps = None
-    for li, db in zip(l_inv, d):
-        g = -_sym(li @ db @ li.swapaxes(-1, -2))
+    for pb, db in zip(p, d):
+        g = -_sym(pb @ db @ pb.swapaxes(-1, -2))
         finite = np.isfinite(g).all(axis=(-1, -2))
         g[~finite] = 0.0
         lam = np.linalg.eigvalsh(g)[..., -1]
@@ -434,14 +453,10 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
             rd = [r[keep] for r in rd]
             pres, mu = pres[keep], mu[keep]
 
-        # one factorization per matrix: the Cholesky factors give the NT
-        # scaling point, their inverses the step lengths and S^-1
-        lx = [_chol_psd(xb) for xb in x]
-        ls = [_chol_psd(sb) for sb in s]
-        lx_inv = [_tri_inv(lf) for lf in lx]
-        ls_inv = [_tri_inv(lf) for lf in ls]
-        s_inv = [_sym(g.swapaxes(-1, -2) @ g) for g in ls_inv]
-        w_nt = [_nt_scaling(lx[i], ls[i]) for i in range(nblk)]
+        # one factorization per matrix: the SVD of Ls^T Lx gives the NT
+        # scaling point, S^-1 and the whitening factors for the step lengths
+        w_nt, s_inv, px, ps = zip(*(_nt_scaling(_chol_psd(xb), _chol_psd(sb))
+                                    for xb, sb in zip(x, s)))
 
         schur = _schur_matrix(w_nt, a_blocks)
         dscale = np.maximum(np.einsum("bii->b", schur) / m, 1.0)
@@ -478,8 +493,8 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
 
         # predictor (affine scaling) step fixes the centering parameter
         _, dxa, dsa = newton(np.zeros(cur.size))
-        ap = np.minimum(_max_step(lx_inv, dxa), 1.0)
-        ad = np.minimum(_max_step(ls_inv, dsa), 1.0)
+        ap = np.minimum(_max_step(px, dxa), 1.0)
+        ad = np.minimum(_max_step(ps, dsa), 1.0)
         mu_aff = (_inner(x, s) + ap * _inner(dxa, s) + ad * _inner(x, dsa)
                   + ap * ad * _inner(dxa, dsa)) / ntot
         ratio = np.minimum(np.maximum(mu_aff, 0.0) / np.maximum(mu, 1e-300), 2.0)
@@ -488,8 +503,8 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         # Mehrotra second-order term, symmetrized HKM style
         corr = [_sym(dxa[i] @ dsa[i] @ s_inv[i]) for i in range(nblk)]
         dy, dx, ds = newton(sigma * mu, corr)
-        ap = np.minimum(STEP_FRACTION * _max_step(lx_inv, dx), 1.0)
-        ad = np.minimum(STEP_FRACTION * _max_step(ls_inv, ds), 1.0)
+        ap = np.minimum(STEP_FRACTION * _max_step(px, dx), 1.0)
+        ad = np.minimum(STEP_FRACTION * _max_step(ps, ds), 1.0)
 
         # guard against inaccurate directions: shrink any step that makes
         # the attached residual grow beyond its linear model

@@ -161,12 +161,8 @@ class TestSolveStack:
 
     def test_cholesky_fallback_leaves_siblings_alone(self, monkeypatch):
         # qubit diamond-norm instances whose iterates lose definiteness to
-        # roundoff, so the batched Cholesky raises inside the stack
-        chans = random_qubit_channels(2, 12)
-        chois = [choi_matrix(ch, normalized=False).matrix for ch in chans]
-        cs = np.stack([_diamond_objective(chois[i] - chois[i + 1], 2, 2)
-                       for i in range(0, 12, 2)])
-        a, b, blocks = _diamond_problem_data(2, 2)
+        # roundoff, so their Cholesky factorization fails inside the stack
+        cs, a, b, blocks = diamond_stack(39, 12)
         fired = []
         chol = sdp._chol_psd
 
@@ -215,17 +211,18 @@ class TestSolveStack:
         cs, a, b, blocks = diamond_stack(3, 12)
         victim = 2
         done = []
-        tri_inv = sdp._tri_inv
+        nt_scaling = sdp._nt_scaling
 
-        def poisoned(lf):
-            # the first call inverts the full stack's first X factor
-            li = tri_inv(lf)
+        def poisoned(lx, ls):
+            # the first call scales the full stack's first block; its Px
+            # sets the victim's primal step
+            w, s_inv, px, ps = nt_scaling(lx, ls)
             if not done:
                 done.append(True)
-                li[victim] = np.inf
-            return li
+                px[victim] = np.inf
+            return w, s_inv, px, ps
 
-        monkeypatch.setattr(sdp, "_tri_inv", poisoned)
+        monkeypatch.setattr(sdp, "_nt_scaling", poisoned)
         res = solve_stack(cs, a, b, "max", blocks)
         monkeypatch.undo()
         assert res["status_str"][victim] == "numerical-error"
@@ -296,3 +293,107 @@ class TestMaxStep:
         l_inv = [sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
         assert np.all(self.reference(xs, ds) == np.inf)
         assert np.all(sdp._max_step(l_inv, ds) == np.inf)
+
+
+class TestNtScaling:
+    @staticmethod
+    def pair(rng, cond, pairing):
+        # graded X and S as in TestMaxStep.stack; "complementary" grades S
+        # the other way round, as X and S are near an optimum (XS ~ mu I)
+        xs, dxs = TestMaxStep.stack(rng, 20, (4, 8), cond)
+        ss, dss = TestMaxStep.stack(rng, 20, (4, 8), cond)
+        if pairing == "complementary":
+            ss = [s[..., ::-1, ::-1].copy() for s in ss]
+        nt = [sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
+              for x, s in zip(xs, ss)]
+        return xs, ss, dxs, dss, nt
+
+    @pytest.mark.parametrize("pairing", ["aligned", "complementary"])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
+    def test_factors_from_one_svd(self, rng, cond, pairing):
+        xs, ss, _, _, nt = self.pair(rng, cond, pairing)
+        eps = np.finfo(float).eps
+        for x, s, (w, s_inv, px, ps) in zip(xs, ss, nt):
+            eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape)
+            scale = np.linalg.norm(x, 2, axis=(-1, -2))[:, None, None]
+            np.testing.assert_allclose((w @ s @ w - x) / scale, 0, atol=1e-12)
+            np.testing.assert_allclose(px @ x @ px.swapaxes(-1, -2), eye,
+                                       atol=1e-12)
+            np.testing.assert_allclose(ps @ s @ ps.swapaxes(-1, -2), eye,
+                                       atol=1e-12)
+            # an inverse is only as accurate as the forward error bound
+            # 8 n eps cond(S) lets it be
+            bound = max(1e-12, 8 * x.shape[-1] * eps * np.linalg.cond(s).max())
+            np.testing.assert_allclose(s_inv @ s, eye, atol=bound)
+
+    @pytest.mark.parametrize("pairing", ["aligned", "complementary"])
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
+    def test_whitened_steps_match_generalized_eigenvalues(self, rng, cond,
+                                                          pairing):
+        xs, ss, dxs, dss, nt = self.pair(rng, cond, pairing)
+        px = [f[2] for f in nt]
+        ps = [f[3] for f in nt]
+        np.testing.assert_allclose(sdp._max_step(px, dxs),
+                                   TestMaxStep.reference(xs, dxs), rtol=1e-8)
+        np.testing.assert_allclose(sdp._max_step(ps, dss),
+                                   TestMaxStep.reference(ss, dss), rtol=1e-8)
+
+
+class TestCholEach:
+    @staticmethod
+    def mixed(rng):
+        # PD, indefinite (one eigenvalue -1e-3), PD, NaN, PD
+        a = rng.normal(size=(5, 6, 6))
+        m = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
+        m[1] -= (np.linalg.eigvalsh(m[1])[0] + 1e-3) * np.eye(6)
+        m[3] = np.nan
+        return m
+
+    @pytest.mark.filterwarnings("error")
+    def test_matches_numpy_and_nans_failures(self, rng):
+        m = self.mixed(rng)
+        lf = sdp._chol_each(m)
+        for i in (0, 2, 4):
+            assert np.array_equal(lf[i], np.linalg.cholesky(m[i]))
+        for i in (1, 3):
+            assert np.isnan(lf[i]).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_single_and_all_failing_stacks(self, rng):
+        m = self.mixed(rng)
+        assert np.array_equal(sdp._chol_each(m[:1]), np.linalg.cholesky(m[:1]))
+        assert np.isnan(sdp._chol_each(m[1:2])).all()
+        assert np.isnan(sdp._chol_each(m[[1, 3, 1]])).all()
+
+
+class TestSchurRidge:
+    def test_roundoff_indefinite_takes_first_rung(self, rng):
+        # a Schur matrix with spectrum 1e-2 .. 1e14 shifted by -eps ||M||
+        # is indefinite only at roundoff: the smallest ridge must fix it,
+        # and its PD siblings must come back exactly as factored alone
+        m = 8
+        eps = np.finfo(float).eps
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        lam = np.r_[1e-2, np.logspace(13, 14, m - 1)]
+        victim = sdp._sym((q * lam) @ q.T)
+        norm = np.linalg.norm(victim, 2)
+        victim -= eps * norm * np.eye(m)
+        a = rng.normal(size=(2, m, m))
+        sibs = a @ a.swapaxes(-1, -2) + np.eye(m)
+        schur = np.stack([sibs[0], victim, sibs[1]])
+        assert np.isnan(sdp._chol_each(schur)[1]).all()
+        dscale = np.maximum(np.einsum("bii->b", schur) / m, 1.0)
+
+        before = schur.copy()
+        li = sdp._schur_inv_factor(schur, dscale)
+        ridge = sdp.SCHUR_RIDGES[0] * dscale[1]
+        assert ridge <= m * eps * norm
+        expect = before[1].copy()
+        expect[np.arange(m), np.arange(m)] += ridge
+        assert np.array_equal(schur[1], expect)
+        assert np.isfinite(li[1]).all()
+        for i, sib in ((0, sibs[0]), (2, sibs[1])):
+            assert np.array_equal(schur[i], before[i])
+            assert np.array_equal(li[i],
+                                  sdp._schur_inv_factor(sib[None].copy(),
+                                                        dscale[i:i + 1])[0])
