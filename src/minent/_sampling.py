@@ -28,13 +28,20 @@ def complex_ginibre(gen: np.random.Generator, shape) -> np.ndarray:
     return r * np.exp(2j * np.pi * u2)
 
 
-def haar_unitaries(gen: np.random.Generator, dim: int, count: int) -> np.ndarray:
-    """Haar-distributed unitaries: Ginibre QR with R-diagonal phase fix."""
-    z = complex_ginibre(gen, (count, dim, dim))
+def _haar_isometries(gen: np.random.Generator, rows: int, cols: int,
+                     count: int) -> np.ndarray:
+    """Haar-distributed isometries (rows >= cols): Ginibre QR with
+    R-diagonal phase fix."""
+    z = complex_ginibre(gen, (count, rows, cols))
     q, r = np.linalg.qr(z)
     diag = np.einsum("bii->bi", r)
     phases = diag / np.abs(np.where(np.abs(diag) > 0, diag, 1.0))
     return q * phases[:, None, :]
+
+
+def haar_unitaries(gen: np.random.Generator, dim: int, count: int) -> np.ndarray:
+    """Haar-distributed unitaries."""
+    return _haar_isometries(gen, dim, dim, count)
 
 
 def random_pure_vectors(gen: np.random.Generator, dim: int, count: int) -> np.ndarray:
@@ -52,19 +59,9 @@ def random_density_matrices(gen: np.random.Generator, dim: int, count: int,
 
 
 def random_channels_kraus(gen: np.random.Generator, in_dim: int, out_dim: int,
-                          kraus_count: int, count: int):
-    """Random channels from Haar isometries in -> out (x) env."""
-    big = out_dim * kraus_count
-    z = complex_ginibre(gen, (count, big, in_dim))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("bii->bi", r)
-    phases = diag / np.abs(np.where(np.abs(diag) > 0, diag, 1.0))
-    isos = q * phases[:, None, :]
-    out = []
-    for b in range(count):
-        v = isos[b]
-        # rows are indexed (a, e); Kraus operators collect fixed e
-        kraus = [np.stack([v[a * kraus_count + e] for a in range(out_dim)])
-                 for e in range(kraus_count)]
-        out.append(kraus)
-    return out
+                          kraus_count: int, count: int) -> np.ndarray:
+    """Random channels from Haar isometries in -> out (x) env, as a stack
+    (count, kraus_count, out_dim, in_dim) of Kraus operators."""
+    isos = _haar_isometries(gen, out_dim * kraus_count, in_dim, count)
+    # rows are indexed (a, e); Kraus operators collect fixed e
+    return isos.reshape(count, out_dim, kraus_count, in_dim).swapaxes(1, 2)

@@ -34,6 +34,7 @@ __all__ = [
     "replacer_swap_dilation",
     "partial_trace_channel",
     "apply",
+    "apply_many",
     "choi_state",
     "choi_matrix",
     "stinespring_isometry",
@@ -42,7 +43,6 @@ __all__ = [
     "tensor_channels",
     "diamond_distance",
     "channel_from_spec",
-    "channel_spec_to_json",
 ]
 
 
@@ -71,9 +71,6 @@ class KrausMap:
         object.__setattr__(self, "in_dim", din)
         object.__setattr__(self, "out_dim", dout)
 
-    def evaluate(self, mat: np.ndarray) -> np.ndarray:
-        return sum(k @ mat @ k.conj().T for k in self.kraus)
-
     def completeness(self) -> np.ndarray:
         return sum(k.conj().T @ k for k in self.kraus)
 
@@ -85,7 +82,7 @@ class QuantumChannel(KrausMap):
     def __init__(self, kraus, in_dim=None, out_dim=None):
         KrausMap.__init__(self, kraus, in_dim, out_dim)
         gap = np.abs(self.completeness() - np.eye(self.in_dim)).max()
-        if gap > 1e-10:
+        if not gap <= 1e-10:  # also rejects a NaN gap from overflowing input
             raise ValueError(f"Kraus completeness violated by {gap:.3e}")
 
 
@@ -190,7 +187,7 @@ def replacer(omega: DensityOperator, in_dim: int | None = None) -> QuantumChanne
 
 def unitary_channel(u: np.ndarray) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
-    if np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() > 1e-10:
+    if u.ndim != 2 or not np.abs(u.conj().T @ u - np.eye(u.shape[1])).max() <= 1e-10:
         raise ValueError("matrix is not unitary/isometric")
     return QuantumChannel([u])
 
@@ -198,9 +195,12 @@ def unitary_channel(u: np.ndarray) -> QuantumChannel:
 def povm_channel(elements) -> QuantumChannel:
     """Measurement channel rho -> sum_x |x><x| tr(L_x rho) for a POVM {L_x}."""
     els = [np.asarray(e, dtype=complex) for e in elements]
+    if not els or els[0].ndim != 2 or any(e.shape != els[0].shape for e in els) \
+            or els[0].shape[0] != els[0].shape[1]:
+        raise ValueError("POVM needs at least one element, all square of one shape")
     d = els[0].shape[0]
     total = sum(els)
-    if np.abs(total - np.eye(d)).max() > 1e-10:
+    if not np.abs(total - np.eye(d)).max() <= 1e-10:
         raise ValueError("POVM elements must sum to the identity")
     nx = len(els)
     ops = []
@@ -223,7 +223,13 @@ def make_named_channel(family: str, p: float | None = None,
                        unitary: np.ndarray | None = None,
                        povm=None, dims: int | None = None) -> QuantumChannel:
     """Build one of the named channel families from its parameters."""
+    if not isinstance(family, str):
+        raise ValueError("channel family must be a string")
     family = family.lower()
+    if p is not None:
+        p = _real(p, "p")
+    if dims is not None:
+        dims = _positive_int(dims, "dims")
     if family == "depolarizing":
         return depolarizing(_need(p, "p"))
     if family == "dephasing1":
@@ -252,6 +258,24 @@ def _need(value, name):
     if value is None:
         raise ValueError(f"missing parameter {name!r}")
     return value
+
+
+def _real(value, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a real number") from exc
+
+
+def _positive_int(value, name: str) -> int:
+    try:
+        d = int(value)
+        integral = float(value) == d
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a positive integer") from exc
+    if not integral or d < 1:
+        raise ValueError(f"{name} must be a positive integer")
+    return d
 
 
 def replacer_swap_dilation(omega: DensityOperator):
@@ -307,30 +331,45 @@ def partial_trace_channel(dims, keep) -> QuantumChannel:
 # actions and representations
 
 
+def apply_many(n: KrausMap, ops: np.ndarray, left: int = 1,
+               right: int = 1) -> np.ndarray:
+    """(id_left (x) N (x) id_right) on a stack of operators.
+
+    `ops` is a stack (B, D, D) of operators, or a stack (B, D) of state
+    vectors psi standing for psi psi^dag, on left (x) in (x) right with
+    D = left * in_dim * right; the result is (B, D', D') with
+    D' = left * out_dim * right. All Kraus operators are contracted in one
+    einsum into the transfer matrix T[(i, j), (a, c)] = sum_k K_k[a, i]
+    conj(K_k[c, j]), which acts on the stack as one matmul, so the cost
+    does not grow with the Kraus count.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    if ops.ndim == 2:
+        ops = ops[:, :, None] * ops[:, None, :].conj()
+    din, dout = n.in_dim, n.out_dim
+    if ops.ndim != 3 or ops.shape[1:] != (left * din * right,) * 2:
+        raise ValueError("operator dimension does not match channel input")
+    kr = np.stack(n.kraus)
+    transfer = np.einsum("kai,kcj->ijac", kr, kr.conj()).reshape(din * din, -1)
+    # (b, l, i, r, m, j, s) -> rows (b, l, r, m, s), columns (i, j)
+    m = ops.reshape(-1, left, din, right, left, din, right) \
+        .transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, din * din)
+    out = (m @ transfer).reshape(-1, left, right, left, right, dout, dout)
+    d = left * dout * right
+    return out.transpose(0, 1, 5, 2, 3, 6, 4).reshape(-1, d, d)
+
+
 def apply(n: KrausMap, rho: DensityOperator,
           acting_subsystem: int | None = None) -> DensityOperator:
     """Apply a channel to a state, or to one subsystem of a larger state."""
-    if acting_subsystem is None:
-        if rho.dim != n.in_dim:
-            raise ValueError("state dimension does not match channel input")
-        out = n.evaluate(rho.matrix)
-        return DensityOperator(out, (n.out_dim,),
-                               subnormalized=not isinstance(n, QuantumChannel))
-    dims = rho.dims
-    if dims[acting_subsystem] != n.in_dim:
+    dims = [rho.dim] if acting_subsystem is None else list(rho.dims)
+    k = range(len(dims))[acting_subsystem or 0]
+    if dims[k] != n.in_dim:
         raise ValueError("subsystem dimension does not match channel input")
-    big_kraus = []
-    for k in n.kraus:
-        factors = [np.eye(d, dtype=complex) for d in dims]
-        factors[acting_subsystem] = k
-        full = factors[0]
-        for f in factors[1:]:
-            full = np.kron(full, f)
-        big_kraus.append(full)
-    out = sum(k @ rho.matrix @ k.conj().T for k in big_kraus)
-    new_dims = list(dims)
-    new_dims[acting_subsystem] = n.out_dim
-    return DensityOperator(out, tuple(new_dims),
+    out = apply_many(n, rho.matrix[None], math.prod(dims[:k]),
+                     math.prod(dims[k + 1:]))[0]
+    dims[k] = n.out_dim
+    return DensityOperator(out, tuple(dims),
                            subnormalized=not isinstance(n, QuantumChannel))
 
 
@@ -353,18 +392,8 @@ def choi_state(n: QuantumChannel) -> ChoiState:
 def stinespring_isometry(n: QuantumChannel) -> IsometryExtension:
     """V = sum_i K_i (x) |i>_E, environment dimension = Kraus count."""
     nk = len(n.kraus)
-    v = np.zeros((n.out_dim * nk, n.in_dim), dtype=complex)
-    for i, k in enumerate(n.kraus):
-        for a in range(n.out_dim):
-            v[a * nk + i, :] = k[a, :]
+    v = np.stack(n.kraus, axis=1).reshape(n.out_dim * nk, n.in_dim)
     return IsometryExtension(v, nk)
-
-
-def stinespring_output(n: QuantumChannel, rho: DensityOperator) -> DensityOperator:
-    """State on A (x) E produced by the isometric extension."""
-    v = stinespring_isometry(n)
-    out = v.isometry @ rho.matrix @ v.isometry.conj().T
-    return DensityOperator(out, (v.out_dim, v.env_dim))
 
 
 def is_ppt(n: QuantumChannel) -> bool:
@@ -430,37 +459,44 @@ def diamond_distance(n: KrausMap, m: KrausMap) -> float:
         raise ValueError("channels must share input and output dimensions")
     j = (choi_matrix(n, normalized=False).matrix
          - choi_matrix(m, normalized=False).matrix)
-    val = diamond_values_from_choi([j], n.in_dim, n.out_dim)[0]
-    return float(val)
+    vals, ok = _diamond_batch([j], n.in_dim, n.out_dim)
+    if not ok[0]:
+        raise sdp.SdpFailure("diamond-norm SDP failed")
+    return float(vals[0])
 
 
-def diamond_values_from_choi(choi_diffs, din: int, dout: int,
-                             require_optimal: bool = True) -> np.ndarray:
-    """Batched (1/2)||.||_diamond of Hermitian maps given unnormalized Chois."""
+def _diamond_batch(diffs, din: int, dout: int, chunk: int = 64):
+    """Half diamond norms (1/2)||.||_diamond of Hermitian maps, given their
+    unnormalized Choi matrices, solved in stacks of at most `chunk`.
+
+    Returns (values, ok); ok flags the instances whose SDP ended optimal.
+    """
     a, b, blocks = _diamond_problem_data(din, dout)
-    cs = np.stack([_diamond_objective(j, din, dout) for j in choi_diffs])
-    res = sdp.solve_stack(cs, a, b, sense="max", blocks=blocks)
-    if require_optimal:
-        bad = [s for s in res["status_str"] if s != "optimal"]
-        if bad:
-            raise sdp.SdpFailure(f"{len(bad)} diamond-norm SDPs failed")
-    return np.maximum(res["primal_value"], 0.0)
+    vals = np.zeros(len(diffs))
+    ok = np.zeros(len(diffs), dtype=bool)
+    for start in range(0, len(diffs), chunk):
+        part = diffs[start:start + chunk]
+        cs = np.stack([_diamond_objective(j, din, dout) for j in part])
+        res = sdp.solve_stack(cs, a, b, sense="max", blocks=blocks)
+        vals[start:start + len(part)] = np.maximum(res["primal_value"], 0.0)
+        ok[start:start + len(part)] = [s == "optimal" for s in res["status_str"]]
+    return vals, ok
 
 
 # ---------------------------------------------------------------------------
 # JSON channel specs (shared wire format with the CLI)
 
 
-def channel_spec_to_json(spec: dict) -> str:
-    return json.dumps(spec, sort_keys=True)
-
-
-def _matrix_from_pairs(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
-def _matrix_to_pairs(mat):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(mat)]
+def _matrix_from_pairs(rows, name: str) -> np.ndarray:
+    try:
+        pairs = np.array(rows, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name} must be a matrix of [re, im] pairs") from exc
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.size == 0:
+        raise ValueError(f"{name} must be a matrix of [re, im] pairs")
+    if not np.isfinite(pairs).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return np.ascontiguousarray(pairs).view(complex)[..., 0]
 
 
 def channel_from_spec(spec) -> QuantumChannel:
@@ -468,26 +504,24 @@ def channel_from_spec(spec) -> QuantumChannel:
 
     Fields: {family, p?, omega?, unitary?, povm?, dims?}; matrices are
     row-major [re, im] pair arrays; omega may also be the string
-    "maximally-mixed".
+    "maximally-mixed". Every malformed spec raises ValueError (or
+    json.JSONDecodeError, a ValueError, for text that is not JSON).
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
+    if not isinstance(spec, dict):
+        raise ValueError("channel spec must be a JSON object")
     if "family" not in spec:
         raise ValueError("channel spec needs a 'family' field")
-    kw = {}
-    if "p" in spec and spec["p"] is not None:
-        kw["p"] = float(spec["p"])
-    if "dims" in spec and spec["dims"] is not None:
-        kw["dims"] = int(spec["dims"])
-    if spec.get("omega") is not None:
-        om = spec["omega"]
-        if om == "maximally-mixed":
-            d = kw.get("dims", 2)
-            kw["omega"] = DensityOperator(np.eye(d) / d)
-        else:
-            kw["omega"] = DensityOperator(_matrix_from_pairs(om))
+    # p and dims are validated by make_named_channel, whose default omega
+    # is the maximally mixed state
+    kw = {key: spec[key] for key in ("p", "dims") if spec.get(key) is not None}
+    if spec.get("omega") not in (None, "maximally-mixed"):
+        kw["omega"] = DensityOperator(_matrix_from_pairs(spec["omega"], "omega"))
     if spec.get("unitary") is not None:
-        kw["unitary"] = _matrix_from_pairs(spec["unitary"])
+        kw["unitary"] = _matrix_from_pairs(spec["unitary"], "unitary")
     if spec.get("povm") is not None:
-        kw["povm"] = [_matrix_from_pairs(el) for el in spec["povm"]]
+        if not isinstance(spec["povm"], list):
+            raise ValueError("povm must be a list of matrices")
+        kw["povm"] = [_matrix_from_pairs(el, "povm element") for el in spec["povm"]]
     return make_named_channel(spec["family"], **kw)

@@ -547,14 +547,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for item in args.tolerance:
+    overrides = {}
+    for item in args.tolerance:  # validate every override before applying any
         try:
-            name, value = item.split("=", 1)
-            TOL.override(name.strip(), float(value))
+            name, value = TOL.parse_override(item)
         except ValueError as exc:
             print(f"bad tolerance override {item!r}: {exc}", file=sys.stderr)
             return EXIT_BAD_SPEC
-    return args.func(args)
+        overrides[name] = value
+    with TOL.overridden(overrides):
+        return args.func(args)
 
 
 if __name__ == "__main__":

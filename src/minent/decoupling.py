@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _sampling, dynamical, entropies
-from .channels import KrausMap, QuantumChannel, choi_matrix
+from .channels import (KrausMap, QuantumChannel, _diamond_batch, apply_many,
+                       choi_matrix)
 from .linalg import (DensityOperator, HermitianOperator, partial_trace,
                      permute_systems)
 from .thermo import WorkCost
@@ -127,6 +128,16 @@ def _state_bound_terms(eps: float, phi: DensityOperator,
     return s_input, s_map
 
 
+def _rotate(us: np.ndarray, mat: np.ndarray, left: int, right: int = 1) -> np.ndarray:
+    """(1 (x) U_b (x) 1) M (1 (x) U_b (x) 1)^dag for each unitary U_b of a
+    stack, with identities of dims `left` and `right` around U_b."""
+    d = us.shape[-1]
+    m = mat.reshape(left, d, right, left, d, right)
+    half = np.einsum("bak,lkrmjs->blarmjs", us, m)
+    out = np.einsum("blarmjs,bcj->blarmcs", half, us.conj())
+    return out.reshape(len(us), *mat.shape)
+
+
 def _mc_stats(values: np.ndarray):
     mean = float(values.mean())
     if values.size > 1:
@@ -134,18 +145,6 @@ def _mc_stats(values: np.ndarray):
     else:
         err = 0.0
     return mean, err
-
-
-def _apply_map_batch(t_map: KrausMap, mats: np.ndarray, dr: int) -> np.ndarray:
-    """(id_R (x) T) on a batch of operators over R (x) in."""
-    b = mats.shape[0]
-    din, dout = t_map.in_dim, t_map.out_dim
-    m4 = mats.reshape(b, dr, din, dr, din)
-    out = np.zeros((b, dr * dout, dr * dout), dtype=complex)
-    for k in t_map.kraus:
-        term = np.einsum("ax,brxsy,cy->brasc", k, m4, k.conj())
-        out += term.reshape(b, dr * dout, dr * dout)
-    return out
 
 
 def decouple_states_mc(phi: DensityOperator, t_map: KrausMap, n: int,
@@ -172,11 +171,8 @@ def decouple_states_mc(phi: DensityOperator, t_map: KrausMap, n: int,
     phi_r = partial_trace(phi.op, [0]).matrix
     target = np.kron(phi_r, target_b)
 
-    us = sampler.unitaries(n, da)
-    eye_r = np.eye(dr)
-    rotators = np.einsum("ij,bkl->bikjl", eye_r, us).reshape(n, dr * da, dr * da)
-    rotated = rotators @ phi.matrix @ rotators.conj().swapaxes(-1, -2)
-    outs = _apply_map_batch(t_map, rotated, dr)
+    rotated = _rotate(sampler.unitaries(n, da), phi.matrix, dr)
+    outs = apply_many(t_map, rotated, left=dr)
     diffs = outs - target
     lhs = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
     mean, err = _mc_stats(lhs)
@@ -208,14 +204,11 @@ def decouple_channel_mc(channel: QuantumChannel, t_map: KrausMap, n: int,
     dr = channel.in_dim
     gamma_n = choi_matrix(channel, normalized=False).matrix
     # T o R_pi has Choi 1_R (x) T(pi_A)
-    t_pi = t_map.evaluate(np.eye(da, dtype=complex) / da)
+    t_pi = apply_many(t_map, np.eye(da, dtype=complex)[None] / da)[0]
     gamma_target = np.kron(np.eye(dr), t_pi)
 
-    us = sampler.unitaries(n, da)
-    eye_r = np.eye(dr)
-    rotators = np.einsum("ij,bkl->bikjl", eye_r, us).reshape(n, dr * da, dr * da)
-    rotated = rotators @ gamma_n @ rotators.conj().swapaxes(-1, -2)
-    pushed = _apply_map_batch(t_map, rotated, dr)
+    rotated = _rotate(sampler.unitaries(n, da), gamma_n, dr)
+    pushed = apply_many(t_map, rotated, left=dr)
     diffs = [pushed[i] - gamma_target for i in range(n)]
     halves, ok = _diamond_batch(diffs, dr, t_map.out_dim)
     kept = halves[ok]
@@ -229,23 +222,6 @@ def decouple_channel_mc(channel: QuantumChannel, t_map: KrausMap, n: int,
         bound_rhs=float(bound), epsilon_used=eps,
         passed=bool(mean <= bound + 3 * err + 1e-9), skipped=skipped,
         entropy_terms=(s_channel, s_map))
-
-
-def _diamond_batch(diffs, din, dout, chunk: int = 64):
-    """Half diamond norms for a list of Choi differences, failure-tolerant."""
-    from . import sdp as _sdp
-    from .channels import _diamond_objective, _diamond_problem_data
-
-    a, b, blocks = _diamond_problem_data(din, dout)
-    vals = np.zeros(len(diffs))
-    ok = np.zeros(len(diffs), dtype=bool)
-    for start in range(0, len(diffs), chunk):
-        part = diffs[start:start + chunk]
-        cs = np.stack([_diamond_objective(j, din, dout) for j in part])
-        res = _sdp.solve_stack(cs, a, b, sense="max", blocks=blocks)
-        vals[start:start + len(part)] = np.maximum(res["primal_value"], 0.0)
-        ok[start:start + len(part)] = [s == "optimal" for s in res["status_str"]]
-    return vals, ok
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +271,7 @@ def find_decoupled_subsystem(phi: DensityOperator, delta_prime: float,
         d2 = da // d1
         target = np.kron(phi_r, np.eye(d1) / d1)
         for u in sampler.unitaries(max_tries, da):
-            rot = np.kron(np.kron(np.eye(dr), u), np.eye(de))
-            big = HermitianOperator(rot @ phi.matrix @ rot.conj().T,
+            big = HermitianOperator(_rotate(u[None], phi.matrix, dr, de)[0],
                                     (dr, d1, d2, de))
             red = partial_trace(big, [0, 1]).matrix
             dist = 0.5 * float(np.abs(np.linalg.eigvalsh(red - target)).sum())

@@ -18,8 +18,9 @@ import numpy as np
 
 from . import sdp
 from .linalg import (TOL, DensityOperator, HermitianOperator,
-                     hermitian_basis, herm_eig, partial_trace, psd_inv_sqrt,
-                     psd_sqrt, purified_distance, support_projector)
+                     hermitian_basis, hermitian_part, herm_eig, partial_trace,
+                     psd_inv_sqrt, psd_sqrt, purified_distance,
+                     support_projector)
 
 __all__ = [
     "RenyiOrder",
@@ -32,8 +33,10 @@ __all__ = [
     "cond_min_entropy_up",
     "cond_min_entropy_up_many",
     "cond_min_entropy_down",
+    "cond_min_entropy_down_many",
     "cond_min_entropy_down_sdp",
     "cond_hypothesis_entropy",
+    "cond_hypothesis_entropy_zero_many",
     "smooth_min_entropy_lower_bound",
     "max_fidelity_uniform",
 ]
@@ -46,6 +49,9 @@ LOG2E = 1.0 / math.log(2.0)
 # the certified bound monotone in the smoothing parameter
 SMOOTH_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.02, 0.04, 0.08,
                0.12, 0.2, 0.3, 0.45, 0.6, 0.8, 0.95)
+
+# weight of rho outside the support of sigma above which D_max is +inf
+SUPPORT_LEAK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class SmoothingBall:
 def _support_violation(rho_m: np.ndarray, sigma_m: np.ndarray) -> bool:
     proj = support_projector(sigma_m)
     comp = np.eye(sigma_m.shape[0]) - proj
-    return float(np.trace(comp @ rho_m @ comp).real) > 1e-10
+    return float(np.trace(comp @ rho_m @ comp).real) > SUPPORT_LEAK
 
 
 # ---------------------------------------------------------------------------
@@ -282,12 +288,31 @@ def cond_min_entropy_up(rho: DensityOperator) -> float:
     return float(vals[0])
 
 
+def cond_min_entropy_down_many(mats: np.ndarray, da: int, db: int) -> np.ndarray:
+    """S_min-down(A|B) = -D_max(rho_AB || 1_A (x) rho_B) for a stack of
+    states (B, dab, dab), in closed form.
+
+    -log2 lambda_max of (1 (x) rho_B^-1/2) rho (1 (x) rho_B^-1/2), with the
+    inverse root taken on the support of rho_B; -inf where rho leaves the
+    support of 1_A (x) rho_B (D_max = +inf, as in `d_max`).
+    """
+    m5 = mats.reshape(-1, da, db, da, db)
+    w, v = np.linalg.eigh(hermitian_part(np.einsum("nakal->nkl", m5)))
+    keep = w > TOL.support
+    isq = hermitian_part(
+        (v * np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)[:, None])
+        @ v.conj().swapaxes(-1, -2))
+    sand = np.einsum("nkl,nalbm,nmp->nakbp", isq, m5, isq).reshape(mats.shape)
+    vals = -np.log2(np.clip(np.linalg.eigvalsh(sand)[:, -1], 1e-300, None))
+    # tr((1 (x) Q) rho (1 (x) Q)) = tr(Q rho_B), Q the projector off supp rho_B
+    vals[np.where(keep, 0.0, w).sum(axis=1) > SUPPORT_LEAK] = -np.inf
+    return vals
+
+
 def cond_min_entropy_down(rho: DensityOperator) -> float:
     """Down-variant -D_max(rho_AB || 1_A (x) rho_B), closed form."""
     da, db = _split_dims(rho)
-    rho_b = partial_trace(rho.op, [1])
-    sig = HermitianOperator(np.kron(np.eye(da), rho_b.matrix), rho.dims)
-    return -d_max(rho, sig)
+    return float(cond_min_entropy_down_many(rho.matrix[None], da, db)[0])
 
 
 def cond_min_entropy_down_sdp(rho: DensityOperator) -> float:
@@ -310,9 +335,7 @@ def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
         raise ValueError("eps must lie in [0, 1)")
     da, db = _split_dims(rho)
     if eps == 0:
-        proj = support_projector(rho.matrix)
-        red = np.einsum("ikil->kl", proj.reshape(da, db, da, db))
-        return math.log2(float(np.linalg.eigvalsh(red).max()))
+        return float(cond_hypothesis_entropy_zero_many(rho.matrix[None], da, db)[0])
     dab = da * db
     basis = hermitian_basis(dab)
     # blocks: sigma (db), mu (1), Z (dab), Y = 1 (x) sigma + Z - mu rho (dab)
@@ -337,6 +360,17 @@ def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
     if sol.status != "optimal":
         raise sdp.SdpFailure(f"conditional hypothesis SDP status {sol.status}")
     return math.log2(max(sol.primal_value, 1e-300))
+
+
+def cond_hypothesis_entropy_zero_many(mats: np.ndarray, da: int,
+                                      db: int) -> np.ndarray:
+    """S_H(A|B) at eps = 0, log2 lambda_max(tr_A Pi_rho), for a stack of
+    states (B, dab, dab); Pi_rho is the projector onto the support of rho."""
+    w, v = np.linalg.eigh(hermitian_part(mats))
+    proj = hermitian_part((v * (w > TOL.support)[:, None])
+                          @ v.conj().swapaxes(-1, -2))
+    red = np.einsum("nakal->nkl", proj.reshape(-1, da, db, da, db))
+    return np.log2(np.clip(np.linalg.eigvalsh(red)[:, -1], 1e-300, None))
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +419,18 @@ def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
     if variant not in ("up", "down"):
         raise ValueError("variant must be 'up' or 'down'")
     da, db = _split_dims(rho)
+    cands = _smooth_candidates(rho, eps)
+    if variant == "down":
+        mats = np.stack([cand.matrix for cand in cands])
+        return float(cond_min_entropy_down_many(mats, da, db).max())
     best = -math.inf
-    for k, cand in enumerate(_smooth_candidates(rho, eps)):
-        if variant == "up":
-            try:
-                val = cond_min_entropy_up(cand)
-            except sdp.SdpFailure:
-                if k == 0:  # the center itself must certify
-                    raise
-                continue
-        else:
-            marg = partial_trace(cand.op, [1])
-            sig = HermitianOperator(np.kron(np.eye(da), marg.matrix), cand.dims)
-            val = -d_max(cand, sig)
+    for k, cand in enumerate(cands):
+        try:
+            val = cond_min_entropy_up(cand)
+        except sdp.SdpFailure:
+            if k == 0:  # the center itself must certify
+                raise
+            continue
         best = max(best, val)
     return best
 

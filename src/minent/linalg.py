@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,7 +39,7 @@ class Tolerances:
     """Numerical tolerances shared by every module.
 
     Values are absolute unless noted. The CLI can override individual
-    fields with --tolerance NAME=VALUE.
+    fields with --tolerance NAME=VALUE for the duration of one command.
     """
 
     herm: float = 1e-12       # elementwise Hermiticity slack
@@ -50,10 +51,27 @@ class Tolerances:
     sdp_gap: float = 1e-7     # duality gap required for "optimal" status
     sdp_feas: float = 1e-8    # primal feasibility residual for "optimal"
 
-    def override(self, name: str, value: float) -> None:
+    def parse_override(self, item: str) -> tuple[str, float]:
+        """(name, value) from a NAME=VALUE string; ValueError if it is
+        malformed or NAME is not a tolerance."""
+        name, value = item.split("=", 1)
+        name = name.strip()
         if name not in {f.name for f in fields(self)}:
             raise ValueError(f"unknown tolerance {name!r}")
-        setattr(self, name, float(value))
+        return name, float(value)
+
+    @contextmanager
+    def overridden(self, values: dict):
+        """Set {name: value} for the body of a with block, restoring the
+        previous values on exit, also when the body raises."""
+        saved = {name: getattr(self, name) for name in values}
+        try:
+            for name, value in values.items():
+                setattr(self, name, value)
+            yield self
+        finally:
+            for name, value in saved.items():
+                setattr(self, name, value)
 
 
 TOL = Tolerances()
@@ -67,8 +85,8 @@ def _as_complex(m) -> np.ndarray:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """Return (M + M†)/2."""
-    return (m + m.conj().T) / 2
+    """Return (M + M†)/2, for one matrix or a stack of them."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from numpy.linalg import _umath_linalg
 from .linalg import TOL, HermitianOperator
 
 __all__ = ["SdpProblem", "SdpSolution", "SdpFailure", "embed_matrix",
-           "embed_hermitian", "solve", "solve_stack"]
+           "solve", "solve_stack"]
 
 
 class SdpFailure(RuntimeError):
@@ -124,30 +124,6 @@ def embed_matrix(m: np.ndarray) -> np.ndarray:
     top = np.concatenate([m.real, -m.imag], axis=-1)
     bot = np.concatenate([m.imag, m.real], axis=-1)
     return np.concatenate([top, bot], axis=-2)
-
-
-def embed_hermitian(p: SdpProblem) -> SdpProblem:
-    """Map a Hermitian problem to an equivalent real symmetric one.
-
-    Right-hand sides are doubled to match the doubled inner products, so
-    the embedded optimal value is exactly twice the Hermitian one. Each
-    variable block embeds separately, keeping the block structure intact.
-    """
-    slices = _block_slices(p.blocks)
-
-    def emb(mat):
-        n2 = 2 * p.dim
-        out = np.zeros((n2, n2))
-        pos = 0
-        for s_ in slices:
-            nb = s_.stop - s_.start
-            out[pos:pos + 2 * nb, pos:pos + 2 * nb] = embed_matrix(mat[s_, s_])
-            pos += 2 * nb
-        return out
-
-    cons = tuple((emb(a), 2.0 * b) for a, b in p.constraints)
-    return SdpProblem(emb(p.objective), cons, p.sense,
-                      tuple(2 * nb for nb in p.blocks))
 
 
 def _unembed(m: np.ndarray) -> np.ndarray:

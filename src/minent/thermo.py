@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _sampling, dynamical, entropies
-from .channels import QuantumChannel, stinespring_isometry
+from .channels import QuantumChannel, apply_many, stinespring_isometry
 from .sdp import SdpFailure
-from .linalg import DensityOperator, support_projector
+from .linalg import DensityOperator
 
 __all__ = [
     "K_B",
@@ -151,32 +151,6 @@ def sum_bound_check(rho: DensityOperator, mu: float) -> SumBoundReport:
 # channel-level costs
 
 
-def _down_entropy_batch(mats: np.ndarray, da: int, dr: int) -> np.ndarray:
-    """S_min-down(A|R) for stacked states ordered (R, A)."""
-    out = np.zeros(mats.shape[0])
-    for i in range(mats.shape[0]):
-        m4 = mats[i].reshape(dr, da, dr, da)
-        marg = np.einsum("rasa->rs", m4)
-        w, v = np.linalg.eigh(marg)
-        inv_sqrt = (v * np.where(w > 1e-9,
-                                 1.0 / np.sqrt(np.where(w > 1e-9, w, 1.0)),
-                                 0.0)) @ v.conj().T
-        big = np.kron(inv_sqrt, np.eye(da))
-        lam = np.linalg.eigvalsh(big @ mats[i] @ big).max()
-        out[i] = -math.log2(max(lam, 1e-300))
-    return out
-
-
-def _hypothesis_entropy_zero_batch(mats: np.ndarray, da: int, de: int) -> np.ndarray:
-    """S_H^0(A|E) = log2 lambda_max(tr_A support projector), stacked."""
-    out = np.zeros(mats.shape[0])
-    for i in range(mats.shape[0]):
-        proj = support_projector(mats[i])
-        red = np.einsum("aeaf->ef", proj.reshape(da, de, da, de))
-        out[i] = math.log2(max(float(np.linalg.eigvalsh(red).max()), 1e-300))
-    return out
-
-
 def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
                   n_samples: int = 64, seed: int = 42) -> CostReport:
     """Preparation and adversarial erasure costs of one channel use.
@@ -200,22 +174,21 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     basis_vecs = np.eye(dr * dr, dtype=complex)
     pure = np.concatenate([phi[None], basis_vecs,
                            _sampling.random_pure_vectors(gen, dr * dr, n_samples)])
-    outs = dynamical._apply_to_pure_batch(channel, pure, dr)
+    # outputs on (R, A), reordered to (A, R) so the conditioning system is second
+    outs = apply_many(channel, pure, left=dr).reshape(-1, dr, da, dr, da) \
+        .transpose(0, 2, 1, 4, 3).reshape(-1, da * dr, da * dr)
     skipped = 0
     if mu == 0:
-        down = _down_entropy_batch(outs, da, dr)
+        down = entropies.cond_min_entropy_down_many(outs, da, dr)
         prep_bits = float(-down.min())
         prep_idx = int(np.nonzero(down <= down.min() + 1e-9)[0][0])
         prep_cert = "exact"
     else:
         vals, kept = [], []
-        for i in range(outs.shape[0]):
-            state = DensityOperator(
-                np.transpose(outs[i].reshape(dr, da, dr, da), (1, 0, 3, 2))
-                .reshape(dr * da, dr * da), (da, dr))
+        for i, out in enumerate(outs):
             try:
                 vals.append(entropies.smooth_min_entropy_lower_bound(
-                    mu, state, "down"))
+                    mu, DensityOperator(out, (da, dr)), "down"))
                 kept.append(i)
             except SdpFailure:
                 skipped += 1
@@ -235,7 +208,7 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     mixed.extend(_sampling.random_density_matrices(gen, dr, max(n_samples // 2, 1)))
     big = np.stack([v @ m @ v.conj().T for m in mixed])
     if mu == 0:
-        hvals = _hypothesis_entropy_zero_batch(big, da, de)
+        hvals = entropies.cond_hypothesis_entropy_zero_many(big, da, de)
         eras_bits = float(hvals.max())
         eras_idx = int(np.nonzero(hvals >= hvals.max() - 1e-9)[0][0])
     else:

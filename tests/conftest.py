@@ -16,6 +16,15 @@ def random_two_qubit_states(seed: int, count: int, rank: int | None = None):
     return [DensityOperator(m, (2, 2)) for m in mats]
 
 
+def stinespring_output(channel, rho: DensityOperator) -> DensityOperator:
+    """State on A (x) E produced by the channel's isometric extension."""
+    from minent.channels import stinespring_isometry
+
+    v = stinespring_isometry(channel)
+    out = v.isometry @ rho.matrix @ v.isometry.conj().T
+    return DensityOperator(out, (v.out_dim, v.env_dim))
+
+
 def random_qubit_channels(seed: int, count: int, kraus: int = 2):
     from minent.channels import QuantumChannel
 

@@ -3,21 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from minent import _sampling
-from minent.channels import (ChoiState, KrausMap, QuantumChannel, apply,
-                             channel_from_spec, choi_matrix, choi_state,
+from minent import _sampling, sdp
+from minent.channels import (ChoiState, KrausMap, QuantumChannel, _diamond_batch,
+                             apply, apply_many, channel_from_spec, choi_matrix,
+                             choi_state,
                              compose, dephasing1, dephasing2, depolarizing,
                              diamond_distance, identity_channel, is_ppt,
                              make_named_channel, partial_trace_channel,
                              povm_channel, replacer, replacer_swap_dilation,
-                             stinespring_isometry, stinespring_output,
-                             tensor_channels, unitary_channel)
+                             stinespring_isometry, tensor_channels,
+                             unitary_channel)
 from minent.linalg import (DensityOperator, basis_state, maximally_entangled,
                            maximally_mixed, partial_trace, pauli, pure_state,
                            trace_norm)
 
-from conftest import random_qubit_channels
+from conftest import random_qubit_channels, stinespring_output
 
 PI = maximally_mixed(2)
 PHI = maximally_entangled(2)
@@ -139,6 +142,59 @@ class TestApply:
             apply(identity_channel(3), PI)
 
 
+def kron_reference(kraus, ops, left, right):
+    """sum_k (1 (x) K_k (x) 1) X (1 (x) K_k (x) 1)^dag, Kraus padded by kron."""
+    out = 0
+    for k in kraus:
+        big = np.kron(np.kron(np.eye(left), k), np.eye(right))
+        out = out + big @ ops @ big.conj().T
+    return out
+
+
+class TestApplyMany:
+    DIMS = (2, 3, 2)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_kron_reference_on_each_subsystem(self, k):
+        gen = _sampling.stream(81, k)
+        din = self.DIMS[k]
+        kraus = _sampling.random_channels_kraus(gen, din, 2, 3, 1)[0]
+        ch = QuantumChannel(kraus)
+        left, right = math.prod(self.DIMS[:k]), math.prod(self.DIMS[k + 1:])
+        stack = _sampling.random_density_matrices(gen, 12, 4)
+        got = apply_many(ch, stack, left, right)
+        for rho, out in zip(stack, got):
+            assert np.abs(out - kron_reference(kraus, rho, left, right)).max() < 1e-14
+        single = apply(ch, DensityOperator(stack[0], self.DIMS), acting_subsystem=k)
+        assert single.dims == self.DIMS[:k] + (2,) + self.DIMS[k + 1:]
+        assert np.abs(single.matrix - got[0]).max() < 1e-15
+
+    def test_non_trace_preserving_map(self):
+        gen = _sampling.stream(82, 0)
+        kraus = 0.7 * _sampling.random_channels_kraus(gen, 2, 3, 2, 1)[0]
+        t_map = KrausMap(kraus)
+        stack = _sampling.random_density_matrices(gen, 4, 3)
+        got = apply_many(t_map, stack, left=2)
+        for rho, out in zip(stack, got):
+            assert np.abs(out - kron_reference(kraus, rho, 2, 1)).max() < 1e-14
+            assert np.trace(out).real == pytest.approx(0.49, abs=1e-12)
+        out = apply(t_map, DensityOperator(stack[0], (2, 2)), acting_subsystem=1)
+        assert out.subnormalized
+
+    def test_pure_state_stack(self):
+        gen = _sampling.stream(83, 0)
+        kraus = _sampling.random_channels_kraus(gen, 2, 2, 4, 1)[0]
+        vecs = _sampling.random_pure_vectors(gen, 4, 16)
+        got = apply_many(QuantumChannel(kraus), vecs, left=2)
+        for v, out in zip(vecs, got):
+            ref = kron_reference(kraus, np.outer(v, v.conj()), 2, 1)
+            assert np.abs(out - ref).max() < 1e-14
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_many(identity_channel(2), np.eye(6)[None], left=2)
+
+
 class TestStinespring:
     def test_unitary_channel_has_trivial_env(self):
         iso = stinespring_isometry(unitary_channel(pauli("x")))
@@ -241,12 +297,91 @@ class TestDiamond:
         assert best <= dd + 1e-7
 
 
+class TestDiamondBatch:
+    def test_chunking_keeps_values(self):
+        chs = random_qubit_channels(84, 5)
+        diffs = [choi_matrix(a, normalized=False).matrix
+                 - choi_matrix(chs[0], normalized=False).matrix for a in chs]
+        whole, ok_whole = _diamond_batch(diffs, 2, 2)
+        parts, ok_parts = _diamond_batch(diffs, 2, 2, chunk=2)
+        assert ok_whole.all() and ok_parts.all()
+        assert np.abs(whole - parts).max() < 1e-7
+        assert whole[1] == pytest.approx(diamond_distance(chs[1], chs[0]), abs=1e-7)
+
+    def test_distance_raises_on_nonoptimal(self, monkeypatch):
+        solve = sdp.solve_stack
+
+        def failing(*args, **kw):
+            res = solve(*args, **kw)
+            res["status_str"] = ["max-iterations"] * len(res["status_str"])
+            return res
+
+        monkeypatch.setattr(sdp, "solve_stack", failing)
+        vals, ok = _diamond_batch([np.zeros((4, 4))], 2, 2)
+        assert not ok.any()
+        with pytest.raises(sdp.SdpFailure):
+            diamond_distance(depolarizing(0.2), identity_channel(2))
+
+
 class TestPartialTraceChannel:
     def test_matches_partial_trace(self, rng):
         ch = partial_trace_channel((2, 2), [0])
         rho = random_state(rng, 4, (2, 2))
         out = apply(ch, rho)
         assert np.abs(out.matrix - partial_trace(rho.op, [0]).matrix).max() < 1e-12
+
+
+def _pairs(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+# specs that used to escape as AttributeError, IndexError or TypeError, or
+# (dims 0) to build a qubit replacer
+MALFORMED_SPECS = [
+    {"family": 3},
+    {"family": "povm", "povm": []},
+    {"family": "depolarizing", "p": [1]},
+    {"family": "unitary", "unitary": [[1]]},
+    {"family": "replacer", "dims": 0},
+]
+
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(),
+                 st.text(max_size=4), st.lists(st.integers(-1, 2), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+MATRICES = st.one_of(
+    JUNK,
+    st.sampled_from([_pairs(np.eye(2)), _pairs(pauli("x")), _pairs(np.eye(2) / 2),
+                     _pairs(np.diag([0.3, 0.7])), _pairs(np.diag([1.0, 0.0])),
+                     _pairs(np.eye(3) / 3), [], [[]], [[1]], [[[1, 0]]],
+                     [[[1, 0], [0, 0]]], [[[float("nan"), 0]]]]),
+    st.lists(st.lists(st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+                      min_size=1, max_size=3), min_size=1, max_size=3))
+# dims stays small: the spec format puts no ceiling on a valid dimension
+DIMS = st.one_of(st.integers(-2, 4),
+                 st.sampled_from([None, True, 0.5, 2.0, "2", "x", [2], {},
+                                  float("nan"), float("inf")]))
+FAMILIES = st.sampled_from(["depolarizing", "dephasing1", "dephasing2",
+                            "replacer", "unitary", "povm", "Depolarizing"])
+WELL_FORMED = st.fixed_dictionaries(
+    {"family": FAMILIES},
+    optional={"p": st.floats(0, 1),
+              "dims": st.integers(1, 3),
+              "omega": st.sampled_from(["maximally-mixed", _pairs(np.eye(2) / 2),
+                                        _pairs(np.diag([0.3, 0.7])),
+                                        _pairs(np.eye(3) / 3)]),
+              "unitary": st.sampled_from([_pairs(np.eye(2)), _pairs(pauli("y")),
+                                          _pairs(np.eye(3))]),
+              "povm": st.just([_pairs(np.diag([0.4, 0.1])),
+                               _pairs(np.diag([0.6, 0.9]))])})
+SPECS = st.fixed_dictionaries(
+    {"family": st.one_of(FAMILIES, st.just("bogus"), JUNK)},
+    optional={"p": st.one_of(st.floats(-0.5, 1.5), JUNK),
+              "dims": DIMS,
+              "omega": st.one_of(st.just("maximally-mixed"), MATRICES),
+              "unitary": MATRICES,
+              "povm": st.one_of(JUNK, st.lists(MATRICES, max_size=3),
+                                st.just([_pairs(np.diag([1.0, 0.0])),
+                                         _pairs(np.diag([0.0, 1.0]))]))})
 
 
 class TestWireFormat:
@@ -269,3 +404,20 @@ class TestWireFormat:
     def test_missing_family(self):
         with pytest.raises(ValueError):
             channel_from_spec({"p": 0.3})
+
+    @pytest.mark.parametrize("spec", MALFORMED_SPECS)
+    def test_malformed_spec_is_value_error(self, spec):
+        with pytest.raises(ValueError):
+            channel_from_spec(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(SPECS, WELL_FORMED, st.one_of(SPECS, WELL_FORMED).map(json.dumps),
+                     st.text(max_size=24)))
+    def test_fuzzed_spec_builds_channel_or_value_error(self, spec):
+        try:
+            ch = channel_from_spec(spec)
+        except ValueError:  # json.JSONDecodeError included
+            return
+        assert isinstance(ch, QuantumChannel)
+        marg = partial_trace(choi_matrix(ch), [0]).matrix
+        assert np.abs(marg - np.eye(ch.in_dim) / ch.in_dim).max() < 1e-10

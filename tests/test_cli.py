@@ -197,15 +197,63 @@ class TestCheck:
         assert "FAIL" in out
 
 
+class TestBadSpecs:
+    # each used to escape as a traceback (exit 1) or build a qubit replacer
+    @pytest.mark.parametrize("spec", [
+        {"family": 3},
+        {"family": "povm", "povm": []},
+        {"family": "depolarizing", "p": [1]},
+        {"family": "unitary", "unitary": [[1]]},
+        {"family": "replacer", "dims": 0},
+    ])
+    def test_exit_code_2(self, capsys, spec):
+        code, _, err = run(capsys, "entropy", "--spec", json.dumps(spec),
+                           "--n", "4")
+        assert code == 2
+        assert "invalid channel spec" in err
+
+
 class TestToleranceOverride:
-    def test_round_trip(self, capsys):
+    def test_round_trip(self, capsys, monkeypatch):
+        from minent import cli
         from minent.linalg import TOL
         before = TOL.psd
+        seen = []
+        original = cli.cmd_entropy
+
+        def spy(args):
+            seen.append(TOL.psd)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_entropy", spy)
         code, _, _ = run(capsys, "entropy", "--family", "unitary", "--n", "4",
                          "--tolerance", "psd=1e-9", "--json")
         assert code == 0
-        assert TOL.psd == 1e-9
-        TOL.psd = before
+        assert seen == [1e-9]
+        assert TOL.psd == before
+
+    def test_bad_override_applies_none(self, capsys):
+        from minent.linalg import TOL
+        before = TOL.psd
+        code, _, _ = run(capsys, "entropy", "--family", "unitary", "--n", "4",
+                         "--tolerance", "psd=1e-9", "--tolerance", "bogus=1")
+        assert code == 2
+        assert TOL.psd == before
+
+    def test_restored_when_command_raises(self, capsys, monkeypatch):
+        from minent import cli
+        from minent.linalg import TOL
+        before = TOL.psd
+
+        def boom(args):
+            assert TOL.psd == 1e-9
+            raise RuntimeError("command failed")
+
+        monkeypatch.setattr(cli, "cmd_entropy", boom)
+        with pytest.raises(RuntimeError, match="command failed"):
+            run(capsys, "entropy", "--family", "unitary",
+                "--tolerance", "psd=1e-9")
+        assert TOL.psd == before
 
     def test_unknown_name(self, capsys):
         code, _, _ = run(capsys, "entropy", "--family", "unitary",

@@ -8,7 +8,7 @@ from minent import _sampling
 from minent.channels import (depolarizing, identity_channel,
                              partial_trace_channel, replacer,
                              stinespring_isometry, tensor_channels)
-from minent.decoupling import (DecouplingReport, HaarSampler,
+from minent.decoupling import (DecouplingReport, HaarSampler, _rotate,
                                SubsystemSearchResult, decouple_channel_mc,
                                decouple_states_mc, erasure_protocol_work,
                                find_decoupled_subsystem, haar_unitary)
@@ -42,9 +42,27 @@ class TestHaar:
         b = HaarSampler(3, seed=11).unitaries(5)
         assert np.array_equal(a, b)
 
+    def test_random_channels_kraus_split(self):
+        # the Kraus split is a reshape of the loop that collects fixed-e rows
+        isos = _sampling._haar_isometries(_sampling.stream(5, 1), 6, 2, 4)
+        got = _sampling.random_channels_kraus(_sampling.stream(5, 1), 2, 2, 3, 4)
+        for v, kraus in zip(isos, got):
+            ref = [np.stack([v[a * 3 + e] for a in range(2)]) for e in range(3)]
+            assert np.array_equal(np.stack(ref), kraus)
+
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             haar_unitary(0, HaarSampler(2, seed=1))
+
+
+class TestRotate:
+    def test_matches_kron_padded_unitaries(self):
+        gen = _sampling.stream(7, 7)
+        us = _sampling.haar_unitaries(gen, 3, 4)
+        mat = _sampling.random_density_matrices(gen, 12, 1)[0]
+        for u, out in zip(us, _rotate(us, mat, 2, 2)):
+            pad = np.kron(np.kron(np.eye(2), u), np.eye(2))
+            assert np.abs(out - pad @ mat @ pad.conj().T).max() < 1e-14
 
 
 class TestStatesMc:

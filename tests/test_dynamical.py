@@ -72,7 +72,7 @@ class TestScan:
         assert isinstance(rep, ChannelEntropyReport)
         assert rep.n_scan_samples >= 64
         assert rep.inf_scan_value >= rep.s_min - 1e-6
-        assert abs(rep.closed_form - rep.sdp_value) <= 1e-6
+        assert abs(rep.s_min - rep.sdp_value) <= 1e-6
 
     def test_identity_attains_at_entangled_input(self):
         rep = channel_min_entropy_scan(IDC, 16, seed=5)
@@ -93,9 +93,9 @@ class TestScan:
 
     def test_report_invariants_enforced(self):
         with pytest.raises(ValueError):
-            ChannelEntropyReport(0.0, 0.0, 0.5, 0.0, 1)
+            ChannelEntropyReport(0.0, 0.5, 0.0, 1)
         with pytest.raises(ValueError):
-            ChannelEntropyReport(0.0, 0.0, 0.0, -1.0, 1)
+            ChannelEntropyReport(0.0, 0.0, -1.0, 1)
 
 
 class TestDuals:
@@ -159,7 +159,7 @@ class TestSmoothing:
 
     def test_channel_vs_state_smoothing_cross_check(self):
         # channel bound <= state-level smoothed bound at any sampled input
-        from minent.dynamical import _apply_to_pure_batch
+        from minent.channels import apply_many
         from minent.entropies import smooth_min_entropy_lower_bound
         from minent.linalg import DensityOperator, permute_systems, HermitianOperator
 
@@ -168,7 +168,7 @@ class TestSmoothing:
         bound = smooth_channel_min_entropy_lower_bound(eps, ch)
         gen = _sampling.stream(77, 0)
         vecs = _sampling.random_pure_vectors(gen, 4, 6)
-        outs = _apply_to_pure_batch(ch, vecs, 2)
+        outs = apply_many(ch, vecs, left=2)
         for out in outs:
             state = DensityOperator(
                 permute_systems(HermitianOperator(out, (2, 2)), (1, 0)).matrix,

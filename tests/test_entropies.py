@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from minent import _sampling
-from minent.channels import apply, depolarizing, stinespring_output
+from minent.channels import apply, depolarizing
 from minent.entropies import (RenyiOrder, SmoothingBall, cond_hypothesis_entropy,
-                              cond_min_entropy_down, cond_min_entropy_down_sdp,
-                              cond_min_entropy_up, d_hypothesis, d_max,
-                              d_max_sdp, max_fidelity_uniform, petz_renyi,
+                              cond_hypothesis_entropy_zero_many,
+                              cond_min_entropy_down, cond_min_entropy_down_many,
+                              cond_min_entropy_down_sdp, cond_min_entropy_up,
+                              d_hypothesis, d_max, d_max_sdp,
+                              max_fidelity_uniform, petz_renyi,
                               sandwiched_renyi, smooth_min_entropy_lower_bound)
 from minent.linalg import (DensityOperator, HermitianOperator, basis_state,
                            maximally_entangled, maximally_mixed, partial_trace,
-                           pure_state)
+                           permute_systems, pure_state, support_projector)
 
-from conftest import random_qubit_channels, random_two_qubit_states
+from conftest import (random_qubit_channels, random_two_qubit_states,
+                      stinespring_output)
 
 PI = maximally_mixed(2)
 PHI = maximally_entangled(2)
@@ -176,6 +179,65 @@ class TestConditionalEntropies:
             lhs = cond_min_entropy_up(rho_ab)
             rhs = -math.log2(max_fidelity_uniform(rho_ac))
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+def down_reference(m, da, db):
+    """-D_max(rho || 1 (x) rho_B) through d_max, one state at a time."""
+    rho = DensityOperator(m, (da, db), subnormalized=True)
+    marg = partial_trace(rho.op, [1]).matrix
+    return -d_max(rho, HermitianOperator(np.kron(np.eye(da), marg)))
+
+
+def hypothesis_zero_reference(m, da, db):
+    """log2 lambda_max(tr_A Pi_rho) through support_projector."""
+    red = np.einsum("ikil->kl", support_projector(m).reshape(da, db, da, db))
+    return math.log2(np.linalg.eigvalsh(red).max())
+
+
+def cost_inputs(ch):
+    """The rank-deficient states channel_costs evaluates at mu = 0: basis
+    products |i>|j> through id (x) N, ordered (A, R), and isometric
+    extension outputs of basis states, ordered (A, E)."""
+    prep = [permute_systems(apply(ch, basis_state(4, i, (2, 2)), 1).op, (1, 0)).matrix
+            for i in range(4)]
+    eras = [stinespring_output(ch, basis_state(2, k)).matrix for k in range(2)]
+    return np.stack(prep), np.stack(eras)
+
+
+class TestBatchedClosedForms:
+    CHANNELS = [depolarizing(0.3), depolarizing(1.0)] + random_qubit_channels(59, 3)
+
+    def two_qubit_stack(self):
+        mats = [rho.matrix for rho in random_two_qubit_states(58, 6)]
+        mats += [rho.matrix for rho in random_two_qubit_states(58, 4, rank=1)]
+        mats += [m for ch in self.CHANNELS for m in cost_inputs(ch)[0]]
+        return np.stack(mats)
+
+    def test_down_many_matches_dmax(self):
+        stack = self.two_qubit_stack()
+        got = cond_min_entropy_down_many(stack, 2, 2)
+        ref = [down_reference(m, 2, 2) for m in stack]
+        assert np.abs(got - ref).max() < 1e-12
+        assert cond_min_entropy_down(DensityOperator(stack[0], (2, 2))) \
+            == pytest.approx(got[0], abs=1e-12)
+
+    def test_down_many_leaves_support_like_dmax(self):
+        # rho_B has weight 5e-10 below the support cutoff: D_max = +inf
+        m = np.diag([1 - 5e-10, 0.0, 0.0, 5e-10]).astype(complex)
+        assert down_reference(m, 2, 2) == -math.inf
+        assert cond_min_entropy_down_many(m[None], 2, 2)[0] == -math.inf
+
+    def test_hypothesis_zero_many_matches_projector(self):
+        stack = self.two_qubit_stack()
+        got = cond_hypothesis_entropy_zero_many(stack, 2, 2)
+        ref = [hypothesis_zero_reference(m, 2, 2) for m in stack]
+        assert np.abs(got - ref).max() < 1e-12
+        for ch in self.CHANNELS:
+            eras = cost_inputs(ch)[1]
+            de = eras.shape[1] // 2
+            got = cond_hypothesis_entropy_zero_many(eras, 2, de)
+            ref = [hypothesis_zero_reference(m, 2, de) for m in eras]
+            assert np.abs(got - ref).max() < 1e-12
 
 
 class TestSmoothing:

@@ -6,7 +6,7 @@ from minent import _sampling, sdp
 from minent.channels import (_diamond_objective, _diamond_problem_data,
                              choi_matrix)
 from minent.linalg import hermitian_basis, maximally_entangled
-from minent.sdp import (SdpProblem, embed_hermitian, embed_matrix, solve,
+from minent.sdp import (SdpProblem, _block_slices, embed_matrix, solve,
                         solve_stack)
 
 from conftest import random_qubit_channels
@@ -26,6 +26,26 @@ def cond_min_problem(rho, da, db, scale=1.0):
     c = np.zeros((n, n), dtype=complex)
     c[:db, :db] = scale * np.eye(db)
     return SdpProblem(c, tuple(cons), "min", (db, dab))
+
+
+def embed_hermitian(p):
+    """The real symmetric problem equivalent to a Hermitian one: each block
+    embedded by `embed_matrix`, right-hand sides doubled to match the
+    doubled inner products."""
+    n2 = 2 * p.dim
+
+    def emb(mat):
+        out = np.zeros((n2, n2))
+        pos = 0
+        for s_ in _block_slices(p.blocks):
+            nb = s_.stop - s_.start
+            out[pos:pos + 2 * nb, pos:pos + 2 * nb] = embed_matrix(mat[s_, s_])
+            pos += 2 * nb
+        return out
+
+    cons = tuple((emb(a), 2.0 * b) for a, b in p.constraints)
+    return SdpProblem(emb(p.objective), cons, p.sense,
+                      tuple(2 * nb for nb in p.blocks))
 
 
 class TestEmbedding:
