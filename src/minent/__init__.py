@@ -10,7 +10,6 @@ from .linalg import (DensityOperator, HermitianOperator, TOL, fidelity,
                      herm_eig, maximally_entangled, maximally_mixed,
                      partial_trace, partial_transpose, purified_distance,
                      pure_state, tensor, trace_norm)
-from .sdp import SdpProblem, SdpSolution, solve
 from .channels import (ChoiState, IsometryExtension, QuantumChannel, apply,
                        choi_state, compose, depolarizing, dephasing1,
                        dephasing2, diamond_distance, identity_channel, is_ppt,

@@ -479,7 +479,7 @@ def _diamond_batch(diffs, din: int, dout: int, chunk: int = 64):
         cs = np.stack([_diamond_objective(j, din, dout) for j in part])
         res = sdp.solve_stack(cs, a, b, sense="max", blocks=blocks)
         vals[start:start + len(part)] = np.maximum(res["primal_value"], 0.0)
-        ok[start:start + len(part)] = [s == "optimal" for s in res["status_str"]]
+        ok[start:start + len(part)] = res["ok"]
     return vals, ok
 
 

@@ -339,10 +339,12 @@ def _invariants(seed: int):
         np.abs(pt2.matrix - a.matrix).max() < 1e-14, ""
 
     # sdp
-    sol = sdp.solve(sdp.SdpProblem(
-        np.eye(2, dtype=complex), ((np.eye(2, dtype=complex), 1.0),), "min"))
-    weak = all(d <= p + 1e-7 for p, d, pr, _ in sol.iterate_trace if pr < 1e-6)
-    yield "sdp.weak_duality", weak and sol.status == "optimal", sol.status
+    res = sdp.solve_stack(np.eye(2), np.eye(2)[None], [1.0], "min", (2,),
+                          keep_trace=True)
+    # an empty trace checks nothing, so at least one iterate must be checked
+    weak = [d <= p + 1e-7 for p, d, pr, _ in res["trace"] if pr < 1e-6]
+    passed = bool(weak) and all(weak) and bool(res["ok"][0])
+    yield "sdp.weak_duality", passed, res["status_str"][0]
 
     base = entropies.cond_min_entropy_up(phi)
     yield "sdp.closed_form_agreement Phi", abs(base + 1.0) < 1e-6, f"{base:.2e}"

@@ -41,10 +41,6 @@ __all__ = [
     "max_fidelity_uniform",
 ]
 
-# re-exported for callers building their own conditional-entropy stacks
-
-LOG2E = 1.0 / math.log(2.0)
-
 # mixing weights tried by the smoothing line search; a fixed grid keeps
 # the certified bound monotone in the smoothing parameter
 SMOOTH_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.02, 0.04, 0.08,
@@ -129,13 +125,13 @@ def d_max_sdp(rho: DensityOperator, sigma: HermitianOperator) -> float:
         b[k] = -np.real(np.trace(ek @ rho.matrix))
     c = np.zeros((n, n), dtype=complex)
     c[0, 0] = 1.0
-    prob = sdp.SdpProblem(c, tuple(zip(a, b)), "min", (1, d))
-    sol = sdp.solve(prob, keep_trace=False)
-    if sol.status == "infeasible":
+    res = sdp.solve_stack(c, a, b, "min", (1, d))
+    status = res["status_str"][0]
+    if status == "infeasible":
         return math.inf
-    if sol.status != "optimal":
-        raise sdp.SdpFailure(f"d_max SDP ended with status {sol.status}")
-    return math.log2(max(sol.primal_value, 1e-300))
+    if not res["ok"][0]:
+        raise sdp.SdpFailure(f"d_max SDP ended with status {status}")
+    return math.log2(max(float(res["primal_value"][0]), 1e-300))
 
 
 def _matrix_power_psd(m: np.ndarray, power: float) -> np.ndarray:
@@ -225,11 +221,11 @@ def d_hypothesis(eps: float, rho: DensityOperator, sigma: HermitianOperator) -> 
     b[m - 1] = 1.0 - eps
     c = np.zeros((n, n), dtype=complex)
     c[:d, :d] = sigma.matrix
-    prob = sdp.SdpProblem(c, tuple(zip(a, b)), "min", (d, d, 1))
-    sol = sdp.solve(prob, keep_trace=False)
-    if sol.status != "optimal":
-        raise sdp.SdpFailure(f"hypothesis-testing SDP status {sol.status}")
-    val = max(sol.primal_value, 0.0)
+    res = sdp.solve_stack(c, a, b, "min", (d, d, 1))
+    if not res["ok"][0]:
+        raise sdp.SdpFailure(
+            f"hypothesis-testing SDP status {res['status_str'][0]}")
+    val = max(float(res["primal_value"][0]), 0.0)
     if val < 1e-300:
         return math.inf
     return -math.log2(val)
@@ -273,9 +269,8 @@ def cond_min_entropy_up_many(mats: np.ndarray, da: int, db: int):
     a, c, basis, blocks = _cond_min_up_data(da, db)
     b = -np.einsum("kij,bji->bk", basis, mats).real
     res = sdp.solve_stack(c, a, b, "min", blocks)
-    ok = np.array([s == "optimal" for s in res["status_str"]])
     vals = -np.log2(np.clip(res["primal_value"], 1e-300, None))
-    return vals, ok
+    return vals, res["ok"]
 
 
 def cond_min_entropy_up(rho: DensityOperator) -> float:
@@ -355,11 +350,11 @@ def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
     c = np.zeros((n, n), dtype=complex)
     c[db, db] = 1.0 - eps
     c[z0:y0, z0:y0] = -np.eye(dab)
-    prob = sdp.SdpProblem(c, tuple(zip(a, b)), "max", (db, 1, dab, dab))
-    sol = sdp.solve(prob, keep_trace=False)
-    if sol.status != "optimal":
-        raise sdp.SdpFailure(f"conditional hypothesis SDP status {sol.status}")
-    return math.log2(max(sol.primal_value, 1e-300))
+    res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab))
+    if not res["ok"][0]:
+        raise sdp.SdpFailure(
+            f"conditional hypothesis SDP status {res['status_str'][0]}")
+    return math.log2(max(float(res["primal_value"][0]), 1e-300))
 
 
 def cond_hypothesis_entropy_zero_many(mats: np.ndarray, da: int,
@@ -484,11 +479,10 @@ def max_fidelity_uniform(rho: DensityOperator) -> float:
     b[-1] = 1.0
     c = np.zeros((n, n), dtype=complex)
     c[p_, q_] = c[q_, p_] = np.eye(r) / 2
-    prob = sdp.SdpProblem(c, tuple(zip(a, b)), "max", (db, 2 * r))
-    sol = sdp.solve(prob, keep_trace=False)
-    if sol.status != "optimal":
-        raise sdp.SdpFailure(f"fidelity SDP status {sol.status}")
-    ws, vs = np.linalg.eigh(sol.primal_matrix.matrix[:db, :db])
+    res = sdp.solve_stack(c, a, b, "max", (db, 2 * r))
+    if not res["ok"][0]:
+        raise sdp.SdpFailure(f"fidelity SDP status {res['status_str'][0]}")
+    ws, vs = np.linalg.eigh(hermitian_part(res["x_complex"][0][0]))
     ws = np.clip(ws, 0.0, None)
     sigma = (vs * (ws / ws.sum())) @ vs.conj().T
     return _fidelity_to_uniform(psd_sqrt(rho.matrix), sigma, da)

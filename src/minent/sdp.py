@@ -12,9 +12,10 @@ symmetric embedding  M -> [[Re M, -Im M], [Im M, Re M]].
 
 The variable may carry block-diagonal structure (`blocks`); data outside
 the diagonal blocks is ignored by the solver, which keeps iterates
-block diagonal. A vectorized multi-instance path (`solve_stack`) solves
-many problems that share constraint structure in one sweep; it exists
-because the Monte Carlo layers above solve thousands of small SDPs.
+block diagonal. The one entry point, `solve_stack`, checks its input and
+solves a stack of problems that share their constraint matrices in one
+sweep, because the Monte Carlo layers above solve thousands of small
+SDPs; a single SDP is a stack of one.
 
 Each matrix is factored once per iteration. The Cholesky factors Lx,
 Ls of the primal and dual iterates feed one SVD, G = Ls^T Lx = U Sig V^T,
@@ -35,15 +36,12 @@ ridge, ends with status "numerical-error".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import TOL, HermitianOperator
+from .linalg import TOL
 
-__all__ = ["SdpProblem", "SdpSolution", "SdpFailure", "embed_matrix",
-           "solve", "solve_stack"]
+__all__ = ["SdpFailure", "embed_matrix", "solve_stack"]
 
 
 class SdpFailure(RuntimeError):
@@ -53,65 +51,11 @@ class SdpFailure(RuntimeError):
 _STATUS = ("optimal", "infeasible", "max-iterations", "numerical-error")
 
 MAX_ITER = 500
+MAX_DIM = 64  # complex variable dim; the real embedding doubles it
 STEP_FRACTION = 0.98
 DIVERGENCE = 1e10
 SCHUR_RIDGES = (1e-15, 1e-12, 1e-9, 1e-6)  # times the mean Schur diagonal
 SCHUR_CHUNK = 1 << 18  # entries in one Schur-assembly temporary
-
-
-@dataclass(frozen=True)
-class SdpProblem:
-    """Hermitian SDP in standard equality form."""
-
-    objective: np.ndarray
-    constraints: tuple
-    sense: str = "min"
-    blocks: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        c = np.asarray(self.objective, dtype=complex)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("objective must be a square matrix")
-        if np.abs(c - c.conj().T).max() > 1e-10:
-            raise ValueError("objective must be Hermitian")
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
-        n = c.shape[0]
-        cons = []
-        for a, bi in self.constraints:
-            a = np.asarray(a, dtype=complex)
-            if a.shape != c.shape:
-                raise ValueError("constraint matrix shape mismatch")
-            if np.abs(a - a.conj().T).max() > 1e-10:
-                raise ValueError("constraint matrices must be Hermitian")
-            cons.append((a, float(bi)))
-        blocks = self.blocks or (n,)
-        if sum(blocks) != n:
-            raise ValueError("block dims must sum to the variable dim")
-        if 2 * n > 128:
-            raise ValueError("variable dim exceeds 128 after real embedding")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "constraints", tuple(cons))
-        object.__setattr__(self, "blocks", tuple(int(x) for x in blocks))
-
-    @property
-    def dim(self) -> int:
-        return self.objective.shape[0]
-
-
-@dataclass(frozen=True)
-class SdpSolution:
-    primal_value: float
-    dual_value: float
-    primal_matrix: HermitianOperator
-    dual_vector: np.ndarray
-    status: str
-    duality_gap: float
-    primal_residual: float
-    dual_residual: float
-    iterations: int
-    # (primal_obj, dual_obj, primal_res, dual_res) per iterate, for audits
-    iterate_trace: tuple = field(default=(), repr=False)
 
 
 def embed_matrix(m: np.ndarray) -> np.ndarray:
@@ -512,21 +456,54 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
 # public entry points
 
 
+def _check_stack(c, a, b, sense, blocks):
+    """Raise ValueError unless (c, a, b, sense, blocks) is a stack that
+    `solve_stack` can solve as given."""
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
+        raise ValueError("objective must be (n, n) or (B, n, n)")
+    n = c.shape[-1]
+    if n > MAX_DIM:
+        raise ValueError(f"variable dim {n} exceeds {MAX_DIM}")
+    if a.ndim != 3 or a.shape[1:] != (n, n):
+        raise ValueError("constraints must be (m, n, n), n the objective's")
+    if b.ndim not in (1, 2) or b.shape[-1] != a.shape[0]:
+        raise ValueError("rhs must be (m,) or (B, m), one per constraint")
+    bc = c.shape[0] if c.ndim == 3 else 1
+    bb = b.shape[0] if b.ndim == 2 else 1
+    if bc != bb and 1 not in (bc, bb):
+        raise ValueError("objective and rhs batch sizes must be 1 or equal")
+    if blocks and (sum(blocks) != n or min(blocks) < 1):
+        raise ValueError("block dims must be positive and sum to the "
+                         "variable dim")
+    for name, m in (("objective", c), ("constraint", a)):
+        dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
+        if not dev <= TOL.herm:  # NaN fails too
+            raise ValueError(f"{name} matrices must be finite and Hermitian")
+
+
 def solve_stack(objective, constraints, rhs, sense="min", blocks=None,
                 keep_trace=False):
-    """Solve a stack of structurally identical Hermitian SDPs.
+    """Solve a stack of Hermitian SDPs that share their constraint
+    matrices; the solver's one entry point (a single SDP is a stack of
+    one).
 
-    objective: (n, n) or (B, n, n) complex Hermitian.
+    objective: (n, n) or (B, n, n) complex Hermitian, n <= MAX_DIM.
     constraints: (m, n, n) complex Hermitian, shared by all instances.
     rhs: (m,) or (B, m) real.
-    Returns a dict with per-instance arrays (values, statuses, gaps,
-    primal blocks in the complex picture, ...).
+    sense: "min" or "max"; blocks: diagonal block sizes, default (n,).
+    Raises ValueError on input of any other form. Returns a dict of
+    per-instance arrays: primal_value, dual_value, gap, pres, dres, iters,
+    y, x_complex (the primal blocks), status (index into _STATUS),
+    status_str and ok (status is optimal); with keep_trace, trace holds
+    (primal_obj, dual_obj, primal_res, dual_res) of instance 0 per iterate.
     """
     c = np.asarray(objective, dtype=complex)
     a = np.asarray(constraints, dtype=complex)
     b = np.asarray(rhs, dtype=float)
-    single_c = c.ndim == 2
-    if single_c:
+    _check_stack(c, a, b, sense, blocks)
+    if c.ndim == 2:
         c = c[None]
     if b.ndim == 1:
         b = b[None]
@@ -553,33 +530,8 @@ def solve_stack(objective, constraints, rhs, sense="min", blocks=None,
     # J-invariance of the iterates makes the unembedding exact
     res["x_complex"] = [_unembed(xb) for xb in res.pop("x")]
     res["status_str"] = [_STATUS[k] for k in res["status"]]
+    res["ok"] = res["status"] == 0
     if keep_trace:
         res["trace"] = [(sgn * p / 2, sgn * d / 2, pr / 2, dr)
                         for p, d, pr, dr in res["trace"]]
     return res
-
-
-def solve(problem: SdpProblem, keep_trace: bool = True) -> SdpSolution:
-    """Solve one Hermitian SDP and return primal/dual certificates."""
-    a = np.stack([ai for ai, _ in problem.constraints]) if problem.constraints \
-        else np.zeros((0, problem.dim, problem.dim), dtype=complex)
-    b = np.array([bi for _, bi in problem.constraints], dtype=float)
-    res = solve_stack(problem.objective, a, b, problem.sense, problem.blocks,
-                      keep_trace=keep_trace)
-    xfull = np.zeros((problem.dim, problem.dim), dtype=complex)
-    for s_, xb in zip(_block_slices(problem.blocks), res["x_complex"]):
-        xfull[s_, s_] = xb[0]
-    # clip tiny asymmetry before wrapping
-    xfull = (xfull + xfull.conj().T) / 2
-    return SdpSolution(
-        primal_value=float(res["primal_value"][0]),
-        dual_value=float(res["dual_value"][0]),
-        primal_matrix=HermitianOperator(xfull),
-        dual_vector=res["y"][0].copy() / 1.0,
-        status=res["status_str"][0],
-        duality_gap=float(res["gap"][0]),
-        primal_residual=float(res["pres"][0]),
-        dual_residual=float(res["dres"][0]),
-        iterations=int(res["iters"][0]),
-        iterate_trace=tuple(res.get("trace", ())),
-    )

@@ -313,7 +313,8 @@ class TestDiamondBatch:
 
         def failing(*args, **kw):
             res = solve(*args, **kw)
-            res["status_str"] = ["max-iterations"] * len(res["status_str"])
+            res["status"] = np.full_like(res["status"], 2)  # max-iterations
+            res["ok"] = res["status"] == 0
             return res
 
         monkeypatch.setattr(sdp, "solve_stack", failing)
@@ -410,7 +411,7 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             channel_from_spec(spec)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.one_of(SPECS, WELL_FORMED, st.one_of(SPECS, WELL_FORMED).map(json.dumps),
                      st.text(max_size=24)))
     def test_fuzzed_spec_builds_channel_or_value_error(self, spec):

@@ -196,6 +196,22 @@ class TestCheck:
         assert code == 1
         assert "FAIL" in out
 
+    def test_empty_trace_fails_weak_duality(self, capsys, monkeypatch):
+        # with no iterate to check, weak duality would hold vacuously
+        from minent import sdp
+
+        solve_stack = sdp.solve_stack
+
+        def traceless(*args, **kw):
+            res = solve_stack(*args, **kw)
+            res["trace"] = []
+            return res
+
+        monkeypatch.setattr(sdp, "solve_stack", traceless)
+        code, out, _ = run(capsys, "check")
+        assert code == 1
+        assert "FAIL sdp.weak_duality  [optimal]" in out
+
 
 class TestBadSpecs:
     # each used to escape as a traceback (exit 1) or build a qubit replacer

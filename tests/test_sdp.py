@@ -5,47 +5,60 @@ import scipy.linalg
 from minent import _sampling, sdp
 from minent.channels import (_diamond_objective, _diamond_problem_data,
                              choi_matrix)
-from minent.linalg import hermitian_basis, maximally_entangled
-from minent.sdp import (SdpProblem, _block_slices, embed_matrix, solve,
-                        solve_stack)
+from minent.linalg import TOL, hermitian_basis, maximally_entangled
+from minent.sdp import _block_slices, embed_matrix, solve_stack
 
 from conftest import random_qubit_channels
 
 
 def cond_min_problem(rho, da, db, scale=1.0):
-    """min tr(sigma) s.t. 1_A (x) sigma >= rho, as a block SDP."""
+    """min tr(sigma) s.t. 1_A (x) sigma >= rho, as block SDP data
+    (c, a, b, blocks) for `solve_stack`."""
     dab = da * db
     n = db + dab
     basis = hermitian_basis(dab)
-    cons = []
-    for ek in basis:
-        a = np.zeros((n, n), dtype=complex)
-        a[:db, :db] = -np.einsum("ikil->kl", ek.reshape(da, db, da, db))
-        a[db:, db:] = ek
-        cons.append((a, -np.real(np.trace(ek @ rho))))
+    a = np.zeros((dab * dab, n, n), dtype=complex)
+    a[:, :db, :db] = -np.einsum("nikil->nkl", basis.reshape(-1, da, db, da, db))
+    a[:, db:, db:] = basis
+    b = -np.einsum("kij,ji->k", basis, rho).real
     c = np.zeros((n, n), dtype=complex)
     c[:db, :db] = scale * np.eye(db)
-    return SdpProblem(c, tuple(cons), "min", (db, dab))
+    return c, a, b, (db, dab)
 
 
-def embed_hermitian(p):
+def solve_one(c, a, b, blocks, sense="min", keep_trace=False):
+    """Instance 0 of a solve, as {key: value}; x is the block-diagonal
+    primal matrix."""
+    res = solve_stack(c, a, b, sense, blocks, keep_trace=keep_trace)
+    x = np.zeros(c.shape[-2:], dtype=complex)
+    for s_, xb in zip(_block_slices(blocks), res["x_complex"]):
+        x[s_, s_] = xb[0]
+    one = {k: v[0] for k, v in res.items()
+           if k not in ("x_complex", "trace")}
+    return dict(one, x=x, trace=res["trace"])
+
+
+def embed_hermitian(c, a, b, blocks):
     """The real symmetric problem equivalent to a Hermitian one: each block
     embedded by `embed_matrix`, right-hand sides doubled to match the
     doubled inner products."""
-    n2 = 2 * p.dim
+    n2 = 2 * c.shape[-1]
 
     def emb(mat):
         out = np.zeros((n2, n2))
         pos = 0
-        for s_ in _block_slices(p.blocks):
+        for s_ in _block_slices(blocks):
             nb = s_.stop - s_.start
             out[pos:pos + 2 * nb, pos:pos + 2 * nb] = embed_matrix(mat[s_, s_])
             pos += 2 * nb
         return out
 
-    cons = tuple((emb(a), 2.0 * b) for a, b in p.constraints)
-    return SdpProblem(emb(p.objective), cons, p.sense,
-                      tuple(2 * nb for nb in p.blocks))
+    return (emb(c), np.stack([emb(ak) for ak in a]), 2.0 * b,
+            tuple(2 * nb for nb in blocks))
+
+
+RHO3 = np.diag([0.1, 0.2, 0.7]).astype(complex)
+EYE3 = np.eye(3, dtype=complex)[None]
 
 
 class TestEmbedding:
@@ -66,98 +79,141 @@ class TestEmbedding:
 
     def test_problem_embedding_doubles_values(self):
         prob = cond_min_problem(maximally_entangled(2).matrix, 2, 2)
-        emb = embed_hermitian(prob)
-        assert emb.dim == 2 * prob.dim
-        assert emb.constraints[0][1] == pytest.approx(2 * prob.constraints[0][1])
+        emb = embed_hermitian(*prob)
+        assert emb[0].shape[-1] == 2 * prob[0].shape[-1]
+        assert emb[2][0] == pytest.approx(2 * prob[2][0])
         # the embedded problem is real symmetric, block structure intact,
         # and solves to exactly twice the Hermitian optimum
-        assert all(np.abs(a.imag).max() == 0 for a, _ in emb.constraints)
-        sol_c = solve(prob)
-        sol_r = solve(emb)
-        assert sol_r.primal_value == pytest.approx(2 * sol_c.primal_value,
-                                                   abs=1e-6)
+        assert np.abs(emb[1].imag).max() == 0
+        sol_c = solve_one(*prob)
+        sol_r = solve_one(*emb)
+        assert sol_r["primal_value"] == pytest.approx(
+            2 * sol_c["primal_value"], abs=1e-6)
 
 
 class TestSolve:
     def test_pure_product(self):
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
-        sol = solve(cond_min_problem(rho, 2, 2))
-        assert sol.status == "optimal"
-        assert sol.primal_value == pytest.approx(1.0, abs=1e-7)
+        sol = solve_one(*cond_min_problem(rho, 2, 2))
+        assert sol["status_str"] == "optimal" and sol["ok"]
+        assert sol["primal_value"] == pytest.approx(1.0, abs=1e-7)
 
     def test_maximally_entangled(self):
-        sol = solve(cond_min_problem(maximally_entangled(2).matrix, 2, 2))
-        assert sol.status == "optimal"
+        sol = solve_one(*cond_min_problem(maximally_entangled(2).matrix, 2, 2))
+        assert sol["status_str"] == "optimal" and sol["ok"]
         # brute force over sigma (symmetry reduces to c*I) gives 2
-        assert sol.primal_value == pytest.approx(2.0, abs=1e-7)
-        assert sol.duality_gap <= 1e-7
-        assert sol.primal_residual <= 1e-8
+        assert sol["primal_value"] == pytest.approx(2.0, abs=1e-7)
+        assert sol["gap"] <= 1e-7
+        assert sol["pres"] <= 1e-8
 
     def test_dmax_instance_matches_eigen_formula(self, rng):
         # min tr sigma reproduces 2^{-Smin}; compare against the pure-state
         # closed form (sum of Schmidt coefficients)^2
         v = _sampling.random_pure_vectors(rng, 4, 1)[0]
         rho = np.outer(v, v.conj())
-        sol = solve(cond_min_problem(rho, 2, 2))
+        sol = solve_one(*cond_min_problem(rho, 2, 2))
         sv = np.linalg.svd(v.reshape(2, 2), compute_uv=False)
-        assert sol.primal_value == pytest.approx(float(sv.sum() ** 2), abs=1e-7)
+        assert sol["primal_value"] == pytest.approx(float(sv.sum() ** 2),
+                                                    abs=1e-7)
 
     def test_weak_duality_along_iterates(self, rng):
         v = _sampling.random_pure_vectors(rng, 8, 1)[0]
         rho = np.outer(v, v.conj())
-        sol = solve(cond_min_problem(rho, 2, 4))
-        assert sol.status == "optimal"
-        for pobj, dobj, pres, dres in sol.iterate_trace:
+        sol = solve_one(*cond_min_problem(rho, 2, 4), keep_trace=True)
+        assert sol["status_str"] == "optimal"
+        checked = 0
+        for pobj, dobj, pres, dres in sol["trace"]:
             if pres < 1e-7 and dres < 1e-7:
                 assert dobj <= pobj + 1e-7
+                checked += 1
+        # an empty trace would pass the loop vacuously
+        assert checked >= 1
 
     def test_objective_scaling(self, rng):
         m = _sampling.random_density_matrices(rng, 4, 1)[0]
-        base = solve(cond_min_problem(m, 2, 2)).primal_value
-        scaled = solve(cond_min_problem(m, 2, 2, scale=3.5)).primal_value
+        base = solve_one(*cond_min_problem(m, 2, 2))["primal_value"]
+        scaled = solve_one(*cond_min_problem(m, 2, 2, scale=3.5))["primal_value"]
         assert scaled == pytest.approx(3.5 * base, rel=1e-6)
 
     def test_primal_certificate_consistent(self):
-        prob = cond_min_problem(maximally_entangled(2).matrix, 2, 2)
-        sol = solve(prob)
-        x = sol.primal_matrix.matrix
-        assert np.trace(prob.objective @ x).real == pytest.approx(
-            sol.primal_value, abs=1e-8)
-        worst = max(abs(np.trace(a @ x).real - b) for a, b in prob.constraints)
+        c, a, b, blocks = cond_min_problem(maximally_entangled(2).matrix, 2, 2)
+        sol = solve_one(c, a, b, blocks)
+        x = sol["x"]
+        assert np.trace(c @ x).real == pytest.approx(sol["primal_value"],
+                                                     abs=1e-8)
+        worst = np.abs(np.einsum("kij,ji->k", a, x).real - b).max()
         assert worst < 1e-8
         assert np.linalg.eigvalsh(x).min() > -1e-9
 
     def test_infeasible(self):
-        prob = SdpProblem(np.eye(2, dtype=complex),
-                          ((np.eye(2, dtype=complex), -1.0),), "min")
-        assert solve(prob).status == "infeasible"
+        sol = solve_one(np.eye(2, dtype=complex), np.eye(2, dtype=complex)[None],
+                        np.array([-1.0]), (2,))
+        assert sol["status_str"] == "infeasible" and not sol["ok"]
 
     def test_deterministic(self):
         prob = cond_min_problem(maximally_entangled(2).matrix, 2, 2)
-        a = solve(prob)
-        b = solve(prob)
-        assert a.primal_value == b.primal_value
-        assert a.iterations == b.iterations
+        a = solve_one(*prob)
+        b = solve_one(*prob)
+        assert a["primal_value"] == b["primal_value"]
+        assert a["iters"] == b["iters"]
 
     def test_max_sense(self):
         # max tr(rho X) s.t. tr X = 1, X >= 0 equals lambda_max(rho)
-        rho = np.diag([0.1, 0.2, 0.7]).astype(complex)
-        prob = SdpProblem(rho, ((np.eye(3, dtype=complex), 1.0),), "max")
-        sol = solve(prob)
-        assert sol.status == "optimal"
-        assert sol.primal_value == pytest.approx(0.7, abs=1e-7)
-        assert sol.dual_value >= sol.primal_value - 1e-7
+        sol = solve_one(RHO3, EYE3, np.array([1.0]), (3,), "max")
+        assert sol["status_str"] == "optimal" and sol["ok"]
+        assert sol["primal_value"] == pytest.approx(0.7, abs=1e-7)
+        assert sol["dual_value"] >= sol["primal_value"] - 1e-7
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SdpProblem(np.array([[0, 1], [0, 0]]), (), "min")
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), (), "maximize")
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(2), (), "min", (3,))
-        with pytest.raises(ValueError):
-            SdpProblem(np.eye(80), (), "min")
+        none = np.zeros((0, 2, 2))
+        with pytest.raises(ValueError, match="Hermitian"):
+            solve_stack(np.array([[0, 1], [0, 0]]), none, [], "min")
+        with pytest.raises(ValueError, match="sense"):
+            solve_stack(np.eye(2), none, [], "maximize")
+        with pytest.raises(ValueError, match="block dims"):
+            solve_stack(np.eye(2), none, [], "min", (3,))
+        with pytest.raises(ValueError, match="exceeds 64"):
+            solve_stack(np.eye(80), np.zeros((0, 80, 80)), [], "min")
+
+
+class TestSolveStackInput:
+    # more cases than test_validation's; each used to solve something, or
+    # fail inside the solver
+    @pytest.mark.parametrize("args, match", [
+        ((RHO3, EYE3, [1.0], "MIN"), "sense"),
+        ((RHO3, EYE3, [1.0], "max", (2,)), "block dims"),
+        ((RHO3 + 1e-11j * np.triu(np.ones((3, 3)), 1), EYE3, [1.0]),
+         "Hermitian"),
+        ((RHO3, EYE3 + np.triu(np.ones((3, 3)), 1), [1.0]), "Hermitian"),
+        ((np.full((3, 3), np.nan), EYE3, [1.0]), "Hermitian"),
+        ((np.stack([RHO3] * 3), EYE3, np.ones((5, 1))), "batch"),
+        ((RHO3[:, :2], EYE3, [1.0]), "objective"),
+        ((RHO3, np.eye(2)[None], [1.0]), "constraints"),
+        ((RHO3, EYE3, [1.0, 2.0]), "rhs"),
+        ((np.eye(65), np.eye(65)[None], [1.0]), "exceeds 64"),
+    ], ids=["sense-upper", "blocks-short", "objective-above-tol",
+            "constraint-nonherm", "objective-nan",
+            "batch-mismatch", "objective-shape", "constraint-shape",
+            "rhs-length", "dim-cap"])
+    def test_rejects(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            solve_stack(*args)
+
+    def test_accepts_roundoff_asymmetry(self):
+        # deviations at TOL.herm pass: the callers build their data from
+        # products whose Hermiticity holds only to roundoff
+        c = RHO3 + TOL.herm * 1j * np.triu(np.ones((3, 3)), 1)
+        res = solve_stack(c, EYE3, [1.0], "max")
+        assert res["ok"][0]
+        assert res["primal_value"][0] == pytest.approx(0.7, abs=1e-7)
+
+    def test_ok_mask_is_optimal_status(self):
+        # min tr X s.t. tr X = b: optimal at b = 1, infeasible at b = -1
+        res = solve_stack(np.eye(2), np.eye(2)[None], [[1.0], [-1.0]])
+        assert res["status_str"] == ["optimal", "infeasible"]
+        assert res["ok"].tolist() == [s == "optimal" for s in res["status_str"]]
+        assert res["ok"].tolist() == (res["status"] == 0).tolist()
 
 
 class TestSolveStack:
@@ -174,10 +230,11 @@ class TestSolveStack:
         bs = -np.einsum("kij,bji->bk", basis, mats).real
         res = solve_stack(c, a, bs, "min", (2, 4))
         assert all(s == "optimal" for s in res["status_str"])
+        assert res["ok"].all()
         for i in (0, 5, 11):
-            single = solve(cond_min_problem(mats[i], 2, 2))
-            assert res["primal_value"][i] == pytest.approx(single.primal_value,
-                                                           abs=1e-6)
+            single = solve_one(*cond_min_problem(mats[i], 2, 2))
+            assert res["primal_value"][i] == pytest.approx(
+                single["primal_value"], abs=1e-6)
 
     def test_cholesky_fallback_leaves_siblings_alone(self, monkeypatch):
         # qubit diamond-norm instances whose iterates lose definiteness to
