@@ -112,19 +112,12 @@ def _cp_choi_checked(t_map: KrausMap) -> DensityOperator:
                            (t_map.in_dim, t_map.out_dim), subnormalized=True)
 
 
-def _smooth_state_entropy(eps: float, rho_ar: DensityOperator) -> float:
-    """S^eps_min(A|R) with the state ordered (A, R); exact at eps = 0."""
-    if eps == 0:
-        return entropies.cond_min_entropy_up(rho_ar)
-    return entropies.smooth_min_entropy_lower_bound(eps, rho_ar, "up")
-
-
 def _state_bound_terms(eps: float, phi: DensityOperator,
                        t_map: KrausMap) -> tuple[float, float]:
     dr, da = phi.dims
     phi_ar = DensityOperator(permute_systems(phi.op, (1, 0)).matrix, (da, dr))
-    s_input = _smooth_state_entropy(eps, phi_ar)
-    s_map = _smooth_state_entropy(eps, _cp_choi_checked(t_map))
+    s_input = entropies.smooth_min_entropy_lower_bound(eps, phi_ar)
+    s_map = entropies.smooth_min_entropy_lower_bound(eps, _cp_choi_checked(t_map))
     return s_input, s_map
 
 
@@ -198,7 +191,7 @@ def decouple_channel_mc(channel: QuantumChannel, t_map: KrausMap, n: int,
     if t_map.in_dim != da:
         raise ValueError("post-processing input must match the channel output")
     s_channel = dynamical.smooth_channel_min_entropy_lower_bound(eps, channel)
-    s_map = _smooth_state_entropy(eps, _cp_choi_checked(t_map))
+    s_map = entropies.smooth_min_entropy_lower_bound(eps, _cp_choi_checked(t_map))
     bound = 2.0 ** (-0.5 * (s_channel + s_map)) + 12.0 * eps
 
     dr = channel.in_dim
@@ -255,7 +248,7 @@ def find_decoupled_subsystem(phi: DensityOperator, delta_prime: float,
 
     rho_ra = DensityOperator(partial_trace(phi.op, [0, 1]).matrix, (dr, da))
     rho_ar = DensityOperator(permute_systems(rho_ra.op, (1, 0)).matrix, (da, dr))
-    s_ar = _smooth_state_entropy(eps, rho_ar)
+    s_ar = entropies.smooth_min_entropy_lower_bound(eps, rho_ar)
     guaranteed_log = 0.5 * (math.log2(da) + s_ar) \
         + math.log2(2 * delta_prime - 12 * eps)
     guaranteed = 1
@@ -312,7 +305,7 @@ def erasure_protocol_work(phi: DensityOperator, delta_prime: float, eps: float,
 
     rho_ra = DensityOperator(partial_trace(phi.op, [0, 1]).matrix, (dr, da))
     rho_ar = DensityOperator(permute_systems(rho_ra.op, (1, 0)).matrix, (da, dr))
-    s_ar = _smooth_state_entropy(eps, rho_ar)
+    s_ar = entropies.smooth_min_entropy_lower_bound(eps, rho_ar)
     bound_bits = -s_ar - 2 * math.log2(2 * delta_prime - 12 * eps)
     holds = True
     if found.a1_dim >= found.guaranteed_dim:

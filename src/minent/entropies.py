@@ -17,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import sdp
-from .linalg import (TOL, DensityOperator, HermitianOperator,
+from .linalg import (TOL, DensityOperator, HermitianOperator, fidelity_many,
                      hermitian_basis, hermitian_part, herm_eig, partial_trace,
-                     psd_inv_sqrt, psd_sqrt, purified_distance,
-                     support_projector)
+                     psd_inv_sqrt, psd_sqrt, support_projector)
 
 __all__ = [
     "RenyiOrder",
@@ -67,7 +66,8 @@ class RenyiOrder:
 
 @dataclass(frozen=True)
 class SmoothingBall:
-    """Purified-distance ball of subnormalized states around a center."""
+    """Purified-distance ball of subnormalized states around a center,
+    measured with the generalized fidelity."""
 
     epsilon: float
     center: DensityOperator
@@ -76,10 +76,19 @@ class SmoothingBall:
         if not 0 <= self.epsilon <= 1:
             raise ValueError("epsilon must lie in [0, 1]")
 
+    def contains_many(self, mats: np.ndarray) -> np.ndarray:
+        """Membership mask of a stack of Hermitian matrices (B, d, d):
+        PSD within TOL.psd, trace at most 1 + TOL.trace, and within
+        purified distance epsilon of the center."""
+        inside = (np.linalg.eigvalsh(mats)[:, 0] >= -TOL.psd) \
+            & (np.trace(mats, axis1=1, axis2=2).real <= 1 + TOL.trace)
+        fid = fidelity_many(self.center.matrix, mats[inside], generalized=True)
+        inside[inside] = np.sqrt(np.maximum(1.0 - fid, 0.0)) \
+            <= self.epsilon + 1e-12
+        return inside
+
     def contains(self, candidate: DensityOperator) -> bool:
-        if candidate.trace() > 1 + TOL.trace:
-            return False
-        return purified_distance(self.center, candidate) <= self.epsilon + 1e-12
+        return bool(self.contains_many(candidate.matrix[None])[0])
 
 
 def _support_violation(rho_m: np.ndarray, sigma_m: np.ndarray) -> bool:
@@ -372,32 +381,25 @@ def cond_hypothesis_entropy_zero_many(mats: np.ndarray, da: int,
 # smoothing (certified one-sided bounds)
 
 
-def _smooth_candidates(rho: DensityOperator, eps: float):
-    """Subnormalized candidates inside the eps-ball, including rho itself."""
+def _smooth_candidates(rho: DensityOperator, eps: float) -> np.ndarray:
+    """rho followed by the subnormalized candidates inside the eps-ball,
+    as one stack (B, d, d); rho alone at eps = 0."""
     da, db = _split_dims(rho)
-    ball = SmoothingBall(eps, rho)
-    yield rho
     if eps <= 0:
-        return
+        return rho.matrix[None]
     rho_b = partial_trace(rho.op, [1]).matrix
-    uniform = np.kron(np.eye(da) / da, rho_b)
     w, v = herm_eig(rho.op)
     top = np.outer(v[:, 0], v[:, 0].conj())
-    directions = [
-        None,                                  # pure trace scaling
-        uniform,                               # mix towards pi_A (x) rho_B
+    directions = np.stack([
+        np.zeros_like(rho.matrix),             # pure trace scaling
+        np.kron(np.eye(da) / da, rho_b),       # mix towards pi_A (x) rho_B
         rho.matrix - w[0] * top,               # trim the top eigenvector
-    ]
-    for t in SMOOTH_GRID:
-        for dirn in directions:
-            cand = (1 - t) * rho.matrix if dirn is None \
-                else (1 - t) * rho.matrix + t * dirn
-            try:
-                state = DensityOperator(cand, rho.dims, subnormalized=True)
-            except ValueError:
-                continue
-            if ball.contains(state):
-                yield state
+    ])
+    t = np.asarray(SMOOTH_GRID)[:, None, None, None]
+    cands = hermitian_part((1 - t) * rho.matrix + t * directions) \
+        .reshape(-1, rho.dim, rho.dim)
+    keep = SmoothingBall(eps, rho).contains_many(cands)
+    return np.concatenate([rho.matrix[None], cands[keep]])
 
 
 def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
@@ -406,8 +408,11 @@ def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
 
     Every candidate evaluated lies inside the smoothing ball (checked
     with the generalized fidelity), so the maximum over the candidate
-    set never exceeds the true smoothed value. The down variant smooths
-    the conditioning marginal along with the state.
+    set never exceeds the true smoothed value; at eps = 0 the only
+    candidate is rho and the bound is the unsmoothed value. The down
+    variant smooths the conditioning marginal along with the state. The
+    up variant solves all candidates in one SDP stack: rho itself must
+    certify (else SdpFailure), other candidates that do not are skipped.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
@@ -416,18 +421,11 @@ def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
     da, db = _split_dims(rho)
     cands = _smooth_candidates(rho, eps)
     if variant == "down":
-        mats = np.stack([cand.matrix for cand in cands])
-        return float(cond_min_entropy_down_many(mats, da, db).max())
-    best = -math.inf
-    for k, cand in enumerate(cands):
-        try:
-            val = cond_min_entropy_up(cand)
-        except sdp.SdpFailure:
-            if k == 0:  # the center itself must certify
-                raise
-            continue
-        best = max(best, val)
-    return best
+        return float(cond_min_entropy_down_many(cands, da, db).max())
+    vals, ok = cond_min_entropy_up_many(cands, da, db)
+    if not ok[0]:
+        raise sdp.SdpFailure("conditional min-entropy SDP did not certify")
+    return float(vals[ok].max())
 
 
 # ---------------------------------------------------------------------------

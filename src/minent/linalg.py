@@ -16,6 +16,7 @@ __all__ = [
     "herm_eig",
     "trace_norm",
     "fidelity",
+    "fidelity_many",
     "purified_distance",
     "partial_trace",
     "partial_transpose",
@@ -195,15 +196,16 @@ def herm_eig(h: HermitianOperator | np.ndarray):
 
 def _eig_apply(m: np.ndarray, fn) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian_part(m))
-    return hermitian_part((v * fn(w)) @ v.conj().T)
+    return hermitian_part((v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2))
 
 
 def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix; eigenvalues in [-clamp, 0) are set to 0."""
+    """Square root of a PSD matrix or of each matrix of a stack;
+    eigenvalues in [-clamp, 0) are set to 0."""
 
     def f(w):
         w = np.where((w < 0) & (w >= -TOL.clamp), 0.0, w)
-        if w.min() < 0:
+        if (w < 0).any():
             raise ValueError(f"matrix is not PSD (min eig {w.min():.3e})")
         return np.sqrt(w)
 
@@ -243,22 +245,33 @@ def trace_norm(m: np.ndarray | HermitianOperator) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1^2.
+def fidelity_many(rho: np.ndarray, sigmas: np.ndarray,
+                  generalized: bool) -> np.ndarray:
+    """Uhlmann fidelities ||sqrt(rho) sqrt(sigma)||_1^2 of PSD matrices.
 
-    For subnormalized inputs the generalized fidelity
+    `rho` and `sigmas` broadcast against each other: one center against a
+    stack (d, d) vs (B, d, d), or pairs of stacks. With generalized=True
+    the generalized fidelity
     (||sqrt(rho) sqrt(sigma)||_1 + sqrt((1-tr rho)(1-tr sigma)))^2
-    is returned, so that the purified distance stays a metric on the
-    smoothing ball.
+    is returned, so that the purified distance stays a metric on
+    subnormalized states.
     """
+    root = np.linalg.svd(psd_sqrt(rho) @ psd_sqrt(sigmas),
+                         compute_uv=False).sum(axis=-1)
+    if generalized:
+        ta = np.trace(rho, axis1=-2, axis2=-1).real
+        tb = np.trace(sigmas, axis1=-2, axis2=-1).real
+        root = root + np.sqrt(np.maximum(1 - ta, 0.0) * np.maximum(1 - tb, 0.0))
+    return np.minimum(root * root, 1.0)
+
+
+def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """Uhlmann fidelity of two states, the one-instance `fidelity_many`;
+    generalized when either input is subnormalized."""
     if rho.dim != sigma.dim:
         raise ValueError("fidelity requires equal dimensions")
-    root = float(np.linalg.svd(psd_sqrt(rho.matrix) @ psd_sqrt(sigma.matrix),
-                               compute_uv=False).sum())
-    ta, tb = rho.trace(), sigma.trace()
-    if rho.subnormalized or sigma.subnormalized:
-        root += math.sqrt(max(1 - ta, 0.0) * max(1 - tb, 0.0))
-    return float(min(root * root, 1.0))
+    return float(fidelity_many(rho.matrix, sigma.matrix,
+                               rho.subnormalized or sigma.subnormalized))
 
 
 def purified_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -113,10 +113,9 @@ def resource_prep_cost_state(rho: DensityOperator, mu: float,
     certified upper bound (from one-sided smoothing) for mu > 0."""
     if not 0 <= mu < 1:
         raise ValueError("mu must lie in [0, 1)")
-    if mu == 0:
-        return WorkCost(-entropies.cond_min_entropy_down(rho), t_kelvin)
     bound = entropies.smooth_min_entropy_lower_bound(mu, rho, "down")
-    return WorkCost(-bound, t_kelvin, certification="certified-upper")
+    return WorkCost(-bound, t_kelvin,
+                    certification="exact" if mu == 0 else "certified-upper")
 
 
 def resource_eras_cost_state(rho: DensityOperator, mu: float,
@@ -184,18 +183,11 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
         prep_idx = int(np.nonzero(down <= down.min() + 1e-9)[0][0])
         prep_cert = "exact"
     else:
-        vals, kept = [], []
-        for i, out in enumerate(outs):
-            try:
-                vals.append(entropies.smooth_min_entropy_lower_bound(
-                    mu, DensityOperator(out, (da, dr)), "down"))
-                kept.append(i)
-            except SdpFailure:
-                skipped += 1
-        if not vals:
-            raise RuntimeError("every preparation sample failed to certify")
+        # the down smoothing is closed form: no SDP, so nothing to skip
+        vals = [entropies.smooth_min_entropy_lower_bound(
+            mu, DensityOperator(out, (da, dr)), "down") for out in outs]
         prep_bits = float(-min(vals))
-        prep_idx = kept[int(np.argmin(vals))]
+        prep_idx = int(np.argmin(vals))
         prep_cert = "certified-upper"
 
     # erasure: sup over mixed rho_A' of S_H(A|E) on the Stinespring output
@@ -226,11 +218,10 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
         eras_idx = kept[int(np.argmax(hv))]
 
     # certified ceilings implied by the one-shot cost bounds
-    smooth_lb = dynamical.smooth_channel_min_entropy_lower_bound(mu, channel) \
-        if mu > 0 else s_min
+    smooth_lb = dynamical.smooth_channel_min_entropy_lower_bound(mu, channel)
     if prep_bits > -smooth_lb + 1e-6:
         raise RuntimeError("preparation scan exceeded its certified ceiling")
-    eras_ceiling = -s_min + (math.log2(1 - mu) if mu > 0 else 0.0)
+    eras_ceiling = -s_min + math.log2(1 - mu)
     if eras_bits > eras_ceiling + 1e-6:
         raise RuntimeError("erasure scan exceeded its certified ceiling")
 
@@ -246,7 +237,7 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
             "eras": labels_eras.get(eras_idx, f"sample-{eras_idx}"),
             "skipped_samples": skipped,
         },
-        certification=prep_cert if mu > 0 else "exact",
+        certification=prep_cert,
     )
     return report
 
@@ -261,8 +252,7 @@ def adversarial_erasure_bound(channel: QuantumChannel, eps: float, delta: float,
     """
     if eps < 0 or delta <= 0:
         raise ValueError("need eps >= 0 and delta > 0")
-    smin_eps = dynamical.smooth_channel_min_entropy_lower_bound(eps, channel) \
-        if eps > 0 else dynamical.channel_min_entropy(channel)
+    smin_eps = dynamical.smooth_channel_min_entropy_lower_bound(eps, channel)
     bits = -smin_eps + delta
     raw = 1.0 - math.sqrt(2.0 ** (-delta / 2.0) + 12.0 * eps)
     return AdversarialBound(

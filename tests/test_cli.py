@@ -135,6 +135,35 @@ class TestDecouple:
         payload = json.loads(out)
         assert payload["a1_dim"] >= 1
 
+    def test_states_mode_positive_epsilon(self, capsys):
+        payloads = {}
+        for eps in (0.0, 0.05):
+            spec = json.dumps({"state": "maximally-entangled", "epsilon": eps})
+            code, out, _ = run(capsys, "decouple", "--mode", "states",
+                               "--spec", spec, "--n", "12", "--json")
+            assert code == 0
+            payloads[eps] = json.loads(out)
+        smoothed = payloads[0.05]
+        assert smoothed["epsilon"] == 0.05
+        assert smoothed["pass"] is True
+        assert smoothed["bound_rhs"] >= payloads[0.0]["bound_rhs"]
+
+    def test_subsystem_mode_positive_epsilon(self, capsys):
+        # this mode's JSON has no epsilon, pass or bound_rhs: epsilon only
+        # enters guaranteed_dim, while the search itself ignores it
+        payloads = {}
+        for eps in (0.0, 0.05):
+            spec = json.dumps({"channel": {"family": "depolarizing", "p": 0.9},
+                               "delta_prime": 0.35, "epsilon": eps})
+            code, out, _ = run(capsys, "decouple", "--mode", "subsystem",
+                               "--spec", spec, "--n", "8", "--json")
+            assert code == 0
+            payloads[eps] = json.loads(out)
+        smoothed, exact = payloads[0.05], payloads[0.0]
+        assert smoothed["guaranteed_dim"] >= 1
+        for key in ("a1_dim", "trace_distance_to_product", "delta_prime"):
+            assert smoothed[key] == exact[key]
+
     def test_invalid_spec(self, capsys):
         code, _, _ = run(capsys, "decouple", "--mode", "channel",
                          "--spec", '{"post": "identity"}', "--json")
