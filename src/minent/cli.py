@@ -183,7 +183,6 @@ def cmd_decouple(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    eps = float(spec.get("epsilon", 0.0))
     try:
         if args.mode == "states":
             report = _decouple_states_from_spec(spec, args)
@@ -250,17 +249,15 @@ def _decouple_subsystem_from_spec(spec, args) -> int:
     big = lift @ phi_in.matrix @ lift.conj().T
     phi = DensityOperator(big, (dr, iso.out_dim, iso.env_dim))
     sampler = decoupling.HaarSampler(iso.out_dim, seed=args.seed)
-    try:
-        found = decoupling.find_decoupled_subsystem(
-            phi, float(spec.get("delta_prime", 0.2)),
-            float(spec.get("epsilon", 0.0)), sampler, max_tries=args.n)
-    except ValueError as exc:
-        print(f"invalid spec: {exc}", file=sys.stderr)
-        return EXIT_BAD_SPEC
+    eps = float(spec.get("epsilon", 0.0))
+    found = decoupling.find_decoupled_subsystem(
+        phi, float(spec.get("delta_prime", 0.2)), eps, sampler,
+        max_tries=args.n)
     _emit({
         "a1_dim": found.a1_dim,
         "trace_distance_to_product": found.trace_distance_to_product,
         "delta_prime": found.delta_prime,
+        "epsilon": eps,
         "guaranteed_dim": found.guaranteed_dim,
         "certification": "sampled",
         "seed": args.seed,
@@ -290,9 +287,7 @@ def cmd_costs(args) -> int:
     payload = report.to_json()
     payload["seed"] = args.seed
     if args.mu == 0:
-        payload["zero_error_equality_gap"] = max(
-            abs(report.prep_cost.bits + report.s_min_channel),
-            abs(report.eras_cost.bits + report.s_min_channel))
+        payload["zero_error_equality_gap"] = report.zero_error_gap
     _emit(payload, args.json)
     return EXIT_OK
 
@@ -456,9 +451,7 @@ def _invariants(seed: int):
     for fam, p in (("depolarizing", 0.3), ("dephasing1", 0.5), ("dephasing2", 0.8)):
         ch3 = channels.make_named_channel(fam, p=p)
         rep3 = thermo.channel_costs(ch3, 0.0, 300.0, n_samples=16, seed=seed)
-        gap = max(abs(rep3.prep_cost.bits + rep3.s_min_channel),
-                  abs(rep3.eras_cost.bits + rep3.s_min_channel))
-        ok = ok and gap < 1e-6
+        ok = ok and rep3.zero_error_gap < 1e-6
     yield "thermo.zero_error_identity", ok, ""
 
     sum_ok = True
@@ -490,12 +483,14 @@ def cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--tolerance", action="append", default=[],
-                        metavar="NAME=VALUE", help="override a tolerance")
-    common.add_argument("--json", action="store_true",
-                        help="machine-readable output")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", action="append", default=[],
+                           metavar="NAME=VALUE", help="override a tolerance")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=42)
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true",
+                         help="machine-readable output")
 
     parser = argparse.ArgumentParser(
         prog="minent",
@@ -503,10 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and erasure cost reports")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add(name, *shared, **kw):
+        """A subcommand taking --tolerance and the shared flags it reads."""
+        return sub.add_parser(name, parents=[tolerance, *shared], **kw)
 
-    p = add("entropy", help="min-entropy of a named channel")
+    p = add("entropy", seed, as_json, help="min-entropy of a named channel")
     p.add_argument("--family")
     p.add_argument("--p", type=float)
     p.add_argument("--omega")
@@ -522,14 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg")
     p.set_defaults(func=cmd_sweep)
 
-    p = add("decouple", help="Monte Carlo decoupling experiment")
+    p = add("decouple", seed, as_json, help="Monte Carlo decoupling experiment")
     p.add_argument("--mode", choices=("states", "channel", "subsystem"),
                    required=True)
     p.add_argument("--spec", help="JSON experiment spec")
     p.add_argument("--n", type=int, default=64)
     p.set_defaults(func=cmd_decouple)
 
-    p = add("costs", help="erasure/preparation cost report")
+    p = add("costs", seed, as_json, help="erasure/preparation cost report")
     p.add_argument("--family")
     p.add_argument("--p", type=float)
     p.add_argument("--omega")
@@ -541,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.set_defaults(func=cmd_costs)
 
-    p = add("check", help="run the invariant suite")
+    p = add("check", seed, help="run the invariant suite")
     p.set_defaults(func=cmd_check)
     return parser
 

@@ -20,8 +20,7 @@ from scipy.optimize import minimize
 from . import entropies, _sampling
 from .channels import (QuantumChannel, apply_many, choi_matrix, compose,
                        diamond_distance, stinespring_isometry)
-from .linalg import (DensityOperator, fidelity_many, hermitian_part,
-                     permute_systems)
+from .linalg import DensityOperator, permute_systems
 
 __all__ = [
     "ChannelEntropyReport",
@@ -93,14 +92,19 @@ def _structured_inputs(n: QuantumChannel) -> np.ndarray:
     return np.stack(vecs)
 
 
-def _scan_entropies(n: QuantumChannel, vecs: np.ndarray):
-    """S_min-up(A|R) of N(psi) for a batch of pure inputs psi_RA'."""
+def _pure_outputs(n: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
+    """N(psi) for a batch of pure inputs psi_RA', reordered (R, A) -> (A, R)
+    so that the conditioning system comes second."""
     dr, da = n.in_dim, n.out_dim
     outs = apply_many(n, vecs, left=dr)
-    # reorder (R, A) -> (A, R) so the conditioning system comes second
-    outs = outs.reshape(-1, dr, da, dr, da).transpose(0, 2, 1, 4, 3) \
+    return outs.reshape(-1, dr, da, dr, da).transpose(0, 2, 1, 4, 3) \
                .reshape(-1, dr * da, dr * da)
-    return entropies.cond_min_entropy_up_many(outs, da, dr)
+
+
+def _scan_entropies(n: QuantumChannel, vecs: np.ndarray):
+    """S_min-up(A|R) of N(psi) for a batch of pure inputs psi_RA'."""
+    return entropies.cond_min_entropy_up_many(_pure_outputs(n, vecs),
+                                              n.out_dim, n.in_dim)
 
 
 def _refine_minimum(n: QuantumChannel, start: np.ndarray, budget: int = 120):
@@ -215,34 +219,19 @@ def smooth_channel_min_entropy_lower_bound(eps: float, n: QuantumChannel) -> flo
 
     Candidates are mixtures (1-t) N + t R^pi; joint concavity of the
     fidelity puts the mixture within purified channel distance sqrt(t)
-    of N, so t <= eps^2 certifies ball membership. A sampled check of
-    the purified distance on 16 fixed probe inputs refines the
-    certificate and can only reject; it runs on all admissible weights
-    at once. With no admissible weight (eps < 1e-3, eps = 0 included)
-    the bound is the unsmoothed value.
+    of N, so t <= eps^2 certifies ball membership. With no admissible
+    weight (eps < 1e-3, eps = 0 included) the bound is the unsmoothed
+    value.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    best = channel_min_entropy(n)
     ts = np.array([t for t in SMOOTH_GRID if math.sqrt(t) <= eps])
-    if ts.size == 0:
-        return best
-    dr, do = n.in_dim, n.out_dim
-    gen = _sampling.stream(0xC8A11, 1)
-    outs = apply_many(n, _sampling.random_pure_vectors(gen, dr * dr, 16), left=dr)
-    rhos = hermitian_part(outs)
-    # M_t(psi) = (1-t) N(psi) + t psi_R (x) pi_A for each weight and probe
-    marg = hermitian_part(np.einsum("nrasa->nrs", rhos.reshape(-1, dr, do, dr, do)))
-    marg = marg / np.maximum(np.trace(outs, axis1=1, axis2=2).real, 1e-300)[:, None, None]
-    w = ts[:, None, None, None]
-    mixed = hermitian_part((1 - w) * outs + w * np.kron(marg, np.eye(do) / do))
-    dist = np.sqrt(np.maximum(1.0 - fidelity_many(rhos, mixed, generalized=False), 0.0))
-    ts = ts[(dist <= eps + 1e-9).all(axis=1)]
     choi = choi_matrix(n).matrix
     uniform = np.eye(choi.shape[0]) / choi.shape[0]
     w = ts[:, None, None]
     lams = np.linalg.eigvalsh((1 - w) * choi + w * uniform).max(axis=1)
-    return max([best] + [-math.log2(n.in_dim * float(lam)) for lam in lams])
+    return max([channel_min_entropy(n)]
+               + [-math.log2(n.in_dim * float(lam)) for lam in lams])
 
 
 def continuity_check(n: QuantumChannel, m: QuantumChannel):

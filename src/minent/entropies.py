@@ -18,12 +18,11 @@ import numpy as np
 
 from . import sdp
 from .linalg import (TOL, DensityOperator, HermitianOperator, fidelity_many,
-                     hermitian_basis, hermitian_part, herm_eig, partial_trace,
+                     hermitian_basis, hermitian_part, partial_trace,
                      psd_inv_sqrt, psd_sqrt, support_projector)
 
 __all__ = [
     "RenyiOrder",
-    "SmoothingBall",
     "d_max",
     "d_max_sdp",
     "petz_renyi",
@@ -35,8 +34,9 @@ __all__ = [
     "cond_min_entropy_down_many",
     "cond_min_entropy_down_sdp",
     "cond_hypothesis_entropy",
-    "cond_hypothesis_entropy_zero_many",
+    "cond_hypothesis_entropy_many",
     "smooth_min_entropy_lower_bound",
+    "smooth_min_entropy_lower_bound_many",
     "max_fidelity_uniform",
 ]
 
@@ -62,33 +62,6 @@ class RenyiOrder:
     @classmethod
     def of(cls, alpha) -> "RenyiOrder":
         return alpha if isinstance(alpha, cls) else cls(float(alpha))
-
-
-@dataclass(frozen=True)
-class SmoothingBall:
-    """Purified-distance ball of subnormalized states around a center,
-    measured with the generalized fidelity."""
-
-    epsilon: float
-    center: DensityOperator
-
-    def __post_init__(self):
-        if not 0 <= self.epsilon <= 1:
-            raise ValueError("epsilon must lie in [0, 1]")
-
-    def contains_many(self, mats: np.ndarray) -> np.ndarray:
-        """Membership mask of a stack of Hermitian matrices (B, d, d):
-        PSD within TOL.psd, trace at most 1 + TOL.trace, and within
-        purified distance epsilon of the center."""
-        inside = (np.linalg.eigvalsh(mats)[:, 0] >= -TOL.psd) \
-            & (np.trace(mats, axis1=1, axis2=2).real <= 1 + TOL.trace)
-        fid = fidelity_many(self.center.matrix, mats[inside], generalized=True)
-        inside[inside] = np.sqrt(np.maximum(1.0 - fid, 0.0)) \
-            <= self.epsilon + 1e-12
-        return inside
-
-    def contains(self, candidate: DensityOperator) -> bool:
-        return bool(self.contains_many(candidate.matrix[None])[0])
 
 
 def _support_violation(rho_m: np.ndarray, sigma_m: np.ndarray) -> bool:
@@ -327,19 +300,30 @@ def cond_min_entropy_down_sdp(rho: DensityOperator) -> float:
     return -d_max_sdp(rho, sig)
 
 
-def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
-    """Hypothesis-testing conditional entropy S_H(A|B) at error eps.
+def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
+                                 db: int):
+    """Hypothesis-testing conditional entropy S_H(A|B) at error eps for a
+    stack of states (N, dab, dab).
 
-    eps = 0 collapses to log2 lambda_max(tr_A Pi_rho). For eps > 0 the
-    inner test minimization is dualized, leaving one joint maximization
-    over (sigma, mu, Z):  max mu(1-eps) - tr Z  with  mu rho <= 1 (x)
-    sigma + Z; the entropy is log2 of the optimum.
+    Returns (values, ok) where ok flags the instances that certified.
+    eps = 0 is the closed form log2 lambda_max(tr_A Pi_rho), Pi_rho the
+    projector onto the support of rho, and every instance is ok. For
+    eps > 0 the inner test minimization is dualized, leaving one joint
+    maximization over (sigma, mu, Z):  max mu(1-eps) - tr Z  with
+    mu rho <= 1 (x) sigma + Z; the entropy is log2 of the optimum. rho
+    enters the constraint matrices (the mu column), so the instances are
+    solved one at a time on data built once.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    da, db = _split_dims(rho)
+    mats = hermitian_part(np.asarray(mats, dtype=complex))
     if eps == 0:
-        return float(cond_hypothesis_entropy_zero_many(rho.matrix[None], da, db)[0])
+        w, v = np.linalg.eigh(mats)
+        proj = hermitian_part((v * (w > TOL.support)[:, None])
+                              @ v.conj().swapaxes(-1, -2))
+        red = np.einsum("nakal->nkl", proj.reshape(-1, da, db, da, db))
+        vals = np.log2(np.clip(np.linalg.eigvalsh(red)[:, -1], 1e-300, None))
+        return vals, np.ones(len(mats), dtype=bool)
     dab = da * db
     basis = hermitian_basis(dab)
     # blocks: sigma (db), mu (1), Z (dab), Y = 1 (x) sigma + Z - mu rho (dab)
@@ -351,7 +335,6 @@ def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
     y0 = db + 1 + dab
     for k, ek in enumerate(basis):
         a[k, :db, :db] = -np.einsum("ikil->kl", ek.reshape(da, db, da, db))
-        a[k, db, db] = np.real(np.trace(ek @ rho.matrix))
         a[k, z0:y0, z0:y0] = -ek
         a[k, y0:, y0:] = ek
     a[m - 1, :db, :db] = np.eye(db)
@@ -359,73 +342,115 @@ def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
     c = np.zeros((n, n), dtype=complex)
     c[db, db] = 1.0 - eps
     c[z0:y0, z0:y0] = -np.eye(dab)
-    res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab))
-    if not res["ok"][0]:
-        raise sdp.SdpFailure(
-            f"conditional hypothesis SDP status {res['status_str'][0]}")
-    return math.log2(max(float(res["primal_value"][0]), 1e-300))
+    vals = np.empty(len(mats))
+    ok = np.empty(len(mats), dtype=bool)
+    for i, rho in enumerate(mats):
+        a[:m - 1, db, db] = np.trace(basis @ rho, axis1=1, axis2=2).real
+        res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab))
+        vals[i] = math.log2(max(float(res["primal_value"][0]), 1e-300))
+        ok[i] = res["ok"][0]
+    return vals, ok
 
 
-def cond_hypothesis_entropy_zero_many(mats: np.ndarray, da: int,
-                                      db: int) -> np.ndarray:
-    """S_H(A|B) at eps = 0, log2 lambda_max(tr_A Pi_rho), for a stack of
-    states (B, dab, dab); Pi_rho is the projector onto the support of rho."""
-    w, v = np.linalg.eigh(hermitian_part(mats))
-    proj = hermitian_part((v * (w > TOL.support)[:, None])
-                          @ v.conj().swapaxes(-1, -2))
-    red = np.einsum("nakal->nkl", proj.reshape(-1, da, db, da, db))
-    return np.log2(np.clip(np.linalg.eigvalsh(red)[:, -1], 1e-300, None))
+def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
+    """S_H(A|B) of one state, the one-instance
+    `cond_hypothesis_entropy_many`; raises SdpFailure unless it certified."""
+    vals, ok = cond_hypothesis_entropy_many(eps, rho.matrix[None],
+                                            *_split_dims(rho))
+    if not ok[0]:
+        raise sdp.SdpFailure("conditional hypothesis SDP did not certify")
+    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
 # smoothing (certified one-sided bounds)
 
 
-def _smooth_candidates(rho: DensityOperator, eps: float) -> np.ndarray:
-    """rho followed by the subnormalized candidates inside the eps-ball,
-    as one stack (B, d, d); rho alone at eps = 0."""
-    da, db = _split_dims(rho)
-    if eps <= 0:
-        return rho.matrix[None]
-    rho_b = partial_trace(rho.op, [1]).matrix
-    w, v = herm_eig(rho.op)
-    top = np.outer(v[:, 0], v[:, 0].conj())
+def _in_ball(centers: np.ndarray, cands: np.ndarray, eps: float) -> np.ndarray:
+    """Membership mask of candidates (N, K, d, d) in the eps-balls around
+    centers (N, d, d): PSD within TOL.psd, trace at most 1 + TOL.trace,
+    and within purified distance eps (generalized fidelity) of the
+    center."""
+    inside = (np.linalg.eigvalsh(cands)[..., 0] >= -TOL.psd) \
+        & (np.trace(cands, axis1=-2, axis2=-1).real <= 1 + TOL.trace)
+    # rejected candidates may be non-PSD: score zero matrices in their place
+    scored = np.where(inside[..., None, None], cands, 0)
+    fid = fidelity_many(centers[:, None], scored, generalized=True)
+    return inside & (np.sqrt(np.maximum(1.0 - fid, 0.0)) <= eps + 1e-12)
+
+
+def _smooth_candidates(mats: np.ndarray, da: int, db: int, eps: float):
+    """Smoothing candidates of a stack of Hermitian states (N, d, d).
+
+    Returns (stack, mask): the stack is (N, 1 + 3 * len(SMOOTH_GRID), d, d)
+    with each state in column 0 and its subnormalized candidates after
+    it, and the mask keeps each center and the candidates inside its
+    eps-ball. At eps = 0 the stack holds the centers alone, (N, 1, d, d).
+    """
+    if eps == 0:
+        return mats[:, None], np.ones((len(mats), 1), dtype=bool)
+    rho_b = hermitian_part(np.einsum("nakal->nkl",
+                                     mats.reshape(-1, da, db, da, db)))
+    w, v = np.linalg.eigh(mats)
+    top = v[:, :, -1, None] * v[:, None, :, -1].conj()
+    # per state: pure trace scaling, mixing towards pi_A (x) rho_B, and
+    # trimming the top eigenvector
     directions = np.stack([
-        np.zeros_like(rho.matrix),             # pure trace scaling
-        np.kron(np.eye(da) / da, rho_b),       # mix towards pi_A (x) rho_B
-        rho.matrix - w[0] * top,               # trim the top eigenvector
-    ])
+        np.zeros_like(mats),
+        np.einsum("ij,nkl->nikjl", np.eye(da) / da, rho_b).reshape(mats.shape),
+        mats - w[:, -1, None, None] * top,
+    ], axis=1)
     t = np.asarray(SMOOTH_GRID)[:, None, None, None]
-    cands = hermitian_part((1 - t) * rho.matrix + t * directions) \
-        .reshape(-1, rho.dim, rho.dim)
-    keep = SmoothingBall(eps, rho).contains_many(cands)
-    return np.concatenate([rho.matrix[None], cands[keep]])
+    cands = hermitian_part((1 - t) * mats[:, None, None] + t * directions[:, None]) \
+        .reshape(len(mats), -1, da * db, da * db)
+    # the ball check takes several times its input's memory in temporaries:
+    # check a few states at a time
+    inside = np.concatenate([_in_ball(mats[i:i + 8], cands[i:i + 8], eps)
+                             for i in range(0, len(mats), 8)])
+    stack = np.concatenate([mats[:, None], cands], axis=1)
+    mask = np.concatenate([np.ones((len(mats), 1), dtype=bool), inside], axis=1)
+    return stack, mask
 
 
-def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
-                                   variant: str = "up") -> float:
-    """Certified lower bound on the eps-smoothed conditional min-entropy.
+def smooth_min_entropy_lower_bound_many(eps: float, mats: np.ndarray, da: int,
+                                        db: int, variant: str = "up") -> np.ndarray:
+    """Certified lower bounds on the eps-smoothed conditional min-entropy
+    of a stack of states (N, dab, dab).
 
-    Every candidate evaluated lies inside the smoothing ball (checked
-    with the generalized fidelity), so the maximum over the candidate
-    set never exceeds the true smoothed value; at eps = 0 the only
-    candidate is rho and the bound is the unsmoothed value. The down
-    variant smooths the conditioning marginal along with the state. The
-    up variant solves all candidates in one SDP stack: rho itself must
-    certify (else SdpFailure), other candidates that do not are skipped.
+    Every candidate evaluated lies inside its state's smoothing ball
+    (checked with the generalized fidelity), so the maximum over a
+    state's candidates never exceeds its true smoothed value; at eps = 0
+    the only candidate is the state and the bound is the unsmoothed
+    value. The down variant smooths the conditioning marginal along with
+    the state and is closed form. The up variant solves all candidates of
+    all states in one SDP stack: each state itself must certify (else
+    SdpFailure), other candidates that do not are skipped.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
     if variant not in ("up", "down"):
         raise ValueError("variant must be 'up' or 'down'")
-    da, db = _split_dims(rho)
-    cands = _smooth_candidates(rho, eps)
+    mats = hermitian_part(np.asarray(mats, dtype=complex))
+    stack, mask = _smooth_candidates(mats, da, db, eps)
+    best = np.full(mask.shape, -np.inf)
     if variant == "down":
-        return float(cond_min_entropy_down_many(cands, da, db).max())
-    vals, ok = cond_min_entropy_up_many(cands, da, db)
-    if not ok[0]:
+        best[mask] = cond_min_entropy_down_many(stack[mask], da, db)
+        return best.max(axis=1)
+    vals, ok = cond_min_entropy_up_many(stack[mask], da, db)
+    certified = np.zeros_like(mask)
+    certified[mask] = ok
+    if not certified[:, 0].all():
         raise sdp.SdpFailure("conditional min-entropy SDP did not certify")
-    return float(vals[ok].max())
+    best[certified] = vals[ok]
+    return best.max(axis=1)
+
+
+def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
+                                   variant: str = "up") -> float:
+    """Certified lower bound on the eps-smoothed conditional min-entropy
+    of one state, the one-instance `smooth_min_entropy_lower_bound_many`."""
+    return float(smooth_min_entropy_lower_bound_many(
+        eps, rho.matrix[None], *_split_dims(rho), variant)[0])
 
 
 # ---------------------------------------------------------------------------

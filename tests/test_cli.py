@@ -149,8 +149,8 @@ class TestDecouple:
         assert smoothed["bound_rhs"] >= payloads[0.0]["bound_rhs"]
 
     def test_subsystem_mode_positive_epsilon(self, capsys):
-        # this mode's JSON has no epsilon, pass or bound_rhs: epsilon only
-        # enters guaranteed_dim, while the search itself ignores it
+        # this mode's JSON echoes epsilon but has no pass or bound_rhs:
+        # epsilon only enters guaranteed_dim, the search itself ignores it
         payloads = {}
         for eps in (0.0, 0.05):
             spec = json.dumps({"channel": {"family": "depolarizing", "p": 0.9},
@@ -160,6 +160,7 @@ class TestDecouple:
             assert code == 0
             payloads[eps] = json.loads(out)
         smoothed, exact = payloads[0.05], payloads[0.0]
+        assert smoothed["epsilon"] == 0.05 and exact["epsilon"] == 0.0
         assert smoothed["guaranteed_dim"] >= 1
         for key in ("a1_dim", "trace_distance_to_product", "delta_prime"):
             assert smoothed[key] == exact[key]
@@ -240,6 +241,33 @@ class TestCheck:
         code, out, _ = run(capsys, "check")
         assert code == 1
         assert "FAIL sdp.weak_duality  [optimal]" in out
+
+
+class TestSharedFlags:
+    # each subcommand takes only the shared flags it reads
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--seed", "7"],
+        ["sweep", "--json"],
+        ["check", "--json"],
+    ])
+    def test_unread_flag_exits_2(self, tmp_path, capsys, argv):
+        if argv[0] == "sweep":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["entropy"], ["sweep", "--out", "x.csv"], ["decouple", "--mode", "states"],
+        ["costs"], ["check"],
+    ])
+    def test_tolerance_everywhere(self, argv):
+        from minent.cli import build_parser
+
+        args = build_parser().parse_args(argv + ["--tolerance", "psd=1e-9"])
+        assert args.tolerance == ["psd=1e-9"]
 
 
 class TestBadSpecs:

@@ -3,18 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from minent import _sampling
+from minent import _sampling, sdp
 from minent.channels import apply, depolarizing
-from minent.entropies import (RenyiOrder, SmoothingBall, cond_hypothesis_entropy,
-                              cond_hypothesis_entropy_zero_many,
+from minent.entropies import (RenyiOrder, _in_ball, cond_hypothesis_entropy,
+                              cond_hypothesis_entropy_many,
                               cond_min_entropy_down, cond_min_entropy_down_many,
                               cond_min_entropy_down_sdp, cond_min_entropy_up,
                               d_hypothesis, d_max, d_max_sdp,
                               max_fidelity_uniform, petz_renyi,
                               sandwiched_renyi, smooth_min_entropy_lower_bound)
 from minent.linalg import (DensityOperator, HermitianOperator, basis_state,
-                           maximally_entangled, maximally_mixed, partial_trace,
-                           permute_systems, pure_state, support_projector)
+                           hermitian_basis, maximally_entangled, maximally_mixed,
+                           partial_trace, permute_systems, pure_state,
+                           support_projector)
 
 from conftest import (random_qubit_channels, random_two_qubit_states,
                       stinespring_output)
@@ -229,24 +230,89 @@ class TestBatchedClosedForms:
 
     def test_hypothesis_zero_many_matches_projector(self):
         stack = self.two_qubit_stack()
-        got = cond_hypothesis_entropy_zero_many(stack, 2, 2)
+        got, ok = cond_hypothesis_entropy_many(0.0, stack, 2, 2)
         ref = [hypothesis_zero_reference(m, 2, 2) for m in stack]
+        assert ok.all()
         assert np.abs(got - ref).max() < 1e-12
         for ch in self.CHANNELS:
             eras = cost_inputs(ch)[1]
             de = eras.shape[1] // 2
-            got = cond_hypothesis_entropy_zero_many(eras, 2, de)
+            got, ok = cond_hypothesis_entropy_many(0.0, eras, 2, de)
             ref = [hypothesis_zero_reference(m, 2, de) for m in eras]
+            assert ok.all()
             assert np.abs(got - ref).max() < 1e-12
+
+
+def hypothesis_reference(eps, rho):
+    """S_H(A|B) at eps > 0 through one SDP built for this state alone,
+    constraint by constraint (the scalar construction)."""
+    da, db = rho.dims
+    dab = da * db
+    basis = hermitian_basis(dab)
+    n = db + 1 + 2 * dab
+    m = dab * dab + 1
+    a = np.zeros((m, n, n), dtype=complex)
+    b = np.zeros(m)
+    z0, y0 = db + 1, db + 1 + dab
+    for k, ek in enumerate(basis):
+        a[k, :db, :db] = -np.einsum("ikil->kl", ek.reshape(da, db, da, db))
+        a[k, db, db] = np.real(np.trace(ek @ rho.matrix))
+        a[k, z0:y0, z0:y0] = -ek
+        a[k, y0:, y0:] = ek
+    a[m - 1, :db, :db] = np.eye(db)
+    b[m - 1] = 1.0
+    c = np.zeros((n, n), dtype=complex)
+    c[db, db] = 1.0 - eps
+    c[z0:y0, z0:y0] = -np.eye(dab)
+    res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab))
+    return math.log2(max(float(res["primal_value"][0]), 1e-300)), bool(res["ok"][0])
+
+
+class TestHypothesisMany:
+    STATES = random_two_qubit_states(63, 2) + random_two_qubit_states(64, 1, rank=2) \
+        + [stinespring_output(depolarizing(0.3), PI)]
+
+    @pytest.mark.parametrize("eps", [0.05, 0.3])
+    def test_matches_scalar_reference(self, eps):
+        for dims in ((2, 2), (2, 4)):
+            states = [rho for rho in self.STATES if rho.dims == dims]
+            vals, ok = cond_hypothesis_entropy_many(
+                eps, np.stack([rho.matrix for rho in states]), *dims)
+            ref = [hypothesis_reference(eps, rho) for rho in states]
+            assert list(zip(vals.tolist(), ok.tolist())) == ref
+            assert cond_hypothesis_entropy(eps, states[-1]) == ref[-1][0]
+
+    def test_scalar_raises_when_not_certified(self, monkeypatch):
+        real = sdp.solve_stack
+
+        def patched(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res["ok"][0] = False
+            return res
+
+        monkeypatch.setattr(sdp, "solve_stack", patched)
+        vals, ok = cond_hypothesis_entropy_many(0.1, PHI.matrix[None], 2, 2)
+        assert not ok[0]
+        with pytest.raises(sdp.SdpFailure):
+            cond_hypothesis_entropy(0.1, PHI)
+
+    def test_bad_eps(self):
+        with pytest.raises(ValueError):
+            cond_hypothesis_entropy_many(1.0, PHI.matrix[None], 2, 2)
 
 
 class TestSmoothing:
     def test_ball_membership(self):
-        ball = SmoothingBall(0.1, PHI)
-        assert ball.contains(PHI)
-        shrunk = DensityOperator(0.995 * PHI.matrix, (2, 2), subnormalized=True)
-        assert ball.contains(shrunk)
-        assert not ball.contains(product_state(PI, PI))
+        shrunk = 0.995 * PHI.matrix
+        outside = product_state(PI, PI).matrix
+        negative = PHI.matrix - 1e-6 * np.eye(4)
+        cands = np.stack([PHI.matrix, shrunk, outside, negative])
+        assert _in_ball(PHI.matrix[None], cands[None], 0.1).tolist() \
+            == [[True, True, False, False]]
+        # one mask row per center
+        mask = _in_ball(np.stack([PHI.matrix, outside]),
+                        np.stack([cands[:2], cands[2:]]), 0.1)
+        assert mask.tolist() == [[True, True], [True, False]]
 
     def test_zero_eps_exact(self):
         got = smooth_min_entropy_lower_bound(0.0, PHI)

@@ -4,7 +4,8 @@ The references below are the earlier scalar code paths, kept here
 verbatim in behaviour: a generator that wraps each candidate in a
 DensityOperator and checks ball membership with a scalar fidelity, a
 loop that solves one SDP per candidate, and a per-probe purified
-distance check for the channel bound. The stacked library code must
+distance check for the channel bound (which the library replaces by the
+sqrt(t) <= eps certificate alone). The stacked library code must
 reproduce them bitwise.
 """
 
@@ -21,7 +22,8 @@ from minent.dynamical import (channel_min_entropy,
 from minent.entropies import (SMOOTH_GRID, _smooth_candidates,
                               cond_min_entropy_down_many, cond_min_entropy_up,
                               cond_min_entropy_up_many,
-                              smooth_min_entropy_lower_bound)
+                              smooth_min_entropy_lower_bound,
+                              smooth_min_entropy_lower_bound_many)
 from minent.linalg import (TOL, DensityOperator, herm_eig, maximally_mixed,
                            partial_trace)
 
@@ -142,7 +144,9 @@ class TestAgainstScalarReference:
         for rho in seeded_states():
             for eps in STATE_EPS:
                 ref = np.stack([c.matrix for c in ref_candidates(rho, eps)])
-                got = _smooth_candidates(rho, eps)
+                stack, mask = _smooth_candidates(rho.matrix[None], 2, 2, eps)
+                assert mask[0, 0] and np.array_equal(stack[0, 0], rho.matrix)
+                got = stack[mask]
                 assert got.shape == ref.shape
                 assert np.array_equal(got, ref)
                 total += got.shape[0]
@@ -162,6 +166,32 @@ class TestAgainstScalarReference:
                 assert smooth_min_entropy_lower_bound(eps, rho, "up") \
                     == ref_smooth_bound(eps, rho, "up")
 
+    def test_down_stack(self):
+        # more states than the ball check takes at a time
+        states = seeded_states() + random_two_qubit_states(95, 13)
+        mats = np.stack([rho.matrix for rho in states])
+        for eps in STATE_EPS:
+            got = smooth_min_entropy_lower_bound_many(eps, mats, 2, 2, "down")
+            assert got.tolist() == [ref_smooth_bound(eps, rho, "down")
+                                    for rho in states]
+
+    def test_up_stack(self):
+        # per-state calls are pinned to the candidate-by-candidate loop above
+        mats = np.stack([rho.matrix for rho in seeded_states()])
+        for eps in (0.0, 0.05, 0.2):
+            got = smooth_min_entropy_lower_bound_many(eps, mats, 2, 2, "up")
+            assert got.tolist() == [smooth_min_entropy_lower_bound(eps, rho, "up")
+                                    for rho in seeded_states()]
+
+    def test_stack_is_symmetrized(self):
+        # off-Hermitian roundoff, as in raw channel outputs, is averaged
+        # away on entry, as DensityOperator does for the one-state form
+        raw = seeded_states()[0].matrix + np.triu(np.full((4, 4), 1e-14j), 1)
+        for variant in ("up", "down"):
+            got = smooth_min_entropy_lower_bound_many(0.1, raw[None], 2, 2, variant)
+            assert got[0] == smooth_min_entropy_lower_bound(
+                0.1, DensityOperator(raw, (2, 2)), variant)
+
     def test_zero_eps_is_unsmoothed(self):
         for rho in seeded_states():
             assert smooth_min_entropy_lower_bound(0.0, rho, "up") \
@@ -174,18 +204,23 @@ class TestAgainstScalarReference:
                     == ref_channel_bound(eps, ch)
 
     def test_no_probes_without_admissible_weight(self, monkeypatch):
-        # eps below sqrt(min SMOOTH_GRID) admits no weight: no channel output
+        # sqrt(t) <= eps certifies each weight: no channel output is taken,
+        # and eps below sqrt(min SMOOTH_GRID) admits no weight at all
         import minent.dynamical as dyn
 
         def fail(*args, **kwargs):
             raise AssertionError("probe outputs computed")
 
-        monkeypatch.setattr(dyn, "apply_many", fail)
         ch = depolarizing(0.3)
+        expected = {eps: ref_channel_bound(eps, ch) for eps in (0.05, 0.3, 0.6)}
+        monkeypatch.setattr(dyn, "apply_many", fail)
         assert smooth_channel_min_entropy_lower_bound(0.0, ch) \
             == channel_min_entropy(ch)
         assert smooth_channel_min_entropy_lower_bound(9e-4, ch) \
             == channel_min_entropy(ch)
+        for eps, ref in expected.items():
+            assert smooth_channel_min_entropy_lower_bound(eps, ch) == ref
+            assert ref > channel_min_entropy(ch)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +255,8 @@ class TestCertificationRule:
             smooth_min_entropy_lower_bound(0.0, self.RHO, "up")
 
     def test_other_candidates_are_skipped(self, monkeypatch):
-        cands = _smooth_candidates(self.RHO, self.EPS)
+        stack, mask = _smooth_candidates(self.RHO.matrix[None], 2, 2, self.EPS)
+        cands = stack[mask]
         vals, ok = cond_min_entropy_up_many(cands, 2, 2)
         assert ok.all()
         best = int(np.argmax(vals))
@@ -229,3 +265,12 @@ class TestCertificationRule:
         got = smooth_min_entropy_lower_bound(self.EPS, self.RHO, "up")
         assert got == np.delete(vals, best).max()
         assert got < vals[best]
+
+    def test_every_center_of_a_stack_must_certify(self, monkeypatch):
+        states = seeded_states()[:3]
+        mats = np.stack([rho.matrix for rho in states])
+        _, mask = _smooth_candidates(mats, 2, 2, self.EPS)
+        second = int(mask[0].sum())  # the second state's center in the SDP stack
+        mark_nonoptimal(monkeypatch, second)
+        with pytest.raises(sdp.SdpFailure):
+            smooth_min_entropy_lower_bound_many(self.EPS, mats, 2, 2, "up")

@@ -137,6 +137,50 @@ class TestChannelCosts:
         # the certified cost ceilings are asserted inside channel_costs
         assert rep.eras_cost.bits <= -rep.s_min_channel + math.log2(0.92) + 1e-6
 
+    def test_skipped_erasure_instance(self, monkeypatch):
+        # an erasure SDP that does not certify is counted and left out
+        from minent import entropies
+
+        real = entropies.cond_hypothesis_entropy_many
+        seen = {}
+
+        def drop_best(eps, mats, da, db):
+            vals, ok = real(eps, mats, da, db)
+            seen["vals"] = vals.copy()
+            ok[int(np.argmax(vals))] = False
+            return vals, ok
+
+        monkeypatch.setattr(entropies, "cond_hypothesis_entropy_many", drop_best)
+        rep = channel_costs(depolarizing(0.3), 0.08, 300.0, 12, 5)
+        kept = seen["vals"].copy()
+        kept[int(np.argmax(kept))] = -np.inf
+        assert rep.attained_inputs["skipped_samples"] == 1
+        assert kept.max() < seen["vals"].max()
+        assert rep.eras_cost.bits == kept.max()
+        first = int(np.nonzero(kept >= kept.max() - 1e-9)[0][0])
+        assert rep.attained_inputs["eras"] == (
+            "maximally-mixed input" if first == 0 else f"sample-{first}")
+
+    def test_every_erasure_instance_skipped(self, monkeypatch):
+        from minent import entropies
+
+        real = entropies.cond_hypothesis_entropy_many
+
+        def drop_all(eps, mats, da, db):
+            vals, _ = real(eps, mats, da, db)
+            return vals, np.zeros(len(vals), dtype=bool)
+
+        monkeypatch.setattr(entropies, "cond_hypothesis_entropy_many", drop_all)
+        with pytest.raises(RuntimeError, match="every erasure sample"):
+            channel_costs(depolarizing(0.3), 0.08, 300.0, 12, 5)
+
+    def test_positive_mu_names_first_optimal_input(self):
+        # the maximally entangled input attains the preparation optimum
+        # within 1e-9 at mu > 0 as at mu = 0, and comes first
+        rep = channel_costs(depolarizing(0.5), 0.06, 300.0, 64, 42)
+        assert rep.attained_inputs["prep"] == "maximally-entangled reference input"
+        assert rep.attained_inputs["eras"] == "maximally-mixed input"
+
     def test_json_schema(self):
         rep = channel_costs(identity_channel(2), 0.0, 300.0, 8, 5)
         payload = rep.to_json()
@@ -149,6 +193,9 @@ class TestChannelCosts:
         with pytest.raises(ValueError):
             CostReport(WorkCost(0.3, 300.0), WorkCost(-0.3, 300.0),
                        mu=0.0, s_min_channel=0.0)
+        rep = CostReport(WorkCost(0.3, 300.0), WorkCost(-0.2, 300.0),
+                         mu=0.1, s_min_channel=0.0)
+        assert rep.zero_error_gap == 0.3
 
 
 class TestAdversarialBound:
