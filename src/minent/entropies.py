@@ -48,6 +48,13 @@ SMOOTH_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.02, 0.04, 0.08,
 # weight of rho outside the support of sigma above which D_max is +inf
 SUPPORT_LEAK = 1e-10
 
+# states per sub-stack of the smoothing-ball check and of the eps > 0
+# hypothesis SDPs: their temporaries (the fidelities' eigen-decompositions,
+# the solver's per-instance Schur matrices and Schur-assembly chunks) grow
+# with the stack, and past a few states the extra peak memory buys little
+# speed
+SUBSTACK = 8
+
 
 @dataclass(frozen=True)
 class RenyiOrder:
@@ -311,8 +318,9 @@ def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
     eps > 0 the inner test minimization is dualized, leaving one joint
     maximization over (sigma, mu, Z):  max mu(1-eps) - tr Z  with
     mu rho <= 1 (x) sigma + Z; the entropy is log2 of the optimum. rho
-    enters the constraint matrices (the mu column), so the instances are
-    solved one at a time on data built once.
+    enters the constraint matrices only in the 1x1 mu block, which is
+    passed per instance, so the states are solved as SDP stacks of up to
+    SUBSTACK on data built once.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
@@ -342,14 +350,17 @@ def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
     c = np.zeros((n, n), dtype=complex)
     c[db, db] = 1.0 - eps
     c[z0:y0, z0:y0] = -np.eye(dab)
-    vals = np.empty(len(mats))
-    ok = np.empty(len(mats), dtype=bool)
-    for i, rho in enumerate(mats):
-        a[:m - 1, db, db] = np.trace(basis @ rho, axis1=1, axis2=2).real
-        res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab))
-        vals[i] = math.log2(max(float(res["primal_value"][0]), 1e-300))
-        ok[i] = res["ok"][0]
-    return vals, ok
+    # the mu block of constraint k is tr(E_k rho)
+    mu_col = np.zeros((len(mats), m, 1, 1), dtype=complex)
+    mu_col[:, :m - 1, 0, 0] = np.einsum("kij,nji->nk", basis, mats).real
+    vals, ok = [], []
+    for lo in range(0, len(mats), SUBSTACK):
+        res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab),
+                              instance_blocks={1: mu_col[lo:lo + SUBSTACK]})
+        vals.extend(math.log2(max(float(v), 1e-300))
+                    for v in res["primal_value"])
+        ok.append(res["ok"])
+    return np.array(vals), np.concatenate(ok)
 
 
 def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
@@ -405,8 +416,9 @@ def _smooth_candidates(mats: np.ndarray, da: int, db: int, eps: float):
         .reshape(len(mats), -1, da * db, da * db)
     # the ball check takes several times its input's memory in temporaries:
     # check a few states at a time
-    inside = np.concatenate([_in_ball(mats[i:i + 8], cands[i:i + 8], eps)
-                             for i in range(0, len(mats), 8)])
+    inside = np.concatenate([_in_ball(mats[i:i + SUBSTACK],
+                                      cands[i:i + SUBSTACK], eps)
+                             for i in range(0, len(mats), SUBSTACK)])
     stack = np.concatenate([mats[:, None], cands], axis=1)
     mask = np.concatenate([np.ones((len(mats), 1), dtype=bool), inside], axis=1)
     return stack, mask

@@ -136,8 +136,8 @@ class HermitianOperator:
 class DensityOperator:
     """Positive semidefinite operator of unit trace.
 
-    With subnormalized=True the trace may lie anywhere in (0, 1]; this
-    variant is only used by the smoothing-ball machinery.
+    With subnormalized=True the trace may lie anywhere in (0, 1]; the
+    Choi states of non-trace-preserving maps are built this way.
     """
 
     op: HermitianOperator

@@ -8,7 +8,7 @@ from minent.channels import (_diamond_objective, _diamond_problem_data,
 from minent.linalg import TOL, hermitian_basis, maximally_entangled
 from minent.sdp import _block_slices, embed_matrix, solve_stack
 
-from conftest import random_qubit_channels
+from conftest import random_qubit_channels, random_two_qubit_states
 
 
 def cond_min_problem(rho, da, db, scale=1.0):
@@ -200,6 +200,29 @@ class TestSolveStackInput:
         with pytest.raises(ValueError, match=match):
             solve_stack(*args)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(instance_blocks={1: np.ones((2, 1, 1, 1))}), "instance block 1"),
+        (dict(instance_blocks={1: np.eye(2)[None]}), "instance block 1"),
+        (dict(instance_blocks={1: np.ones((2, 2, 2, 2))}), "instance block 1"),
+        (dict(instance_blocks={1: np.stack([np.eye(2)[None]] * 2)},
+              objective=np.stack([RHO3] * 3)), "batch"),
+        (dict(instance_blocks={2: np.stack([np.eye(2)[None]] * 2)}),
+         "not a block"),
+        (dict(instance_blocks={-1: np.stack([np.eye(2)[None]] * 2)}),
+         "not a block"),
+        (dict(instance_blocks={1: np.stack([np.triu(np.ones((2, 2)))[None]] * 2)}),
+         "Hermitian"),
+        (dict(instance_blocks={1: np.full((2, 1, 2, 2), np.nan)}), "Hermitian"),
+    ], ids=["block-shape", "block-unbatched", "block-constraint-count",
+            "block-batch", "block-index-high", "block-index-negative",
+            "block-nonherm", "block-nan"])
+    def test_rejects_instance_blocks(self, kwargs, match):
+        # blocks (1, 2); a per-instance block 1 is (B, 1, 2, 2)
+        args = {"objective": RHO3, "constraints": EYE3, "rhs": [1.0],
+                "blocks": (1, 2), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            solve_stack(**args)
+
     def test_accepts_roundoff_asymmetry(self):
         # deviations at TOL.herm pass: the callers build their data from
         # products whose Hermiticity holds only to roundoff
@@ -306,6 +329,77 @@ class TestSolveStack:
         assert res["iters"][victim] == 1
         others = [i for i in range(len(cs)) if i != victim]
         assert_matches_solo(res, cs, a, b, blocks, others)
+
+
+class TestInstanceBlocks:
+    # per-instance mu column of the hypothesis-testing SDP: each instance
+    # must follow the path of its own solo solve with shared constraints
+    def test_matches_solo(self):
+        c, a, b, blocks, col = hypothesis_stack(71, 11)
+        res = solve_stack(c, a, b, "max", blocks, instance_blocks={1: col})
+        assert res["ok"].all()
+        assert_matches_solo_mu(res, c, a, b, blocks, col)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nonfinite_iterate_ends_only_its_instance(self, monkeypatch):
+        c, a, b, blocks, col = hypothesis_stack(72, 7)
+        victim = 4
+        done = []
+        nt_scaling = sdp._nt_scaling
+
+        def poisoned(lx, ls):
+            w, s_inv, px, ps = nt_scaling(lx, ls)
+            if not done:
+                done.append(True)
+                px[victim] = np.inf
+            return w, s_inv, px, ps
+
+        monkeypatch.setattr(sdp, "_nt_scaling", poisoned)
+        res = solve_stack(c, a, b, "max", blocks, instance_blocks={1: col})
+        monkeypatch.undo()
+        assert res["status_str"][victim] == "numerical-error"
+        assert res["iters"][victim] == 1
+        others = [i for i in range(len(col)) if i != victim]
+        assert_matches_solo_mu(res, c, a, b, blocks, col, others)
+
+
+def hypothesis_stack(seed, count, eps=0.1):
+    """Shared data (c, a, b, blocks) of the eps > 0 hypothesis-testing SDP
+    of S_H(A|B) on two qubits, blocks (sigma, mu, Z, Y), with its mu block
+    zero, and the per-instance mu block (count, m, 1, 1) of random states:
+    tr(E_k rho)."""
+    da = db = 2
+    dab = da * db
+    basis = hermitian_basis(dab)
+    n, m = db + 1 + 2 * dab, dab * dab + 1
+    z0, y0 = db + 1, db + 1 + dab
+    a = np.zeros((m, n, n), dtype=complex)
+    a[:-1, :db, :db] = -np.einsum("nikil->nkl",
+                                  basis.reshape(-1, da, db, da, db))
+    a[:-1, z0:y0, z0:y0] = -basis
+    a[:-1, y0:, y0:] = basis
+    a[-1, :db, :db] = np.eye(db)
+    b = np.zeros(m)
+    b[-1] = 1.0
+    c = np.zeros((n, n), dtype=complex)
+    c[db, db] = 1.0 - eps
+    c[z0:y0, z0:y0] = -np.eye(dab)
+    rhos = np.stack([r.matrix for r in random_two_qubit_states(seed, count)])
+    col = np.zeros((count, m, 1, 1), dtype=complex)
+    col[:, :-1, 0, 0] = np.einsum("kij,nji->nk", basis, rhos).real
+    return c, a, b, (db, 1, dab, dab), col
+
+
+def assert_matches_solo_mu(res, c, a, b, blocks, col, which=None):
+    db = blocks[0]
+    for i in range(len(col)) if which is None else which:
+        a_i = a.copy()
+        a_i[:, db, db] = col[i, :, 0, 0]
+        solo = solve_stack(c, a_i, b, "max", blocks)
+        assert res["status_str"][i] == solo["status_str"][0]
+        assert res["iters"][i] == solo["iters"][0]
+        assert res["primal_value"][i] == pytest.approx(
+            solo["primal_value"][0], abs=1e-11)
 
 
 def diamond_stack(seed, count):
