@@ -25,7 +25,7 @@ from .dynamical import (ChannelEntropyReport, channel_min_entropy,
                         unitary_covariance_check)
 from .decoupling import (DecouplingReport, HaarSampler, decouple_channel_mc,
                          decouple_states_mc, erasure_protocol_work,
-                         find_decoupled_subsystem, haar_unitary)
+                         find_decoupled_subsystem)
 from .thermo import (CostReport, WorkCost, adversarial_erasure_bound,
                      channel_costs, resource_eras_cost_state,
                      resource_prep_cost_state, sum_bound_check,

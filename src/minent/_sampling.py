@@ -41,6 +41,8 @@ def _haar_isometries(gen: np.random.Generator, rows: int, cols: int,
 
 def haar_unitaries(gen: np.random.Generator, dim: int, count: int) -> np.ndarray:
     """Haar-distributed unitaries."""
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
     return _haar_isometries(gen, dim, dim, count)
 
 

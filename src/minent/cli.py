@@ -281,6 +281,9 @@ def cmd_costs(args) -> int:
     try:
         report = thermo.channel_costs(channel, args.mu, args.temperature,
                                       n_samples=args.n, seed=args.seed)
+    except ValueError as exc:  # e.g. an erasure SDP too large to solve
+        print(f"invalid arguments: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     except (sdp.SdpFailure, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

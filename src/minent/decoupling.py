@@ -27,7 +27,6 @@ __all__ = [
     "DecouplingReport",
     "SubsystemSearchResult",
     "ErasureProtocolReport",
-    "haar_unitary",
     "decouple_states_mc",
     "decouple_channel_mc",
     "find_decoupled_subsystem",
@@ -47,17 +46,11 @@ class HaarSampler:
         self._gen = _sampling.stream(self.seed, self.stream_id)
 
     def unitaries(self, count: int, dim: int | None = None) -> np.ndarray:
-        return _sampling.haar_unitaries(self._gen, dim or self.dim, count)
+        return _sampling.haar_unitaries(self._gen,
+                                        self.dim if dim is None else dim, count)
 
     def unitary(self, dim: int | None = None) -> np.ndarray:
         return self.unitaries(1, dim)[0]
-
-
-def haar_unitary(dim: int, sampler: HaarSampler) -> np.ndarray:
-    """One Haar-random unitary of the requested dimension."""
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    return sampler.unitary(dim)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "smooth_channel_min_entropy_lower_bound",
     "continuity_check",
     "unitary_covariance_check",
-    "composition_entropy_probe",
 ]
 
 # mixing weights toward the uniformizing channel tried when smoothing;
@@ -253,14 +252,3 @@ def unitary_covariance_check(n: QuantumChannel, u1: QuantumChannel,
     combined = compose(u2, compose(n, u1))
     return bool(abs(channel_min_entropy(combined) - channel_min_entropy(n))
                 <= 1e-9)
-
-
-def composition_entropy_probe(outer: QuantumChannel, inner: QuantumChannel) -> dict:
-    """Report S_min of a composition next to its parts without asserting
-    an ordering (the general monotonicity direction is left open)."""
-    combined = compose(outer, inner)
-    return {
-        "composite": channel_min_entropy(combined),
-        "outer": channel_min_entropy(outer),
-        "inner": channel_min_entropy(inner),
-    }

@@ -35,6 +35,7 @@ __all__ = [
     "cond_min_entropy_down_sdp",
     "cond_hypothesis_entropy",
     "cond_hypothesis_entropy_many",
+    "cond_hypothesis_entropy_sup",
     "smooth_min_entropy_lower_bound",
     "smooth_min_entropy_lower_bound_many",
     "max_fidelity_uniform",
@@ -48,11 +49,9 @@ SMOOTH_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.02, 0.04, 0.08,
 # weight of rho outside the support of sigma above which D_max is +inf
 SUPPORT_LEAK = 1e-10
 
-# states per sub-stack of the smoothing-ball check and of the eps > 0
-# hypothesis SDPs: their temporaries (the fidelities' eigen-decompositions,
-# the solver's per-instance Schur matrices and Schur-assembly chunks) grow
-# with the stack, and past a few states the extra peak memory buys little
-# speed
+# states per sub-stack of the smoothing-ball check: the fidelities'
+# eigen-decompositions take several times their input in temporaries, and
+# past a few states the extra peak memory buys little speed
 SUBSTACK = 8
 
 
@@ -307,6 +306,45 @@ def cond_min_entropy_down_sdp(rho: DensityOperator) -> float:
     return -d_max_sdp(rho, sig)
 
 
+def _hypothesis_dual(eps: float, da: int, db: int, r: int, input_block):
+    """SDP data (c, a, b, blocks) of the dual hypothesis test behind
+    S_H(A|B) at error eps, with an input block P of size r:
+
+        max (1 - eps) tr P - tr Z  s.t.  L(P) <= 1_A (x) sigma_B + Z,
+                                          tr sigma = 1,  P, Z, sigma >= 0.
+
+    Blocks sigma (db), P (r), Z (dab), Y = 1 (x) sigma + Z - L(P) (dab),
+    one equality per element E_k of the orthonormal Hermitian basis of
+    (A, B) and one for tr sigma. input_block(basis) gives the P block of
+    those equalities, L^dag(E_k), as (dab^2, r, r): tr(E_k rho) for a
+    state rho (r = 1, L(mu) = mu rho), V^dag E_k V for an isometry V
+    (r = d_in, L(P) = V P V^dag). Raises ValueError, before building
+    anything, when the variable is larger than the solver takes.
+    """
+    dab = da * db
+    n = db + r + 2 * dab
+    if n > sdp.MAX_DIM:
+        raise ValueError(f"hypothesis-testing SDP of dim {n} (d_B + d_in "
+                         f"+ 2 d_A d_B) exceeds {sdp.MAX_DIM}")
+    basis = hermitian_basis(dab)
+    m = dab * dab + 1
+    p_, z_, y_ = slice(db, db + r), slice(db + r, db + r + dab), \
+        slice(db + r + dab, n)
+    a = np.zeros((m, n, n), dtype=complex)
+    a[:-1, :db, :db] = -np.einsum("nikil->nkl",
+                                  basis.reshape(-1, da, db, da, db))
+    a[:-1, p_, p_] = input_block(basis)
+    a[:-1, z_, z_] = -basis
+    a[:-1, y_, y_] = basis
+    a[-1, :db, :db] = np.eye(db)
+    b = np.zeros(m)
+    b[-1] = 1.0
+    c = np.zeros((n, n), dtype=complex)
+    c[p_, p_] = (1.0 - eps) * np.eye(r)
+    c[z_, z_] = -np.eye(dab)
+    return c, a, b, (db, r, dab, dab)
+
+
 def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
                                  db: int):
     """Hypothesis-testing conditional entropy S_H(A|B) at error eps for a
@@ -317,10 +355,8 @@ def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
     projector onto the support of rho, and every instance is ok. For
     eps > 0 the inner test minimization is dualized, leaving one joint
     maximization over (sigma, mu, Z):  max mu(1-eps) - tr Z  with
-    mu rho <= 1 (x) sigma + Z; the entropy is log2 of the optimum. rho
-    enters the constraint matrices only in the 1x1 mu block, which is
-    passed per instance, so the states are solved as SDP stacks of up to
-    SUBSTACK on data built once.
+    mu rho <= 1 (x) sigma + Z (`_hypothesis_dual` with r = 1); the
+    entropy is log2 of the optimum, one SDP per state.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
@@ -332,35 +368,46 @@ def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
         red = np.einsum("nakal->nkl", proj.reshape(-1, da, db, da, db))
         vals = np.log2(np.clip(np.linalg.eigvalsh(red)[:, -1], 1e-300, None))
         return vals, np.ones(len(mats), dtype=bool)
-    dab = da * db
-    basis = hermitian_basis(dab)
-    # blocks: sigma (db), mu (1), Z (dab), Y = 1 (x) sigma + Z - mu rho (dab)
-    n = db + 1 + 2 * dab
-    m = dab * dab + 1
-    a = np.zeros((m, n, n), dtype=complex)
-    b = np.zeros(m)
-    z0 = db + 1
-    y0 = db + 1 + dab
-    for k, ek in enumerate(basis):
-        a[k, :db, :db] = -np.einsum("ikil->kl", ek.reshape(da, db, da, db))
-        a[k, z0:y0, z0:y0] = -ek
-        a[k, y0:, y0:] = ek
-    a[m - 1, :db, :db] = np.eye(db)
-    b[m - 1] = 1.0
-    c = np.zeros((n, n), dtype=complex)
-    c[db, db] = 1.0 - eps
-    c[z0:y0, z0:y0] = -np.eye(dab)
-    # the mu block of constraint k is tr(E_k rho)
-    mu_col = np.zeros((len(mats), m, 1, 1), dtype=complex)
-    mu_col[:, :m - 1, 0, 0] = np.einsum("kij,nji->nk", basis, mats).real
     vals, ok = [], []
-    for lo in range(0, len(mats), SUBSTACK):
-        res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab),
-                              instance_blocks={1: mu_col[lo:lo + SUBSTACK]})
-        vals.extend(math.log2(max(float(v), 1e-300))
-                    for v in res["primal_value"])
-        ok.append(res["ok"])
-    return np.array(vals), np.concatenate(ok)
+    for rho in mats:
+        c, a, b, blocks = _hypothesis_dual(
+            eps, da, db, 1,
+            lambda basis: np.einsum("kij,ji->k", basis, rho).real[:, None, None])
+        res = sdp.solve_stack(c, a, b, "max", blocks)
+        vals.append(math.log2(max(float(res["primal_value"][0]), 1e-300)))
+        ok.append(bool(res["ok"][0]))
+    return np.array(vals), np.array(ok, dtype=bool)
+
+
+def cond_hypothesis_entropy_sup(eps: float, v: np.ndarray, da: int, db: int):
+    """sup over input states rho of S_H(A|B) at error eps of V rho V^dag,
+    for an isometry V (dab, d_in), as one SDP.
+
+    The dual in `cond_hypothesis_entropy_many` sees the state only through
+    mu rho (Wang and Renner, PRL 108, 200501 (2012)). With
+    rho = V rho_in V^dag, P = mu rho_in ranges over every PSD matrix as mu
+    and rho_in vary, so the supremum over inputs and the inner maximum
+    merge into
+
+        max (1 - eps) tr P - tr Z  s.t.  V P V^dag <= 1_A (x) sigma_B + Z,
+                                          tr sigma = 1,  P, Z, sigma >= 0.
+
+    Returns (bits, rho_star, ok): log2 of the optimum, the optimal input
+    rho_star = P / tr P, and whether the SDP certified optimality. Raises
+    ValueError when the program is larger than the solver takes.
+    """
+    if not 0 < eps < 1:
+        raise ValueError("eps must lie in (0, 1)")
+    v = np.asarray(v, dtype=complex)
+    if v.ndim != 2 or v.shape[0] != da * db:
+        raise ValueError("isometry must be (da * db, d_in)")
+    c, a, b, blocks = _hypothesis_dual(
+        eps, da, db, v.shape[1],
+        lambda basis: hermitian_part(v.conj().T @ basis @ v))
+    res = sdp.solve_stack(c, a, b, "max", blocks)
+    p = hermitian_part(res["x_complex"][1][0])
+    bits = math.log2(max(float(res["primal_value"][0]), 1e-300))
+    return bits, p / max(np.trace(p).real, 1e-300), bool(res["ok"][0])
 
 
 def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:

@@ -13,10 +13,9 @@ symmetric embedding  M -> [[Re M, -Im M], [Im M, Re M]].
 The variable may carry block-diagonal structure (`blocks`); data outside
 the diagonal blocks is ignored by the solver, which keeps iterates
 block diagonal. The one entry point, `solve_stack`, checks its input and
-solves a stack of problems in one sweep, because the Monte Carlo layers
-above solve thousands of small SDPs; a single SDP is a stack of one. The
-instances share their constraint matrices, except on diagonal blocks
-whose constraint data is given per instance (`instance_blocks`).
+solves a stack of problems that share their constraint matrices in one
+sweep, because the Monte Carlo layers above solve thousands of small
+SDPs; a single SDP is a stack of one.
 
 Each matrix is factored once per iteration. The Cholesky factors Lx,
 Ls of the primal and dual iterates feed one SVD, G = Ls^T Lx = U Sig V^T,
@@ -181,16 +180,14 @@ def _schur_matrix(w_nt, a_blocks):
 
     With T_i = W A_i, M_ij = sum_kl T_i[k, l] T_j[l, k]. T is formed for a
     chunk of instances at a time, so the temporaries stay small whatever
-    the stack size. A block's constraints are shared (m, nb, nb) or per
-    instance (B, m, nb, nb).
+    the stack size.
     """
-    count, m = w_nt[0].shape[0], a_blocks[0].shape[-3]
+    count, m = w_nt[0].shape[0], a_blocks[0].shape[0]
     schur = np.zeros((count, m, m))
     for w, a in zip(w_nt, a_blocks):
-        step = max(1, SCHUR_CHUNK // (m * a.shape[-1] ** 2))
+        step = max(1, SCHUR_CHUNK // a.size)
         for lo in range(0, count, step):
-            t = w[lo:lo + step, None] @ (a[lo:lo + step] if a.ndim == 4
-                                         else a[None])
+            t = w[lo:lo + step, None] @ a[None]
             k = t.shape[0]
             schur[lo:lo + k] += t.reshape(k, m, -1) @ \
                 t.swapaxes(-1, -2).reshape(k, m, -1).swapaxes(-1, -2)
@@ -241,8 +238,7 @@ def _inner(a, b):
 def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     """Batched NT path-following IPM on real symmetric blocks.
 
-    a_blocks: per block (m, nb, nb), shared across instances, or
-    (B, m, nb, nb), one set of constraint matrices per instance.
+    a_blocks: per block (m, nb, nb), shared across instances.
     c_blocks: per block (B, nb, nb).
     b: (B, m).
 
@@ -250,33 +246,24 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     slowly converging stragglers do not drag the whole stack along.
     """
     nblk = len(a_blocks)
-    m = a_blocks[0].shape[-3]
+    m = a_blocks[0].shape[0]
     bsz = b.shape[0]
     dims = [a.shape[-1] for a in a_blocks]
     ntot = sum(dims)
-    def flat(blks):
-        return [a.reshape(a.shape[:-2] + (-1,)) for a in blks]
-
-    a_flat = flat(a_blocks)
+    a_flat = [a.reshape(m, -1) for a in a_blocks]
 
     def op_a(xb):
         cnt = xb[0].shape[0]
-        return sum(xb[i].reshape(cnt, 1, -1) @ a_flat[i].swapaxes(-1, -2)
+        return sum(xb[i].reshape(cnt, 1, -1) @ a_flat[i].T
                    for i in range(nblk)).reshape(cnt, m)
 
     def op_at(yv):
-        return [np.einsum("bm,bmij->bij" if a.ndim == 4 else "bm,mij->bij",
-                          yv, a) for a in a_blocks]
+        return [np.einsum("bm,mij->bij", yv, a) for a in a_blocks]
 
     # initial point: tau from least-squares fit of the equality constraints
     tr_a = sum(np.trace(a, axis1=-2, axis2=-1) for a in a_blocks)
-    if tr_a.ndim == 1:
-        denom = float(tr_a @ tr_a)
-        tau_p = np.abs(b @ tr_a) / denom if denom > 0 else np.ones(bsz)
-    else:  # per-instance constraints: one fit per instance
-        denom = np.einsum("bm,bm->b", tr_a, tr_a)
-        tau_p = np.where(denom > 0, np.abs(np.einsum("bm,bm->b", b, tr_a))
-                         / np.where(denom > 0, denom, 1.0), 1.0)
+    denom = float(tr_a @ tr_a)
+    tau_p = np.abs(b @ tr_a) / denom if denom > 0 else np.ones(bsz)
     tau_p = np.clip(tau_p, 1.0, 1e4)
     c_scale = np.sqrt(sum(np.sum(c * c, axis=(-1, -2)) for c in c_blocks) / ntot)
     tau_d = np.clip(c_scale, 1.0, 1e6)
@@ -315,11 +302,8 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
 
     def keep_only(keep):
         # compact the working set down to the instances in `keep`
-        nonlocal cur, x, s, y, b, c_blocks, a_blocks, a_flat, b_norm, c_norm
-        nonlocal stall, mu_prev
+        nonlocal cur, x, s, y, b, c_blocks, b_norm, c_norm, stall, mu_prev
         cur = cur[keep]
-        a_blocks = [a[keep] if a.ndim == 4 else a for a in a_blocks]
-        a_flat = flat(a_blocks)
         x = [xb[keep] for xb in x]
         s = [sb[keep] for sb in s]
         y, b = y[keep], b[keep]
@@ -471,10 +455,9 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
 # public entry points
 
 
-def _check_stack(c, a, b, sense, blocks, inst):
-    """Raise ValueError unless (c, a, b, sense, blocks) with the
-    per-instance blocks `inst` is a stack that `solve_stack` can solve as
-    given."""
+def _check_stack(c, a, b, sense, blocks):
+    """Raise ValueError unless (c, a, b, sense, blocks) is a stack that
+    `solve_stack` can solve as given."""
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
     if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
@@ -489,57 +472,42 @@ def _check_stack(c, a, b, sense, blocks, inst):
     if blocks and (sum(blocks) != n or min(blocks) < 1):
         raise ValueError("block dims must be positive and sum to the "
                          "variable dim")
-    dims = tuple(blocks) if blocks else (n,)
-    for j, blk in inst.items():
-        if not isinstance(j, (int, np.integer)) or not 0 <= j < len(dims):
-            raise ValueError(f"instance block index {j!r} is not a block")
-        if blk.ndim != 4 or blk.shape[1:] != (a.shape[0], dims[j], dims[j]):
-            raise ValueError(f"instance block {j} must be (B, m, nb, nb), "
-                             "nb its block dim")
-    sizes = {c.shape[0] if c.ndim == 3 else 1, b.shape[0] if b.ndim == 2 else 1}
-    sizes.update(blk.shape[0] for blk in inst.values())
-    if len(sizes - {1}) > 1:
-        raise ValueError("objective, rhs and instance block batch sizes "
-                         "must be 1 or equal")
-    checks = [("objective", c), ("constraint", a)]
-    checks += [(f"instance block {j}", blk) for j, blk in inst.items()]
-    for name, m in checks:
+    bc = c.shape[0] if c.ndim == 3 else 1
+    bb = b.shape[0] if b.ndim == 2 else 1
+    if bc != bb and 1 not in (bc, bb):
+        raise ValueError("objective and rhs batch sizes must be 1 or equal")
+    for name, m in (("objective", c), ("constraint", a)):
         dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
         if not dev <= TOL.herm:  # NaN fails too
             raise ValueError(f"{name} matrices must be finite and Hermitian")
 
 
 def solve_stack(objective, constraints, rhs, sense="min", blocks=None,
-                keep_trace=False, *, instance_blocks=None):
+                keep_trace=False):
     """Solve a stack of Hermitian SDPs that share their constraint
-    matrices, except on the diagonal blocks given per instance; the
-    solver's one entry point (a single SDP is a stack of one).
+    matrices; the solver's one entry point (a single SDP is a stack of
+    one).
 
     objective: (n, n) or (B, n, n) complex Hermitian, n <= MAX_DIM.
     constraints: (m, n, n) complex Hermitian, shared by all instances.
     rhs: (m,) or (B, m) real.
     sense: "min" or "max"; blocks: diagonal block sizes, default (n,).
-    instance_blocks: {j: (B, m, nb_j, nb_j)} complex Hermitian, the
-    constraint matrices of diagonal block j for each instance; they
-    replace that block of `constraints`.
     Batch sizes of 1 broadcast against the others. Raises ValueError on
-    input of any other form. Returns a dict of
-    per-instance arrays: primal_value, dual_value, gap, pres, dres, iters,
-    y, x_complex (the primal blocks), status (index into _STATUS),
-    status_str and ok (status is optimal); with keep_trace, trace holds
-    (primal_obj, dual_obj, primal_res, dual_res) of instance 0 per iterate.
+    input of any other form. Returns a dict of per-instance arrays:
+    primal_value, dual_value, gap, pres, dres, iters, y, x_complex (the
+    primal blocks), status (index into _STATUS), status_str and ok
+    (status is optimal); with keep_trace, trace holds (primal_obj,
+    dual_obj, primal_res, dual_res) of instance 0 per iterate.
     """
     c = np.asarray(objective, dtype=complex)
     a = np.asarray(constraints, dtype=complex)
     b = np.asarray(rhs, dtype=float)
-    inst = {j: np.asarray(blk, dtype=complex)
-            for j, blk in (instance_blocks or {}).items()}
-    _check_stack(c, a, b, sense, blocks, inst)
+    _check_stack(c, a, b, sense, blocks)
     if c.ndim == 2:
         c = c[None]
     if b.ndim == 1:
         b = b[None]
-    bsz = max(c.shape[0], b.shape[0], *(blk.shape[0] for blk in inst.values()))
+    bsz = max(c.shape[0], b.shape[0])
     if c.shape[0] == 1 and bsz > 1:
         c = np.broadcast_to(c, (bsz,) + c.shape[1:])
     if b.shape[0] == 1 and bsz > 1:
@@ -549,9 +517,7 @@ def solve_stack(objective, constraints, rhs, sense="min", blocks=None,
     sgn = 1.0 if sense == "min" else -1.0
 
     slc = _block_slices(blocks)
-    a_blocks = [embed_matrix(np.broadcast_to(inst[j], (bsz,) + inst[j].shape[1:])
-                             if j in inst else a[:, s_, s_])
-                for j, s_ in enumerate(slc)]
+    a_blocks = [embed_matrix(a[:, s_, s_]) for s_ in slc]
     c_blocks = [embed_matrix(sgn * c[:, s_, s_]) for s_ in slc]
     res = _ipm(a_blocks, c_blocks, np.ascontiguousarray(2.0 * b),
                keep_trace=keep_trace)

@@ -2,10 +2,12 @@
 """Thermodynamic and resource-theoretic erasure/preparation costs.
 
 Costs are tracked in bits of work (multiples of k_B T ln 2) and convert
-to joules only at the edge. Channel-level costs are suprema over inputs;
-the maximally entangled reference input and the maximally mixed input
-are always included because they attain the zero-error optima exactly
-(the Choi state realizes the infimum defining the channel min-entropy).
+to joules only at the edge. Channel-level costs are suprema over inputs.
+The preparation scan and the zero-error erasure scan always include the
+maximally entangled reference input and the maximally mixed input,
+because they attain the zero-error optima exactly (the Choi state
+realizes the infimum defining the channel min-entropy); at mu > 0 the
+erasure supremum is one SDP over all inputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _sampling, dynamical, entropies
+from . import _sampling, dynamical, entropies, sdp
 from .channels import QuantumChannel, stinespring_isometry
 from .linalg import DensityOperator
 
@@ -158,13 +160,17 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     """Preparation and adversarial erasure costs of one channel use.
 
     Preparation scans pure reference inputs (the maximally entangled one
-    included, which attains the supremum); erasure scans mixed inputs to
-    the isometric extension (the maximally mixed one included). At
-    mu = 0 both suprema meet -S_min exactly; for mu > 0 the preparation
-    side carries a certified-upper flag inherited from the one-sided
-    smoothing. Each side is one stacked call; erasure inputs whose SDP
-    does not certify are counted in skipped_samples and left out of the
-    supremum. Each side names the first input within 1e-9 of its optimum.
+    included, which attains the supremum) in one stacked call; mu > 0
+    gives it a certified-upper flag inherited from the one-sided
+    smoothing, which the report's certification carries. Erasure is the
+    supremum of S_H(A|E) over inputs to the isometric extension: at
+    mu = 0 the closed form over mixed inputs (the maximally mixed one
+    included), where both sides meet -S_min exactly; at mu > 0 one SDP
+    over all inputs (`entropies.cond_hypothesis_entropy_sup`), exact
+    within its gap, which raises SdpFailure unless it is optimal. Each
+    side names the input that attains it (the first within 1e-9 of the
+    optimum for a scan) in attained_inputs, and eras_state holds the
+    erasure input's density matrix.
     """
     if not 0 <= mu < 1:
         raise ValueError("mu must lie in [0, 1)")
@@ -188,17 +194,27 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     iso = stinespring_isometry(channel)
     v = iso.isometry
     de = iso.env_dim
-    mixed = [np.eye(dr, dtype=complex) / dr]
-    eye = np.eye(dr, dtype=complex)
-    mixed.extend(np.outer(eye[k], eye[k].conj()) for k in range(dr))
-    mixed.extend(_sampling.random_density_matrices(gen, dr, max(n_samples // 2, 1)))
-    big = np.stack([v @ m @ v.conj().T for m in mixed])
-    hvals, ok = entropies.cond_hypothesis_entropy_many(mu, big, da, de)
-    if not ok.any():
-        raise RuntimeError("every erasure sample failed to certify")
-    hvals = np.where(ok, hvals, -np.inf)
-    eras_bits = float(hvals.max())
-    eras_idx = int(np.nonzero(hvals >= hvals.max() - 1e-9)[0][0])
+    if mu == 0:
+        # the draws come after the preparation draws, whose stream they
+        # must leave as it is
+        mixed = [np.eye(dr, dtype=complex) / dr]
+        eye = np.eye(dr, dtype=complex)
+        mixed.extend(np.outer(eye[k], eye[k].conj()) for k in range(dr))
+        mixed.extend(_sampling.random_density_matrices(gen, dr,
+                                                       max(n_samples // 2, 1)))
+        big = np.stack([v @ m @ v.conj().T for m in mixed])
+        hvals, _ = entropies.cond_hypothesis_entropy_many(0.0, big, da, de)
+        eras_bits = float(hvals.max())
+        eras_idx = int(np.nonzero(hvals >= hvals.max() - 1e-9)[0][0])
+        eras_label = "maximally-mixed input" if eras_idx == 0 \
+            else f"sample-{eras_idx}"
+        eras_state = mixed[eras_idx]
+    else:
+        eras_bits, eras_state, ok = entropies.cond_hypothesis_entropy_sup(
+            mu, v, da, de)
+        if not ok:
+            raise sdp.SdpFailure("erasure-cost SDP did not certify")
+        eras_label = "SDP-optimal input"
 
     # certified ceilings implied by the one-shot cost bounds
     smooth_lb = dynamical.smooth_channel_min_entropy_lower_bound(mu, channel)
@@ -206,10 +222,9 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
         raise RuntimeError("preparation scan exceeded its certified ceiling")
     eras_ceiling = -s_min + math.log2(1 - mu)
     if eras_bits > eras_ceiling + 1e-6:
-        raise RuntimeError("erasure scan exceeded its certified ceiling")
+        raise RuntimeError("erasure cost exceeded its certified ceiling")
 
     labels_prep = {0: "maximally-entangled reference input"}
-    labels_eras = {0: "maximally-mixed input"}
     report = CostReport(
         prep_cost=WorkCost(prep_bits, t_kelvin, certification=prep_cert),
         eras_cost=WorkCost(eras_bits, t_kelvin),
@@ -217,8 +232,11 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
         s_min_channel=s_min,
         attained_inputs={
             "prep": labels_prep.get(prep_idx, f"sample-{prep_idx}"),
-            "eras": labels_eras.get(eras_idx, f"sample-{eras_idx}"),
-            "skipped_samples": int((~ok).sum()),
+            "eras": eras_label,
+            "eras_state": eras_state,
+            # each solve certifies or raises, so nothing is skipped;
+            # perfbench/workloads.py reads this count
+            "skipped_samples": 0,
         },
         certification=prep_cert,
     )

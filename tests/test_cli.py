@@ -205,6 +205,34 @@ class TestCosts:
         code, _, _ = run(capsys, "costs", "--family", "unitary", "--mu", "1.2")
         assert code == 2
 
+    def test_oversize_erasure_sdp(self, capsys):
+        # d_E + d_in + 2 d_A d_E = 36 + 6 + 432 is over the solver's cap:
+        # refused before the SDP data is built
+        code, out, err = run(capsys, "costs", "--spec",
+                             '{"family": "replacer", "omega": '
+                             '"maximally-mixed", "dims": 6}',
+                             "--mu", "0.1", "--n", "2", "--json")
+        assert code == 2
+        assert out == ""
+        assert "exceeds 64" in err
+
+    def test_uncertified_erasure_sdp(self, capsys, monkeypatch):
+        from minent import sdp
+
+        real = sdp.solve_stack
+
+        def stalled(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res["ok"][:] = False
+            return res
+
+        monkeypatch.setattr(sdp, "solve_stack", stalled)
+        code, out, err = run(capsys, "costs", "--family", "depolarizing",
+                             "--p", "0.5", "--mu", "0.06", "--n", "4", "--json")
+        assert code == 3
+        assert out == ""
+        assert "erasure" in err
+
 
 class TestCheck:
     def test_passes_and_deterministic(self, capsys):

@@ -11,7 +11,7 @@ from minent.channels import (depolarizing, identity_channel,
 from minent.decoupling import (DecouplingReport, HaarSampler, _rotate,
                                SubsystemSearchResult, decouple_channel_mc,
                                decouple_states_mc, erasure_protocol_work,
-                               find_decoupled_subsystem, haar_unitary)
+                               find_decoupled_subsystem)
 from minent.linalg import (DensityOperator, maximally_entangled,
                            maximally_mixed, pure_state, trace_norm)
 
@@ -22,7 +22,7 @@ IDC = identity_channel(2)
 
 class TestHaar:
     def test_dim_one_is_phase(self):
-        u = haar_unitary(1, HaarSampler(1, seed=3))
+        u = HaarSampler(1, seed=3).unitary()
         assert abs(abs(u[0, 0]) - 1) < 1e-12
 
     def test_unitarity_bulk(self):
@@ -51,8 +51,11 @@ class TestHaar:
             assert np.array_equal(np.stack(ref), kraus)
 
     def test_invalid_dim(self):
+        # an explicit dim of 0 is an error, not "use the sampler's dim"
         with pytest.raises(ValueError):
-            haar_unitary(0, HaarSampler(2, seed=1))
+            HaarSampler(2, seed=1).unitary(0)
+        with pytest.raises(ValueError):
+            _sampling.haar_unitaries(_sampling.stream(1), 0, 1)
 
 
 class TestRotate:

@@ -9,7 +9,7 @@ from minent.channels import (compose, dephasing1, dephasing2, depolarizing,
                              replacer, unitary_channel)
 from minent.dynamical import (ChannelEntropyReport, channel_min_entropy,
                               channel_min_entropy_scan, channel_min_entropy_sdp,
-                              composition_entropy_probe, continuity_check,
+                              continuity_check,
                               env_decoupling_dual, singlet_fidelity_dual,
                               smooth_channel_min_entropy_lower_bound,
                               unitary_covariance_check)
@@ -215,12 +215,6 @@ class TestCovariance:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             unitary_covariance_check(IDC, depolarizing(0.5), IDC)
-
-
-def test_composition_probe_reports_only():
-    probe = composition_entropy_probe(RPI, depolarizing(0.4))
-    assert set(probe) == {"composite", "outer", "inner"}
-    assert probe["composite"] == pytest.approx(1.0)
 
 
 def test_ppt_channels_nonnegative():

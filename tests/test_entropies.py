@@ -5,7 +5,7 @@ import pytest
 
 from minent import _sampling, sdp
 from minent.channels import apply, depolarizing
-from minent.entropies import (SUBSTACK, RenyiOrder, _in_ball,
+from minent.entropies import (RenyiOrder, _in_ball,
                               cond_hypothesis_entropy,
                               cond_hypothesis_entropy_many,
                               cond_min_entropy_down, cond_min_entropy_down_many,
@@ -283,17 +283,9 @@ class TestHypothesisMany:
             assert list(zip(vals.tolist(), ok.tolist())) == ref
             assert cond_hypothesis_entropy(eps, states[-1]) == ref[-1][0]
 
-    def test_substacks_match_scalar_reference(self):
-        # more states than two sub-stacks, so the last one is partial
-        states = random_two_qubit_states(65, 19)
-        assert 2 * SUBSTACK < len(states) < 3 * SUBSTACK
-        vals, ok = cond_hypothesis_entropy_many(
-            0.05, np.stack([rho.matrix for rho in states]), 2, 2)
-        ref = [hypothesis_reference(0.05, rho) for rho in states]
-        assert list(zip(vals.tolist(), ok.tolist())) == ref
-
     def test_failure_masks_only_its_state(self, monkeypatch):
-        # instance 3 of the second sub-stack fails: only its entry is not ok
+        # each state is one SDP; the eleventh fails and only its entry is
+        # not ok
         states = np.stack([rho.matrix for rho in random_two_qubit_states(66, 19)])
         real = sdp.solve_stack
         calls = []
@@ -301,14 +293,14 @@ class TestHypothesisMany:
         def patched(*args, **kwargs):
             res = real(*args, **kwargs)
             calls.append(len(res["ok"]))
-            if len(calls) == 2:
-                res["ok"][3] = False
+            if len(calls) == 11:
+                res["ok"][0] = False
             return res
 
         monkeypatch.setattr(sdp, "solve_stack", patched)
         vals, ok = cond_hypothesis_entropy_many(0.3, states, 2, 2)
-        assert calls == [SUBSTACK, SUBSTACK, 19 - 2 * SUBSTACK]
-        assert ok.tolist() == [i != SUBSTACK + 3 for i in range(19)]
+        assert calls == [1] * 19
+        assert ok.tolist() == [i != 10 for i in range(19)]
         assert np.isfinite(vals).all()
 
     def test_scalar_raises_when_not_certified(self, monkeypatch):

@@ -4,9 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from minent.channels import (dephasing1, depolarizing, identity_channel,
-                             make_named_channel, replacer, unitary_channel)
+from minent import _sampling
+from minent.channels import (QuantumChannel, dephasing1, dephasing2,
+                             depolarizing, identity_channel, make_named_channel,
+                             povm_channel, replacer, stinespring_isometry,
+                             unitary_channel)
 from minent.dynamical import channel_min_entropy
+from minent.entropies import (cond_hypothesis_entropy_many,
+                              cond_hypothesis_entropy_sup)
 from minent.linalg import (DensityOperator, basis_state, maximally_entangled,
                            maximally_mixed, pauli)
 from minent.thermo import (K_B, AdversarialBound, CostReport, WorkCost,
@@ -137,49 +142,35 @@ class TestChannelCosts:
         # the certified cost ceilings are asserted inside channel_costs
         assert rep.eras_cost.bits <= -rep.s_min_channel + math.log2(0.92) + 1e-6
 
-    def test_skipped_erasure_instance(self, monkeypatch):
-        # an erasure SDP that does not certify is counted and left out
-        from minent import entropies
+    def test_uncertified_erasure_sdp_raises(self, monkeypatch):
+        # the mu > 0 erasure side is one SDP with no sampled fallback
+        from minent import sdp
 
-        real = entropies.cond_hypothesis_entropy_many
-        seen = {}
+        real = sdp.solve_stack
 
-        def drop_best(eps, mats, da, db):
-            vals, ok = real(eps, mats, da, db)
-            seen["vals"] = vals.copy()
-            ok[int(np.argmax(vals))] = False
-            return vals, ok
+        def stalled(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res["ok"][:] = False
+            return res
 
-        monkeypatch.setattr(entropies, "cond_hypothesis_entropy_many", drop_best)
-        rep = channel_costs(depolarizing(0.3), 0.08, 300.0, 12, 5)
-        kept = seen["vals"].copy()
-        kept[int(np.argmax(kept))] = -np.inf
-        assert rep.attained_inputs["skipped_samples"] == 1
-        assert kept.max() < seen["vals"].max()
-        assert rep.eras_cost.bits == kept.max()
-        first = int(np.nonzero(kept >= kept.max() - 1e-9)[0][0])
-        assert rep.attained_inputs["eras"] == (
-            "maximally-mixed input" if first == 0 else f"sample-{first}")
-
-    def test_every_erasure_instance_skipped(self, monkeypatch):
-        from minent import entropies
-
-        real = entropies.cond_hypothesis_entropy_many
-
-        def drop_all(eps, mats, da, db):
-            vals, _ = real(eps, mats, da, db)
-            return vals, np.zeros(len(vals), dtype=bool)
-
-        monkeypatch.setattr(entropies, "cond_hypothesis_entropy_many", drop_all)
-        with pytest.raises(RuntimeError, match="every erasure sample"):
+        monkeypatch.setattr(sdp, "solve_stack", stalled)
+        with pytest.raises(sdp.SdpFailure, match="erasure"):
             channel_costs(depolarizing(0.3), 0.08, 300.0, 12, 5)
 
     def test_positive_mu_names_first_optimal_input(self):
         # the maximally entangled input attains the preparation optimum
-        # within 1e-9 at mu > 0 as at mu = 0, and comes first
+        # within 1e-9 at mu > 0 as at mu = 0, and comes first; the erasure
+        # SDP's optimal input is the maximally mixed one
         rep = channel_costs(depolarizing(0.5), 0.06, 300.0, 64, 42)
         assert rep.attained_inputs["prep"] == "maximally-entangled reference input"
+        assert rep.attained_inputs["eras"] == "SDP-optimal input"
+        assert np.abs(rep.attained_inputs["eras_state"] - np.eye(2) / 2).max() < 1e-6
+        assert rep.attained_inputs["skipped_samples"] == 0
+
+    def test_zero_mu_names_sampled_input(self):
+        rep = channel_costs(depolarizing(0.5), 0.0, 300.0, 8, 5)
         assert rep.attained_inputs["eras"] == "maximally-mixed input"
+        assert np.array_equal(rep.attained_inputs["eras_state"], np.eye(2) / 2)
 
     def test_json_schema(self):
         rep = channel_costs(identity_channel(2), 0.0, 300.0, 8, 5)
@@ -196,6 +187,77 @@ class TestChannelCosts:
         rep = CostReport(WorkCost(0.3, 300.0), WorkCost(-0.2, 300.0),
                          mu=0.1, s_min_channel=0.0)
         assert rep.zero_error_gap == 0.3
+
+
+def sampled_erasure_inputs(channel, n, seed):
+    """The mixed inputs a sampled erasure scan of `channel_costs` draws:
+    the maximally mixed state, the basis states and n // 2 random states,
+    drawn after the preparation side's n pure states."""
+    gen = _sampling.stream(seed, 0xC057)
+    dr = channel.in_dim
+    _sampling.random_pure_vectors(gen, dr * dr, n)
+    eye = np.eye(dr, dtype=complex)
+    return np.concatenate([eye[None] / dr, np.einsum("ki,kj->kij", eye, eye),
+                           _sampling.random_density_matrices(gen, dr, n // 2)])
+
+
+def random_channel(seed, d_in, d_out, kraus):
+    gen = _sampling.stream(seed, 0xE7A5)
+    return QuantumChannel(_sampling.random_channels_kraus(gen, d_in, d_out,
+                                                          kraus, 1)[0])
+
+
+def trine():
+    kets = [np.array([math.cos(t), math.sin(t)])
+            for t in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)]
+    return povm_channel([2 / 3 * np.outer(k, k) for k in kets])
+
+
+# (channel, mu): named channels, and random ones of shapes 2->2, 2->3, 3->2
+JOINT_CASES = {
+    "depolarizing": (depolarizing(0.5), 0.06),
+    "dephasing2": (dephasing2(0.4), 0.1),
+    "replacer": (replacer(PI), 0.3),
+    "trine": (trine(), 0.1),
+    "random-2-2": (random_channel(1, 2, 2, 2), 0.1),
+    "random-2-3": (random_channel(2, 2, 3, 2), 0.06),
+    "random-3-2": (random_channel(3, 3, 2, 3), 0.3),
+}
+
+
+class TestJointErasureSdp:
+    @pytest.mark.parametrize("name", sorted(JOINT_CASES))
+    def test_between_sampled_and_ceiling(self, name):
+        ch, mu = JOINT_CASES[name]
+        iso = stinespring_isometry(ch)
+        v, da, de = iso.isometry, ch.out_dim, iso.env_dim
+        bits, rho, ok = cond_hypothesis_entropy_sup(mu, v, da, de)
+        assert ok
+        # at least every sampled input's value, at most the certified ceiling
+        mats = np.stack([v @ m @ v.conj().T
+                         for m in sampled_erasure_inputs(ch, 8, 5)])
+        vals, ok_many = cond_hypothesis_entropy_many(mu, mats, da, de)
+        assert ok_many.all()
+        assert bits >= vals.max() - 1e-7
+        assert bits <= -channel_min_entropy(ch) + math.log2(1 - mu) + 1e-7
+        # the optimal input is a state that attains the value
+        assert abs(np.trace(rho) - 1) < 1e-12
+        assert np.linalg.eigvalsh(rho).min() > -1e-9
+        again, ok_again = cond_hypothesis_entropy_many(
+            mu, (v @ rho @ v.conj().T)[None], da, de)
+        assert ok_again[0]
+        assert abs(again[0] - bits) <= 1e-6
+
+    def test_validation(self):
+        v = stinespring_isometry(depolarizing(0.5)).isometry
+        with pytest.raises(ValueError, match="eps"):
+            cond_hypothesis_entropy_sup(0.0, v, 2, 4)
+        with pytest.raises(ValueError, match="isometry"):
+            cond_hypothesis_entropy_sup(0.1, v, 2, 2)
+        # 36 + 6 + 2 * 216: refused before any data is built
+        v6 = stinespring_isometry(make_named_channel("replacer", dims=6)).isometry
+        with pytest.raises(ValueError, match="exceeds 64"):
+            cond_hypothesis_entropy_sup(0.1, v6, 6, 36)
 
 
 class TestAdversarialBound:
