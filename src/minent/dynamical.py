@@ -15,12 +15,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import entropies, _sampling
 from .channels import (QuantumChannel, apply_many, choi_matrix, compose,
                        diamond_distance, stinespring_isometry)
-from .linalg import DensityOperator, permute_systems
+from .linalg import TOL, DensityOperator, permute_systems, psd_sqrt
 
 __all__ = [
     "ChannelEntropyReport",
@@ -71,24 +70,22 @@ def channel_min_entropy_sdp(n: QuantumChannel) -> float:
 
 
 def _structured_inputs(n: QuantumChannel) -> np.ndarray:
-    """Deterministic scan candidates: maximally entangled, computational
-    products, and Choi-eigenvector-derived inputs when shapes allow."""
+    """Deterministic scan inputs: the maximally entangled Phi, the input
+    psi* that attains S_min, and the computational products.
+
+    psi* = vec(sqrt(rho*)), R first, with rho* = tr_A |v><v| for a top
+    eigenvector v of the normalized Choi state J on (R, A). By Sion's
+    minimax over input marginals, S_min-up(A|R) of N(psi*) equals the
+    closed form -log2(d lambda_max(J)); the transposed purification
+    vec(sqrt(rho*)^T) does not in general.
+    """
     dr = n.in_dim
-    vecs = []
     phi = np.zeros(dr * dr, dtype=complex)
     phi[:: dr + 1] = 1.0 / math.sqrt(dr)
-    vecs.append(phi)
-    for i in range(dr):
-        for j in range(dr):
-            v = np.zeros(dr * dr, dtype=complex)
-            v[i * dr + j] = 1.0
-            vecs.append(v)
-    if n.out_dim == n.in_dim:
-        w, u = np.linalg.eigh(choi_matrix(n).matrix)
-        for k in range(u.shape[1]):
-            if w[k] > 1e-12:
-                vecs.append(u[:, k] / np.linalg.norm(u[:, k]))
-    return np.stack(vecs)
+    top = np.linalg.eigh(choi_matrix(n).matrix)[1][:, -1].reshape(dr, n.out_dim)
+    psi = psd_sqrt(top @ top.conj().T).reshape(-1)
+    return np.concatenate([phi[None], psi[None],
+                           np.eye(dr * dr, dtype=complex)])
 
 
 def _pure_outputs(n: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
@@ -106,29 +103,45 @@ def _scan_entropies(n: QuantumChannel, vecs: np.ndarray):
                                               n.out_dim, n.in_dim)
 
 
-def _refine_minimum(n: QuantumChannel, start: np.ndarray, budget: int = 120):
-    """Derivative-free polish of the scan minimizer (simplex over the
-    real parametrization of the pure input)."""
-    dr = n.in_dim
-    dim = dr * dr
+def _pruned_scan(n: QuantumChannel, structured: np.ndarray,
+                 haar: np.ndarray):
+    """S_min-up(A|R) over the pure inputs `structured` and those of the
+    pure inputs `haar` that the closed form does not already certify.
 
-    def objective(theta):
-        v = theta[:dim] + 1j * theta[dim:]
-        nrm = np.linalg.norm(v)
-        if nrm < 1e-9:
-            return 10.0
-        vals, ok = _scan_entropies(n, (v / nrm)[None])
-        return float(vals[0]) if ok[0] else 10.0
-
-    theta0 = np.concatenate([start.real, start.imag])
-    res = minimize(objective, theta0, method="Nelder-Mead",
-                   options={"maxiter": budget, "fatol": 1e-10, "xatol": 1e-8})
-    return float(res.fun)
+    The structured inputs are solved first; m is their smallest
+    certified value. A Haar input is pruned, and not solved, when its
+    marginal rho_R has full rank (every eigenvalue above TOL.support) and
+    its S_min-down is at least m - TOL.sdp_gap: S_min-up >= S_min-down,
+    and for full-rank rho_R S_min-down equals the closed form, so the
+    input cannot undercut m. Rank-deficient inputs are always solved,
+    since S_min-down jumps where rho_R loses rank. With psi* among the
+    structured inputs m is the closed form and every full-rank input is
+    pruned; when no structured input certifies, every input is solved.
+    Returns (values, ok) of the solved inputs only.
+    """
+    da, dr = n.out_dim, n.in_dim
+    vals, ok = _scan_entropies(n, structured)
+    m = float(vals[ok].min()) if ok.any() else math.inf
+    outs = _pure_outputs(n, haar)
+    mats = haar.reshape(-1, dr, dr)
+    full = np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2))[:, 0] \
+        > TOL.support
+    down = entropies.cond_min_entropy_down_many(outs, da, dr)
+    solve = ~(full & (down >= m - TOL.sdp_gap))
+    if solve.any():
+        more_vals, more_ok = entropies.cond_min_entropy_up_many(outs[solve],
+                                                                da, dr)
+        vals = np.concatenate([vals, more_vals])
+        ok = np.concatenate([ok, more_ok])
+    return vals, ok
 
 
 def channel_min_entropy_scan(n: QuantumChannel, n_samples: int,
                              seed: int) -> ChannelEntropyReport:
-    """Infimum scan of S_min-up(A|R) over pure inputs.
+    """Infimum scan of S_min-up(A|R) over pure inputs: the structured
+    inputs (psi*, which attains the closed form, among them) and
+    n_samples Haar inputs, of which only those the closed form does not
+    certify are solved (`_pruned_scan`).
 
     The sampled infimum always sits above the closed form (minus solver
     slack); the report carries both plus the SDP cross-check.
@@ -138,25 +151,17 @@ def channel_min_entropy_scan(n: QuantumChannel, n_samples: int,
     gen = _sampling.stream(seed, 0xD15C)
     structured = _structured_inputs(n)
     haar = _sampling.random_pure_vectors(gen, n.in_dim ** 2, n_samples)
-    vecs = np.concatenate([structured, haar])
-    vals, ok = _scan_entropies(n, vecs)
-    skipped = int((~ok).sum())
+    vals, ok = _pruned_scan(n, structured, haar)
     if not ok.any():
         raise RuntimeError("every scan sample failed to certify")
-    best_idx = int(np.argmin(np.where(ok, vals, np.inf)))
-    scan_min = float(vals[best_idx])
+    scan_min = float(vals[ok].min())
     closed = channel_min_entropy(n)
-    if scan_min - closed > 1e-9:  # polish only when the scan has slack
-        refined = _refine_minimum(n, vecs[best_idx])
-        if refined < scan_min and refined >= closed - 1e-6:
-            scan_min = refined
-    sdp_value = channel_min_entropy_sdp(n)
     return ChannelEntropyReport(
         s_min=closed,
-        sdp_value=sdp_value,
+        sdp_value=channel_min_entropy_sdp(n),
         inf_scan_value=scan_min,
-        n_scan_samples=int(vecs.shape[0]),
-        gap_flags={"skipped_samples": skipped,
+        n_scan_samples=len(structured) + n_samples,
+        gap_flags={"skipped_samples": int((~ok).sum()),
                    "scan_gap": scan_min - closed},
     )
 
@@ -165,13 +170,13 @@ def singlet_fidelity_dual(n: QuantumChannel, n_samples: int, seed: int) -> float
     """log2 of the best sampled |A| F(M (x) N(psi), Phi).
 
     Per input the inner supremum over recovery channels M equals
-    2^(-S_min-up(A|R)), so the estimate is the negated sampled infimum;
-    it can only fall below -S_min[N]."""
+    2^(-S_min-up(A|R)), so the estimate is the negated sampled infimum
+    over the inputs of `_pruned_scan`; it can only fall below -S_min[N],
+    and psi* reaches it."""
     gen = _sampling.stream(seed, 0x51D9)
-    vecs = np.concatenate([_structured_inputs(n),
-                           _sampling.random_pure_vectors(gen, n.in_dim ** 2,
-                                                         n_samples)])
-    vals, ok = _scan_entropies(n, vecs)
+    vals, ok = _pruned_scan(
+        n, _structured_inputs(n),
+        _sampling.random_pure_vectors(gen, n.in_dim ** 2, n_samples))
     if not ok.any():
         raise RuntimeError("every dual sample failed to certify")
     return float(-np.min(vals[ok]))

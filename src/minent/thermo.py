@@ -177,6 +177,18 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     gen = _sampling.stream(seed, 0xC057)
     dr, da = channel.in_dim, channel.out_dim
     s_min = dynamical.channel_min_entropy(channel)
+    iso = stinespring_isometry(channel)
+    v = iso.isometry
+    de = iso.env_dim
+    # erasure: sup over mixed rho_A' of S_H(A|E) on the Stinespring output.
+    # At mu > 0 it is one SDP, solved first: it draws nothing, and its size
+    # check refuses an oversized channel before the preparation scan runs
+    if mu > 0:
+        eras_bits, eras_state, ok = entropies.cond_hypothesis_entropy_sup(
+            mu, v, da, de)
+        if not ok:
+            raise sdp.SdpFailure("erasure-cost SDP did not certify")
+        eras_label = "SDP-optimal input"
 
     # preparation: sup over pure psi_RA' of -S_down(A|R)
     phi = np.zeros(dr * dr, dtype=complex)
@@ -190,13 +202,9 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     prep_idx = int(np.nonzero(down <= down.min() + 1e-9)[0][0])
     prep_cert = "exact" if mu == 0 else "certified-upper"
 
-    # erasure: sup over mixed rho_A' of S_H(A|E) on the Stinespring output
-    iso = stinespring_isometry(channel)
-    v = iso.isometry
-    de = iso.env_dim
     if mu == 0:
-        # the draws come after the preparation draws, whose stream they
-        # must leave as it is
+        # the mixed-input draws come after the preparation draws, whose
+        # stream they must leave as it is
         mixed = [np.eye(dr, dtype=complex) / dr]
         eye = np.eye(dr, dtype=complex)
         mixed.extend(np.outer(eye[k], eye[k].conj()) for k in range(dr))
@@ -209,12 +217,6 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
         eras_label = "maximally-mixed input" if eras_idx == 0 \
             else f"sample-{eras_idx}"
         eras_state = mixed[eras_idx]
-    else:
-        eras_bits, eras_state, ok = entropies.cond_hypothesis_entropy_sup(
-            mu, v, da, de)
-        if not ok:
-            raise sdp.SdpFailure("erasure-cost SDP did not certify")
-        eras_label = "SDP-optimal input"
 
     # certified ceilings implied by the one-shot cost bounds
     smooth_lb = dynamical.smooth_channel_min_entropy_lower_bound(mu, channel)

@@ -31,3 +31,11 @@ def random_qubit_channels(seed: int, count: int, kraus: int = 2):
     gen = _sampling.stream(seed, 0xBEEF)
     return [QuantumChannel(ks)
             for ks in _sampling.random_channels_kraus(gen, 2, 2, kraus, count)]
+
+
+def random_channel(seed: int, d_in: int, d_out: int, kraus: int):
+    from minent.channels import QuantumChannel
+
+    gen = _sampling.stream(seed, 0xE7A5)
+    return QuantumChannel(_sampling.random_channels_kraus(gen, d_in, d_out,
+                                                          kraus, 1)[0])

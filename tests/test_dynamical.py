@@ -7,15 +7,16 @@ from minent import _sampling
 from minent.channels import (compose, dephasing1, dephasing2, depolarizing,
                              identity_channel, is_ppt, make_named_channel,
                              replacer, unitary_channel)
-from minent.dynamical import (ChannelEntropyReport, channel_min_entropy,
-                              channel_min_entropy_scan, channel_min_entropy_sdp,
-                              continuity_check,
+from minent.dynamical import (ChannelEntropyReport, _pruned_scan,
+                              _scan_entropies, _structured_inputs,
+                              channel_min_entropy, channel_min_entropy_scan,
+                              channel_min_entropy_sdp, continuity_check,
                               env_decoupling_dual, singlet_fidelity_dual,
                               smooth_channel_min_entropy_lower_bound,
                               unitary_covariance_check)
-from minent.linalg import maximally_mixed, pauli
+from minent.linalg import basis_state, maximally_mixed, pauli
 
-from conftest import random_qubit_channels
+from conftest import random_channel, random_qubit_channels
 
 PI = maximally_mixed(2)
 IDC = identity_channel(2)
@@ -96,6 +97,80 @@ class TestScan:
             ChannelEntropyReport(0.0, 0.5, 0.0, 1)
         with pytest.raises(ValueError):
             ChannelEntropyReport(0.0, 0.0, -1.0, 1)
+
+
+# seeded random channels of each shape, and a pure replacer, whose rho* is
+# rank-deficient
+PSI_STAR_CASES = {f"random-{a}-{b}": random_channel(10 * a + b, a, b, 2)
+                  for a, b in ((2, 2), (2, 3), (3, 2), (3, 3), (2, 4))}
+PSI_STAR_CASES["replacer-pure"] = replacer(basis_state(2, 0))
+
+
+class TestPsiStar:
+    """psi* = vec(sqrt(rho*)), R first, attains the closed form."""
+
+    @pytest.mark.parametrize("name", sorted(PSI_STAR_CASES))
+    def test_attains_closed_form(self, name):
+        ch = PSI_STAR_CASES[name]
+        closed = channel_min_entropy(ch)
+        vals, ok = _scan_entropies(ch, _structured_inputs(ch)[1:2])
+        assert ok[0]
+        assert abs(vals[0] - closed) <= 1e-7
+        rep = channel_min_entropy_scan(ch, 16, seed=5)
+        assert rep.gap_flags["scan_gap"] <= 1e-7
+        assert rep.n_scan_samples == ch.in_dim ** 2 + 2 + 16
+        assert singlet_fidelity_dual(ch, 8, 7) == pytest.approx(-closed,
+                                                                abs=1e-7)
+
+    def test_transposed_convention_misses(self):
+        misses = []
+        for ch in PSI_STAR_CASES.values():
+            d = ch.in_dim
+            root = _structured_inputs(ch)[1].reshape(d, d)
+            vals, ok = _scan_entropies(ch, root.T.reshape(1, -1))
+            assert ok[0]
+            misses.append(vals[0] - channel_min_entropy(ch))
+        assert max(misses) > 1e-3
+
+
+class TestPruning:
+    @pytest.mark.parametrize("family, p", [
+        ("depolarizing", 0.3), ("depolarizing", 0.8), ("depolarizing", 0.9),
+        ("dephasing1", 0.5), ("dephasing2", 0.4), ("dephasing2", 0.5),
+        ("replacer", None), ("unitary", None)])
+    def test_pruned_equals_unpruned(self, family, p):
+        # the unpruned minimum solves every input, as the scan did before
+        ch = make_named_channel(family, p=p)
+        structured = _structured_inputs(ch)
+        haar = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
+                                             4, 200)
+        vals, ok = _scan_entropies(ch, np.concatenate([structured, haar]))
+        unpruned = vals[ok].min()
+        rep = channel_min_entropy_scan(ch, 200, seed=33)
+        # equal within 1e-9, except where an unpruned solve ends optimal
+        # below the closed form, which bounds every input's S_min-up from
+        # below (here depolarizing 0.8 and 0.9): the pruned value then lies
+        # between that solve and the closed form
+        assert rep.inf_scan_value >= unpruned - 1e-9
+        assert rep.inf_scan_value <= max(unpruned, rep.s_min) + 1e-9
+        # every Haar input is full-rank and certified by the closed form
+        pruned_vals, _ = _pruned_scan(ch, structured, haar)
+        assert len(pruned_vals) == len(structured)
+
+    def test_rank_deficient_inputs_are_solved(self):
+        ch = depolarizing(0.3)
+        structured = _structured_inputs(ch)
+        product = np.eye(4, dtype=complex)[:1]
+        vals, ok = _pruned_scan(ch, structured, product)
+        assert len(vals) == len(structured) + 1 and ok.all()
+
+    def test_no_pruning_above_closed_form(self):
+        # without Phi and psi*, the running minimum sits above the closed
+        # form, so no full-rank input is certified and every one is solved
+        ch = depolarizing(0.3)
+        haar = _sampling.random_pure_vectors(_sampling.stream(3, 0), 4, 5)
+        vals, ok = _pruned_scan(ch, _structured_inputs(ch)[2:], haar)
+        assert len(vals) == 4 + 5 and ok.all()
 
 
 class TestDuals:

@@ -4,7 +4,10 @@ import scipy.linalg
 
 from minent import _sampling, sdp
 from minent.channels import (_diamond_objective, _diamond_problem_data,
-                             choi_matrix)
+                             choi_matrix, dephasing2)
+from minent.dynamical import _pure_outputs
+from minent.entropies import (cond_min_entropy_down_many,
+                              cond_min_entropy_up_many)
 from minent.linalg import TOL, hermitian_basis, maximally_entangled
 from minent.sdp import _block_slices, embed_matrix, solve_stack
 
@@ -235,6 +238,19 @@ class TestSolveStack:
             single = solve_one(*cond_min_problem(mats[i], 2, 2))
             assert res["primal_value"][i] == pytest.approx(
                 single["primal_value"], abs=1e-6)
+
+    def test_large_haar_stack(self):
+        # 2000 S_min-up instances of one stack, as a Haar scan of
+        # dephasing2 p = 0.4 at seed 33 would solve them without pruning;
+        # every one certifies and sits at or above its closed-form S_min-down
+        ch = dephasing2(0.4)
+        vecs = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
+                                             4, 2000)
+        outs = _pure_outputs(ch, vecs)
+        up, ok = cond_min_entropy_up_many(outs, 2, 2)
+        assert ok.all()
+        down = cond_min_entropy_down_many(outs, 2, 2)
+        assert (up >= down - 1e-7).all()
 
     def test_cholesky_fallback_leaves_siblings_alone(self, monkeypatch):
         # qubit diamond-norm instances whose iterates lose definiteness to

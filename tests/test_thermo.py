@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from minent import _sampling
-from minent.channels import (QuantumChannel, dephasing1, dephasing2,
-                             depolarizing, identity_channel, make_named_channel,
-                             povm_channel, replacer, stinespring_isometry,
-                             unitary_channel)
+from minent.channels import (dephasing1, dephasing2, depolarizing,
+                             identity_channel, make_named_channel, povm_channel,
+                             replacer, stinespring_isometry, unitary_channel)
 from minent.dynamical import channel_min_entropy
 from minent.entropies import (cond_hypothesis_entropy_many,
                               cond_hypothesis_entropy_sup)
@@ -19,7 +18,7 @@ from minent.thermo import (K_B, AdversarialBound, CostReport, WorkCost,
                            resource_eras_cost_state, resource_prep_cost_state,
                            sum_bound_check, work_extraction_ledger)
 
-from conftest import random_two_qubit_states
+from conftest import random_channel, random_two_qubit_states
 
 PI = maximally_mixed(2)
 PHI = maximally_entangled(2)
@@ -157,6 +156,20 @@ class TestChannelCosts:
         with pytest.raises(sdp.SdpFailure, match="erasure"):
             channel_costs(depolarizing(0.3), 0.08, 300.0, 12, 5)
 
+    def test_oversize_erasure_refused_before_preparation(self, monkeypatch):
+        # the mu > 0 erasure SDP, and with it its size check, comes before
+        # the preparation scan, so an oversized channel never reaches it
+        from minent import entropies
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("preparation scan ran")
+
+        monkeypatch.setattr(entropies, "smooth_min_entropy_lower_bound_many",
+                            unreachable)
+        ch = make_named_channel("replacer", dims=6)
+        with pytest.raises(ValueError, match="exceeds 64"):
+            channel_costs(ch, 0.1, 300.0, 64, 42)
+
     def test_positive_mu_names_first_optimal_input(self):
         # the maximally entangled input attains the preparation optimum
         # within 1e-9 at mu > 0 as at mu = 0, and comes first; the erasure
@@ -199,12 +212,6 @@ def sampled_erasure_inputs(channel, n, seed):
     eye = np.eye(dr, dtype=complex)
     return np.concatenate([eye[None] / dr, np.einsum("ki,kj->kij", eye, eye),
                            _sampling.random_density_matrices(gen, dr, n // 2)])
-
-
-def random_channel(seed, d_in, d_out, kraus):
-    gen = _sampling.stream(seed, 0xE7A5)
-    return QuantumChannel(_sampling.random_channels_kraus(gen, d_in, d_out,
-                                                          kraus, 1)[0])
 
 
 def trine():
