@@ -16,12 +16,11 @@ import numpy as np
 
 from . import sdp
 from .linalg import (TOL, DensityOperator, HermitianOperator, hermitian_basis,
-                     partial_trace, partial_transpose, pauli)
+                     partial_transpose, pauli)
 
 __all__ = [
     "KrausMap",
     "QuantumChannel",
-    "ChoiState",
     "IsometryExtension",
     "identity_channel",
     "depolarizing",
@@ -35,7 +34,6 @@ __all__ = [
     "partial_trace_channel",
     "apply",
     "apply_many",
-    "choi_state",
     "choi_matrix",
     "stinespring_isometry",
     "is_ppt",
@@ -84,29 +82,6 @@ class QuantumChannel(KrausMap):
         gap = np.abs(self.completeness() - np.eye(self.in_dim)).max()
         if not gap <= 1e-10:  # also rejects a NaN gap from overflowing input
             raise ValueError(f"Kraus completeness violated by {gap:.3e}")
-
-
-@dataclass(frozen=True)
-class ChoiState:
-    """Choi state on R (x) A, reference on the left."""
-
-    state: DensityOperator
-
-    def __post_init__(self):
-        dims = self.state.dims
-        if len(dims) != 2:
-            raise ValueError("Choi state needs dims (in_dim, out_dim)")
-        marg = partial_trace(self.state.op, keep=[0]).matrix
-        if np.abs(marg - np.eye(dims[0]) / dims[0]).max() > 1e-10:
-            raise ValueError("reduced Choi state on R is not maximally mixed")
-
-    @property
-    def in_dim(self) -> int:
-        return self.state.dims[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.state.dims[1]
 
 
 @dataclass(frozen=True)
@@ -383,10 +358,6 @@ def choi_matrix(n: KrausMap, normalized: bool = True) -> HermitianOperator:
     if normalized:
         gamma = gamma / d
     return HermitianOperator(gamma, (d, n.out_dim))
-
-
-def choi_state(n: QuantumChannel) -> ChoiState:
-    return ChoiState(DensityOperator(choi_matrix(n).matrix, (n.in_dim, n.out_dim)))
 
 
 def stinespring_isometry(n: QuantumChannel) -> IsometryExtension:

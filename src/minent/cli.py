@@ -240,15 +240,19 @@ def _decouple_channel_from_spec(spec, args):
                                           float(spec.get("epsilon", 0.0)), sampler)
 
 
-def _decouple_subsystem_from_spec(spec, args) -> int:
-    channel = channels.channel_from_spec(spec["channel"])
+def _stinespring_state(channel) -> DensityOperator:
+    """The Stinespring isometry applied to Phi on (R, A'): pure on (R, A, E)."""
     iso = channels.stinespring_isometry(channel)
     dr = channel.in_dim
-    phi_in = maximally_entangled(dr)
     lift = np.kron(np.eye(dr), iso.isometry)
-    big = lift @ phi_in.matrix @ lift.conj().T
-    phi = DensityOperator(big, (dr, iso.out_dim, iso.env_dim))
-    sampler = decoupling.HaarSampler(iso.out_dim, seed=args.seed)
+    big = lift @ maximally_entangled(dr).matrix @ lift.conj().T
+    return DensityOperator(big, (dr, iso.out_dim, iso.env_dim))
+
+
+def _decouple_subsystem_from_spec(spec, args) -> int:
+    channel = channels.channel_from_spec(spec["channel"])
+    phi = _stinespring_state(channel)
+    sampler = decoupling.HaarSampler(phi.dims[1], seed=args.seed)
     eps = float(spec.get("epsilon", 0.0))
     found = decoupling.find_decoupled_subsystem(
         phi, float(spec.get("delta_prime", 0.2)), eps, sampler,
@@ -362,6 +366,11 @@ def _invariants(seed: int):
     via_iso = partial_trace(HermitianOperator(big, (2, iso.env_dim)), [0]).matrix
     yield "channels.stinespring_agree", np.abs(via_kraus - via_iso).max() < 1e-10, ""
 
+    via_swap, _ = channels.replacer_swap_dilation(r1)
+    gap = np.abs(channels.choi_matrix(via_swap).matrix
+                 - channels.choi_matrix(channels.replacer(r1)).matrix).max()
+    yield "channels.swap_dilation_choi", gap < 1e-12, f"{gap:.2e}"
+
     idc = channels.identity_channel(2)
     rpi = channels.replacer(maximally_mixed(2))
     dd = channels.diamond_distance(idc, rpi)
@@ -415,6 +424,20 @@ def _invariants(seed: int):
     yield "dynamical.singlet_dual_below", \
         dual <= -dynamical.channel_min_entropy(ch) + 1e-6, f"{dual:.4f}"
 
+    u1, u2 = (channels.unitary_channel(u) for u in
+              _sampling.haar_unitaries(_sampling.stream(seed, 0xC0DA), 2, 2))
+    framed = channels.compose(u2, channels.compose(ch, u1))
+    shift = abs(dynamical.channel_min_entropy(framed)
+                - dynamical.channel_min_entropy(ch))
+    yield "dynamical.unitary_covariance", shift < 1e-9, f"{shift:.2e}"
+
+    # Lipschitz bound (1/ln 2) |A| min(|A|, |A'|) delta on qubits
+    change = abs(dynamical.channel_min_entropy(idc)
+                 - dynamical.channel_min_entropy(rpi))
+    lip = 4 / math.log(2) * dd
+    yield "dynamical.continuity_diamond", change <= lip + 1e-9, \
+        f"{change:.4f} <= {lip:.4f}"
+
     kraus_sets = _sampling.random_channels_kraus(rng, 2, 2, 2, 8)
     ppt_ok = True
     for ks in kraus_sets:
@@ -445,6 +468,16 @@ def _invariants(seed: int):
     yield "decoupling.channel_replacer_zero", \
         repo.passed and repo.mean_lhs < 1e-9, f"{repo.mean_lhs:.2e}"
 
+    # the README subsystem example; the ledger pays log|A| - 2 log|A1|
+    # with |A| = 2
+    sub = decoupling.erasure_protocol_work(
+        _stinespring_state(channels.depolarizing(0.9)), 0.35, 0.0, 300.0,
+        decoupling.HaarSampler(2, seed, 5))
+    ledger = 1.0 - 2 * math.log2(sub.a1_dim)
+    yield "decoupling.erasure_protocol_ledger", \
+        sub.a1_dim >= sub.guaranteed_dim and abs(sub.work.bits - ledger) < 1e-12, \
+        f"a1={sub.a1_dim} g={sub.guaranteed_dim} work={sub.work.bits:g}"
+
     # thermo
     w = thermo.WorkCost(1.0, 300.0)
     yield "thermo.unit_conversion", \
@@ -465,6 +498,14 @@ def _invariants(seed: int):
 
     yield "thermo.sign_semantics", \
         thermo.work_extraction_ledger(1, 300.0).extractable(), ""
+
+    # at eps = 0: -S_min + Delta bits with probability 1 - sqrt(2^(-Delta/2))
+    adv = thermo.adversarial_erasure_bound(ch, 0.0, 4.0, 300.0)
+    adv_ok = adv.valid \
+        and abs(adv.bound.bits + dynamical.channel_min_entropy(ch) - 4.0) < 1e-12 \
+        and abs(adv.probability - (1 - math.sqrt(2.0 ** -2.0))) < 1e-12
+    yield "thermo.adversarial_bound_eps0", adv_ok, \
+        f"{adv.bound.bits:.4f} bits w.p. {adv.probability:.4f}"
 
 
 def cmd_check(args) -> int:
@@ -494,6 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
     as_json = argparse.ArgumentParser(add_help=False)
     as_json.add_argument("--json", action="store_true",
                          help="machine-readable output")
+    channel = argparse.ArgumentParser(add_help=False)
+    channel.add_argument("--family")
+    channel.add_argument("--p", type=float)
+    channel.add_argument("--omega")
+    channel.add_argument("--dims", type=int)
+    channel.add_argument("--spec", help="JSON channel spec (inline or path)")
 
     parser = argparse.ArgumentParser(
         prog="minent",
@@ -505,12 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
         """A subcommand taking --tolerance and the shared flags it reads."""
         return sub.add_parser(name, parents=[tolerance, *shared], **kw)
 
-    p = add("entropy", seed, as_json, help="min-entropy of a named channel")
-    p.add_argument("--family")
-    p.add_argument("--p", type=float)
-    p.add_argument("--omega")
-    p.add_argument("--dims", type=int)
-    p.add_argument("--spec", help="JSON channel spec (inline or path)")
+    p = add("entropy", seed, as_json, channel,
+            help="min-entropy of a named channel")
     p.add_argument("--n", type=int, default=64, help="scan sample count")
     p.set_defaults(func=cmd_entropy)
 
@@ -528,15 +571,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=64)
     p.set_defaults(func=cmd_decouple)
 
-    p = add("costs", seed, as_json, help="erasure/preparation cost report")
-    p.add_argument("--family")
-    p.add_argument("--p", type=float)
-    p.add_argument("--omega")
-    p.add_argument("--dims", type=int)
-    p.add_argument("--spec")
+    p = add("costs", seed, as_json, channel,
+            help="erasure/preparation cost report")
     p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--temperature", type=float,
-                   default=float(os.environ.get("KELVIN_DEFAULT", 300.0)))
+    p.add_argument("--temperature", type=float, default=300.0)
     p.add_argument("--n", type=int, default=64)
     p.set_defaults(func=cmd_costs)
 

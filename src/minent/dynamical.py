@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropies, _sampling
-from .channels import (QuantumChannel, apply_many, choi_matrix, compose,
-                       diamond_distance, stinespring_isometry)
+from .channels import (QuantumChannel, apply_many, choi_matrix,
+                       stinespring_isometry)
 from .linalg import TOL, DensityOperator, permute_systems, psd_sqrt
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "singlet_fidelity_dual",
     "env_decoupling_dual",
     "smooth_channel_min_entropy_lower_bound",
-    "continuity_check",
-    "unitary_covariance_check",
 ]
 
 # mixing weights toward the uniformizing channel tried when smoothing;
@@ -236,24 +234,3 @@ def smooth_channel_min_entropy_lower_bound(eps: float, n: QuantumChannel) -> flo
     lams = np.linalg.eigvalsh((1 - w) * choi + w * uniform).max(axis=1)
     return max([channel_min_entropy(n)]
                + [-math.log2(n.in_dim * float(lam)) for lam in lams])
-
-
-def continuity_check(n: QuantumChannel, m: QuantumChannel):
-    """Lipschitz audit: |S_min[N] - S_min[M]| against the diamond bound."""
-    if (n.in_dim, n.out_dim) != (m.in_dim, m.out_dim):
-        raise ValueError("channels must share dimensions")
-    lhs = abs(channel_min_entropy(n) - channel_min_entropy(m))
-    delta = diamond_distance(n, m)
-    rhs = (1.0 / math.log(2.0)) * n.out_dim * min(n.out_dim, n.in_dim) * delta
-    return lhs, rhs, bool(lhs <= rhs + 1e-9)
-
-
-def unitary_covariance_check(n: QuantumChannel, u1: QuantumChannel,
-                             u2: QuantumChannel) -> bool:
-    """S_min is unchanged by unitary pre and post processing."""
-    for u in (u1, u2):
-        if len(u.kraus) != 1:
-            raise ValueError("pre/post processors must be unitary channels")
-    combined = compose(u2, compose(n, u1))
-    return bool(abs(channel_min_entropy(combined) - channel_min_entropy(n))
-                <= 1e-9)

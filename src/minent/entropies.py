@@ -12,7 +12,6 @@ independent cross-checks of the solver).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .linalg import (TOL, DensityOperator, HermitianOperator, fidelity_many,
                      psd_inv_sqrt, psd_sqrt, support_projector)
 
 __all__ = [
-    "RenyiOrder",
     "d_max",
     "d_max_sdp",
     "petz_renyi",
@@ -53,21 +51,6 @@ SUPPORT_LEAK = 1e-10
 # eigen-decompositions take several times their input in temporaries, and
 # past a few states the extra peak memory buys little speed
 SUBSTACK = 8
-
-
-@dataclass(frozen=True)
-class RenyiOrder:
-    """Renyi order with the limits 1 and infinity as distinguished points."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not (self.alpha >= 0):
-            raise ValueError("alpha must be nonnegative")
-
-    @classmethod
-    def of(cls, alpha) -> "RenyiOrder":
-        return alpha if isinstance(alpha, cls) else cls(float(alpha))
 
 
 def _support_violation(rho_m: np.ndarray, sigma_m: np.ndarray) -> bool:
@@ -134,7 +117,7 @@ def _matrix_power_psd(m: np.ndarray, power: float) -> np.ndarray:
 
 def petz_renyi(alpha, rho: DensityOperator, sigma: HermitianOperator) -> float:
     """Petz-Renyi relative entropy (1/(alpha-1)) log tr(rho^a sigma^(1-a))."""
-    a = RenyiOrder.of(alpha).alpha
+    a = float(alpha)
     if not 0 <= a <= 2:
         raise ValueError("Petz order restricted to [0, 2] for monotone use")
     rm, sm = rho.matrix, sigma.matrix
@@ -154,8 +137,8 @@ def petz_renyi(alpha, rho: DensityOperator, sigma: HermitianOperator) -> float:
 def sandwiched_renyi(alpha, rho: DensityOperator, sigma: HermitianOperator) -> float:
     """Sandwiched Renyi relative entropy; alpha=inf gives d_max and
     alpha=1/2 gives -log F."""
-    a = RenyiOrder.of(alpha).alpha
-    if math.isinf(a):
+    a = float(alpha)
+    if a == math.inf:  # -inf falls through to the window check below
         return d_max(rho, sigma)
     if not a >= 0.5:
         raise ValueError("sandwiched order restricted to [1/2, inf]")

@@ -17,7 +17,6 @@ __all__ = [
     "trace_norm",
     "fidelity",
     "fidelity_many",
-    "purified_distance",
     "partial_trace",
     "partial_transpose",
     "permute_systems",
@@ -28,7 +27,6 @@ __all__ = [
     "support_projector",
     "hermitian_part",
     "pauli",
-    "basis_state",
     "maximally_mixed",
     "maximally_entangled",
     "pure_state",
@@ -274,11 +272,6 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
                                rho.subnormalized or sigma.subnormalized))
 
 
-def purified_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """P(rho, sigma) = sqrt(1 - F(rho, sigma))."""
-    return math.sqrt(max(1.0 - fidelity(rho, sigma), 0.0))
-
-
 # ---------------------------------------------------------------------------
 # tensor structure
 
@@ -376,12 +369,6 @@ def pure_state(vec, dims=None) -> DensityOperator:
     v = np.asarray(vec, dtype=complex).reshape(-1)
     v = v / np.linalg.norm(v)
     return DensityOperator(np.outer(v, v.conj()), dims)
-
-
-def basis_state(d: int, k: int, dims=None) -> DensityOperator:
-    v = np.zeros(d)
-    v[k] = 1.0
-    return pure_state(v, dims)
 
 
 def maximally_mixed(d: int, dims=None) -> DensityOperator:

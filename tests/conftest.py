@@ -2,12 +2,19 @@ import numpy as np
 import pytest
 
 from minent import _sampling
-from minent.linalg import DensityOperator
+from minent.linalg import DensityOperator, pure_state
 
 
 @pytest.fixture
 def rng():
     return _sampling.stream(1234, 0)
+
+
+def basis_state(d: int, k: int, dims=None) -> DensityOperator:
+    """The computational basis state |k><k| of dimension d."""
+    v = np.zeros(d)
+    v[k] = 1.0
+    return pure_state(v, dims)
 
 
 def random_two_qubit_states(seed: int, count: int, rank: int | None = None):

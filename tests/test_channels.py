@@ -7,20 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minent import _sampling, sdp
-from minent.channels import (ChoiState, KrausMap, QuantumChannel, _diamond_batch,
-                             apply, apply_many, channel_from_spec, choi_matrix,
-                             choi_state,
+from minent.channels import (KrausMap, QuantumChannel, _diamond_batch, apply,
+                             apply_many, channel_from_spec, choi_matrix,
                              compose, dephasing1, dephasing2, depolarizing,
                              diamond_distance, identity_channel, is_ppt,
                              make_named_channel, partial_trace_channel,
                              povm_channel, replacer, replacer_swap_dilation,
                              stinespring_isometry, tensor_channels,
                              unitary_channel)
-from minent.linalg import (DensityOperator, basis_state, maximally_entangled,
+from minent.linalg import (DensityOperator, maximally_entangled,
                            maximally_mixed, partial_trace, pauli, pure_state,
                            trace_norm)
 
-from conftest import random_qubit_channels, stinespring_output
+from conftest import basis_state, random_qubit_channels, stinespring_output
 
 PI = maximally_mixed(2)
 PHI = maximally_entangled(2)
@@ -94,24 +93,23 @@ class TestConstruction:
 
 class TestChoi:
     def test_identity_choi_is_bell(self):
-        cs = choi_state(identity_channel(2))
-        assert np.abs(cs.state.matrix - PHI.matrix).max() < 1e-12
+        cs = choi_matrix(identity_channel(2))
+        assert np.abs(cs.matrix - PHI.matrix).max() < 1e-12
 
     def test_replacer_choi_is_product(self):
-        cs = choi_state(replacer(PI))
-        assert np.abs(cs.state.matrix - np.eye(4) / 4).max() < 1e-12
+        cs = choi_matrix(replacer(PI))
+        assert np.abs(cs.matrix - np.eye(4) / 4).max() < 1e-12
 
     def test_depolarizing_choi_spectrum(self):
         for p in (0.15, 0.6, 0.95):
             ev = np.sort(np.linalg.eigvalsh(
-                choi_state(depolarizing(p)).state.matrix))[::-1]
+                choi_matrix(depolarizing(p)).matrix))[::-1]
             expect = np.sort([1 - p, p / 3, p / 3, p / 3])[::-1]
             assert np.allclose(ev, expect, atol=1e-12)
 
     def test_marginal_validated(self, rng):
         for ch in random_qubit_channels(77, 5, kraus=3):
-            cs = choi_state(ch)
-            marg = partial_trace(cs.state.op, [0]).matrix
+            marg = partial_trace(choi_matrix(ch), [0]).matrix
             assert np.abs(marg - np.eye(2) / 2).max() < 1e-10
 
 
@@ -390,7 +388,7 @@ class TestWireFormat:
         spec = {"family": "depolarizing", "p": 0.42}
         ch = channel_from_spec(json.dumps(spec))
         assert math.isclose(
-            np.sort(np.linalg.eigvalsh(choi_state(ch).state.matrix))[-1], 0.58)
+            np.sort(np.linalg.eigvalsh(choi_matrix(ch).matrix))[-1], 0.58)
 
     def test_omega_keyword(self):
         ch = channel_from_spec({"family": "replacer", "omega": "maximally-mixed"})

@@ -194,12 +194,14 @@ class TestCosts:
         assert payload["prep_bits"] == pytest.approx(0.0, abs=1e-7)
         assert payload["certification"] == "exact"
 
-    def test_env_default_temperature(self, capsys, monkeypatch):
+    def test_temperature_flag(self, capsys, monkeypatch):
+        # --temperature is the one knob: the environment does not move it
         monkeypatch.setenv("KELVIN_DEFAULT", "100.0")
-        # parser reads the env var at construction time
-        code, out, _ = run(capsys, "costs", "--family", "unitary",
-                           "--n", "4", "--json")
-        assert json.loads(out)["temperature_kelvin"] == 100.0
+        for argv, kelvin in (([], 300.0), (["--temperature", "77"], 77.0)):
+            code, out, _ = run(capsys, "costs", "--family", "unitary",
+                               "--n", "4", "--json", *argv)
+            assert code == 0
+            assert json.loads(out)["temperature_kelvin"] == kelvin
 
     def test_bad_mu(self, capsys):
         code, _, _ = run(capsys, "costs", "--family", "unitary", "--mu", "1.2")
@@ -243,6 +245,19 @@ class TestCheck:
         assert "all invariants hold" in out1
         assert all(line.startswith(("ok", "all"))
                    for line in out1.strip().split("\n"))
+
+    @pytest.mark.parametrize("seed", ["42", "3"])
+    def test_paper_construction_lines(self, capsys, seed):
+        code, out, _ = run(capsys, "check", "--seed", seed)
+        assert code == 0
+        lines = out.splitlines()
+        for name in ("channels.swap_dilation_choi",
+                     "dynamical.unitary_covariance",
+                     "dynamical.continuity_diamond",
+                     "decoupling.erasure_protocol_ledger",
+                     "thermo.adversarial_bound_eps0"):
+            assert [line.split()[0] for line in lines
+                    if line.split()[1] == name] == ["ok"], name
 
     def test_detects_injected_fault(self, capsys, monkeypatch):
         import minent.entropies as entropies

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from minent import _sampling
+from minent import _sampling, entropies
 from minent.channels import (depolarizing, identity_channel,
                              partial_trace_channel, replacer,
                              stinespring_isometry, tensor_channels)
@@ -22,7 +22,7 @@ IDC = identity_channel(2)
 
 class TestHaar:
     def test_dim_one_is_phase(self):
-        u = HaarSampler(1, seed=3).unitary()
+        u = HaarSampler(1, seed=3).unitaries(1)[0]
         assert abs(abs(u[0, 0]) - 1) < 1e-12
 
     def test_unitarity_bulk(self):
@@ -53,7 +53,7 @@ class TestHaar:
     def test_invalid_dim(self):
         # an explicit dim of 0 is an error, not "use the sampler's dim"
         with pytest.raises(ValueError):
-            HaarSampler(2, seed=1).unitary(0)
+            HaarSampler(2, seed=1).unitaries(1, 0)
         with pytest.raises(ValueError):
             _sampling.haar_unitaries(_sampling.stream(1), 0, 1)
 
@@ -194,7 +194,7 @@ class TestSubsystemSearch:
 
     def test_result_invariant(self):
         with pytest.raises(ValueError):
-            SubsystemSearchResult(2, 0.5, 0.1, np.eye(4))
+            SubsystemSearchResult(2, 0.5, 0.1, np.eye(4), 1, 0.0)
 
 
 class TestErasureProtocol:
@@ -205,7 +205,35 @@ class TestErasureProtocol:
         rep = erasure_protocol_work(phi, 0.01, 0.0, 300.0)
         assert rep.work.bits == pytest.approx(-2.0)
         assert rep.work.extractable()
-        assert rep.bound_holds
+        assert rep.a1_dim >= rep.guaranteed_dim
+        assert rep.work.bits == math.log2(4) - 2 * math.log2(rep.a1_dim)
+
+    @pytest.mark.parametrize("channel, delta_prime", [
+        (depolarizing(0.5), 0.9), (identity_channel(2), 0.6)])
+    def test_reaching_guarantee_can_exceed_entropic_form(self, channel,
+                                                         delta_prime):
+        # guaranteed_dim rounds 2^gl down to a divisor of |A|, so meeting it
+        # does not put the work under log|A| - 2 gl
+        rep = erasure_protocol_work(_stinespring_state(channel, 2),
+                                    delta_prime, 0.0, 300.0)
+        assert rep.a1_dim == rep.guaranteed_dim
+        assert rep.work.bits > rep.entropy_bound.bits + 0.2
+
+    def test_entropy_solved_once(self, monkeypatch):
+        # the search carries S_min(A|R) to the ledger; nothing solves it again
+        calls = []
+        bound = entropies.smooth_min_entropy_lower_bound
+
+        def counted(*args):
+            calls.append(args)
+            return bound(*args)
+
+        monkeypatch.setattr(entropies, "smooth_min_entropy_lower_bound", counted)
+        phi = _stinespring_state(depolarizing(0.9), 2)
+        rep = erasure_protocol_work(phi, 0.35, 0.0, 300.0)
+        assert len(calls) == 1
+        assert rep.entropy_bound.bits == pytest.approx(
+            -bound(0.0, calls[0][1]) - 2 * math.log2(0.7), abs=1e-12)
 
     def test_entangled_reference_full_cost(self):
         ent = pure_state(np.array([1 if i % 5 == 0 else 0 for i in range(16)]),

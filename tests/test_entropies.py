@@ -5,21 +5,20 @@ import pytest
 
 from minent import _sampling, sdp
 from minent.channels import apply, depolarizing
-from minent.entropies import (RenyiOrder, _in_ball,
-                              cond_hypothesis_entropy,
+from minent.entropies import (_in_ball, cond_hypothesis_entropy,
                               cond_hypothesis_entropy_many,
                               cond_min_entropy_down, cond_min_entropy_down_many,
                               cond_min_entropy_down_sdp, cond_min_entropy_up,
                               d_hypothesis, d_max, d_max_sdp,
                               max_fidelity_uniform, petz_renyi,
                               sandwiched_renyi, smooth_min_entropy_lower_bound)
-from minent.linalg import (DensityOperator, HermitianOperator, basis_state,
+from minent.linalg import (DensityOperator, HermitianOperator,
                            hermitian_basis, maximally_entangled, maximally_mixed,
                            partial_trace, permute_systems, pure_state,
                            support_projector)
 
-from conftest import (random_qubit_channels, random_two_qubit_states,
-                      stinespring_output)
+from conftest import (basis_state, random_qubit_channels,
+                      random_two_qubit_states, stinespring_output)
 
 PI = maximally_mixed(2)
 PHI = maximally_entangled(2)
@@ -106,8 +105,13 @@ class TestRenyi:
             sandwiched_renyi(0.3, PI, PI.op)
         with pytest.raises(ValueError):
             petz_renyi(2.5, PI, PI.op)
-        with pytest.raises(ValueError):
-            RenyiOrder(-1.0)
+        # negative and NaN orders fall outside both windows
+        for bad in (-1, math.nan):
+            with pytest.raises(ValueError):
+                petz_renyi(bad, PI, PI.op)
+        for bad in (-math.inf, math.nan):
+            with pytest.raises(ValueError):
+                sandwiched_renyi(bad, PI, PI.op)
 
 
 class TestHypothesisTesting:

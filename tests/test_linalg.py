@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from minent import _sampling
-from minent.linalg import (DensityOperator, HermitianOperator, basis_state,
-                           fidelity, herm_eig, hermitian_basis,
-                           maximally_entangled, maximally_mixed, partial_trace,
-                           partial_transpose, pauli, permute_systems,
-                           psd_sqrt, pure_state, purified_distance, tensor,
-                           trace_norm)
+from minent.entropies import _in_ball
+from minent.linalg import (DensityOperator, HermitianOperator, fidelity,
+                           herm_eig, hermitian_basis, maximally_entangled,
+                           maximally_mixed, partial_trace, partial_transpose,
+                           pauli, permute_systems, psd_sqrt, pure_state,
+                           tensor, trace_norm)
+
+from conftest import basis_state
 
 
 def random_hermitian(gen, d):
@@ -121,17 +123,26 @@ class TestFidelity:
         assert fidelity(shrunk, rho) == pytest.approx(0.75, abs=1e-12)
 
 
+def within(rho, sigma, eps) -> bool:
+    """Whether sigma lies within purified distance eps of rho, as the
+    smoothing-ball check `entropies._in_ball` computes it inline."""
+    return bool(_in_ball(rho.matrix[None], sigma.matrix[None, None], eps)[0, 0])
+
+
 class TestPurifiedDistance:
     def test_self(self, rng):
         rho = random_density(rng, 3)
-        assert purified_distance(rho, rho) == pytest.approx(0.0, abs=1e-6)
+        assert within(rho, rho, 1e-6)
 
     def test_orthogonal(self):
-        assert purified_distance(basis_state(2, 0), basis_state(2, 1)) == 1.0
+        ket0, ket1 = basis_state(2, 0), basis_state(2, 1)
+        assert within(ket0, ket1, 1.0)
+        assert not within(ket0, ket1, 1.0 - 1e-9)
 
     def test_half(self):
-        got = purified_distance(basis_state(2, 0), maximally_mixed(2))
-        assert got == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        ket0, pi = basis_state(2, 0), maximally_mixed(2)
+        assert within(ket0, pi, math.sqrt(0.5))
+        assert not within(ket0, pi, math.sqrt(0.5) - 1e-9)
 
 
 class TestTensorStructure:

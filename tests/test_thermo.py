@@ -11,14 +11,14 @@ from minent.channels import (dephasing1, dephasing2, depolarizing,
 from minent.dynamical import channel_min_entropy
 from minent.entropies import (cond_hypothesis_entropy_many,
                               cond_hypothesis_entropy_sup)
-from minent.linalg import (DensityOperator, basis_state, maximally_entangled,
+from minent.linalg import (DensityOperator, maximally_entangled,
                            maximally_mixed, pauli)
 from minent.thermo import (K_B, AdversarialBound, CostReport, WorkCost,
                            adversarial_erasure_bound, channel_costs,
                            resource_eras_cost_state, resource_prep_cost_state,
                            sum_bound_check, work_extraction_ledger)
 
-from conftest import random_channel, random_two_qubit_states
+from conftest import basis_state, random_channel, random_two_qubit_states
 
 PI = maximally_mixed(2)
 PHI = maximally_entangled(2)
