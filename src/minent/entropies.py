@@ -231,17 +231,27 @@ def _cond_min_up_data(da: int, db: int):
     return a, c, basis, (db, dab)
 
 
+def _cond_min_up_sides(mats: np.ndarray, da: int, db: int):
+    """(low, high, ok) for a stack of states (B, dab, dab): -log2 of the
+    primal and of the dual value of each S_min-up SDP, which bound
+    S_min(A|B) from below and from above where ok (the SDP certified)."""
+    a, c, basis, blocks = _cond_min_up_data(da, db)
+    b = -np.einsum("kij,bji->bk", basis, mats).real
+    res = sdp.solve_stack(c, a, b, "min", blocks)
+    low, high = (-np.log2(np.clip(res[k], 1e-300, None))
+                 for k in ("primal_value", "dual_value"))
+    return low, high, res["ok"]
+
+
 def cond_min_entropy_up_many(mats: np.ndarray, da: int, db: int):
     """S_min(A|B) for a stack of states (B, dab, dab).
 
     Returns (values, ok) where ok flags instances whose SDP certified
-    optimality; values are -log2 of the optimal trace.
+    optimality; values are -log2 of the dual value, the side that bounds
+    S_min(A|B) from above, so a minimum over inputs never undercuts S_min.
     """
-    a, c, basis, blocks = _cond_min_up_data(da, db)
-    b = -np.einsum("kij,bji->bk", basis, mats).real
-    res = sdp.solve_stack(c, a, b, "min", blocks)
-    vals = -np.log2(np.clip(res["primal_value"], 1e-300, None))
-    return vals, res["ok"]
+    _, high, ok = _cond_min_up_sides(mats, da, db)
+    return high, ok
 
 
 def cond_min_entropy_up(rho: DensityOperator) -> float:
@@ -465,8 +475,9 @@ def smooth_min_entropy_lower_bound_many(eps: float, mats: np.ndarray, da: int,
     the only candidate is the state and the bound is the unsmoothed
     value. The down variant smooths the conditioning marginal along with
     the state and is closed form. The up variant solves all candidates of
-    all states in one SDP stack: each state itself must certify (else
-    SdpFailure), other candidates that do not are skipped.
+    all states in one SDP stack and reads each on its primal (low) side:
+    each state itself must certify (else SdpFailure), other candidates
+    that do not are skipped.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
@@ -478,7 +489,8 @@ def smooth_min_entropy_lower_bound_many(eps: float, mats: np.ndarray, da: int,
     if variant == "down":
         best[mask] = cond_min_entropy_down_many(stack[mask], da, db)
         return best.max(axis=1)
-    vals, ok = cond_min_entropy_up_many(stack[mask], da, db)
+    # the primal side, which bounds each candidate's S_min-up from below
+    vals, _, ok = _cond_min_up_sides(stack[mask], da, db)
     certified = np.zeros_like(mask)
     certified[mask] = ok
     if not certified[:, 0].all():

@@ -26,6 +26,20 @@ lengths, so no iterate factor is ever inverted. The Schur complement gets
 one Cholesky factor per instance, inverted once and applied by matmuls in
 the predictor, the corrector and their refinement steps.
 
+An instance ends "optimal" once it meets the strict certificate, or once
+it meets the loose one (the `sdp_feas` and `sdp_gap` tolerances) and mu
+has fallen by less than 10% in each of its last two iterations, so a
+certified instance does not run on through a tail of shrinking steps.
+The primal step is halved while it grows the primal residual beyond its
+linear model; a residual that stays below a tenth of `sdp_feas`, an order
+of magnitude inside the certificate, never trips that guard. The
+centering parameter is Mehrotra's (mu_aff / mu)^e with the exponent
+e = max(1, 3 min(alpha_p, alpha_d)^2) of the previous iteration's step
+lengths, after SDPT3 (Toh, Todd and Tutuncu, Optim. Methods Softw.
+1999): after short steps it centres more, so an iterate whose primal and
+dual affine steps are far apart recovers instead of jamming at the cone
+boundary.
+
 A stack is factored in one call to numpy's batched Cholesky gufunc, which
 writes NaN for exactly the instances whose own factorization fails.
 Every fallback (eigenvalue clamp, Schur ridge) is per instance, so no
@@ -154,8 +168,19 @@ def _nt_scaling(lx, ls):
 
 
 def _tri_inv(lf):
-    """Inverse of each triangular factor, from one batched solve against I."""
-    return np.linalg.solve(lf, np.broadcast_to(np.eye(lf.shape[-1]), lf.shape))
+    """Inverse of each lower triangular factor, by halving:
+    [[A, 0], [C, D]]^-1 = [[A^-1, 0], [-D^-1 C A^-1, D^-1]], with one
+    batched solve against I on each leaf of at most 16 rows."""
+    n = lf.shape[-1]
+    if n <= 16:
+        return np.linalg.solve(lf, np.broadcast_to(np.eye(n), lf.shape))
+    h = n // 2
+    ai, di = _tri_inv(lf[..., :h, :h]), _tri_inv(lf[..., h:, h:])
+    out = np.zeros(lf.shape)
+    out[..., :h, :h] = ai
+    out[..., h:, h:] = di
+    out[..., h:, :h] = -di @ (lf[..., h:, :h] @ ai)
+    return out
 
 
 def _max_step(p, d):
@@ -286,6 +311,7 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     cur = np.arange(bsz)  # global index of each working instance
     stall = np.zeros(bsz, dtype=int)
     mu_prev = np.full(bsz, np.inf)
+    step_prev = np.ones(bsz)  # min(primal, dual) step of the last iteration
 
     def record(mask, code, pobj, dobj, pres, dres, it):
         gidx = cur[mask]
@@ -302,14 +328,15 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
 
     def keep_only(keep):
         # compact the working set down to the instances in `keep`
-        nonlocal cur, x, s, y, b, c_blocks, b_norm, c_norm, stall, mu_prev
+        nonlocal cur, x, s, y, b, c_blocks, b_norm, c_norm, stall, mu_prev, \
+            step_prev
         cur = cur[keep]
         x = [xb[keep] for xb in x]
         s = [sb[keep] for sb in s]
         y, b = y[keep], b[keep]
         c_blocks = [cb[keep] for cb in c_blocks]
         b_norm, c_norm = b_norm[keep], c_norm[keep]
-        stall, mu_prev = stall[keep], mu_prev[keep]
+        stall, mu_prev, step_prev = stall[keep], mu_prev[keep], step_prev[keep]
 
     def drop_nonfinite(it):
         # an iterate that overflowed (or a failed Schur factor, whose NaN
@@ -350,7 +377,9 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         stall = np.where(mu > 0.9 * mu_prev, stall + 1, 0)
         mu_prev = mu.copy()
 
-        done = strict | (loose & ((stall >= 8) | (mu < 1e-13)))
+        # a certified instance ends once mu stalls (two iterations in a row
+        # each cut it by less than 10%) or is at roundoff
+        done = strict | (loose & ((stall >= 2) | (mu < 1e-13)))
         if done.any():
             record(done, 0, pobj, dobj, pres, dres, it - 1)
         diverged = ~done & (np.abs(dobj) > DIVERGENCE * b_norm)
@@ -417,7 +446,12 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         mu_aff = (_inner(x, s) + ap * _inner(dxa, s) + ad * _inner(x, dsa)
                   + ap * ad * _inner(dxa, dsa)) / ntot
         ratio = np.minimum(np.maximum(mu_aff, 0.0) / np.maximum(mu, 1e-300), 2.0)
-        sigma = np.clip(ratio ** 3, 1e-3, 0.99)
+        # Mehrotra's cube after long steps, down to the plain ratio after
+        # short ones: an iterate whose primal and dual affine steps are far
+        # apart is recentred instead of sigma collapsing to its floor and
+        # the steps shrinking further
+        expon = np.maximum(1.0, 3.0 * step_prev ** 2)
+        sigma = np.clip(ratio ** expon, 1e-3, 0.99)
 
         # Mehrotra second-order term, symmetrized HKM style
         corr = [_sym(dxa[i] @ dsa[i] @ s_inv[i]) for i in range(nblk)]
@@ -426,17 +460,21 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         ad = np.minimum(STEP_FRACTION * _max_step(ps, ds), 1.0)
 
         # guard against inaccurate directions: shrink any step that makes
-        # the attached residual grow beyond its linear model
+        # the attached residual grow beyond its linear model, unless it
+        # stays below a tenth of the feasibility tolerance; after six
+        # halvings the step is taken as it is
         for _ in range(6):
             x_try = [_sym(x[i] + ap[:, None, None] * dx[i]) for i in range(nblk)]
             pres_try = np.linalg.norm(b - op_a(x_try), axis=1)
-            bad_p = pres_try > (1 - 0.5 * ap) * pres + 1e-12 * b_norm
+            bad_p = pres_try > np.maximum((1 - 0.5 * ap) * pres,
+                                           0.1 * TOL.sdp_feas)
             if not bad_p.any():
                 break
             ap = np.where(bad_p, 0.5 * ap, ap)
         x = x_try
         s = [_sym(s[i] + ad[:, None, None] * ds[i]) for i in range(nblk)]
         y = y + ad[:, None] * dy
+        step_prev = np.minimum(ap, ad)
 
     drop_nonfinite(MAX_ITER)
     if cur.size:

@@ -145,15 +145,25 @@ class TestPruning:
         vals, ok = _scan_entropies(ch, np.concatenate([structured, haar]))
         unpruned = vals[ok].min()
         rep = channel_min_entropy_scan(ch, 200, seed=33)
-        # equal within 1e-9, except where an unpruned solve ends optimal
-        # below the closed form, which bounds every input's S_min-up from
-        # below (here depolarizing 0.8 and 0.9): the pruned value then lies
-        # between that solve and the closed form
+        # every solve reads the upper side of its S_min-up, so none ends
+        # below the closed form, which bounds every input from below, and
+        # the pruned and unpruned minima agree within 1e-9
+        assert unpruned >= rep.s_min - 1e-10
         assert rep.inf_scan_value >= unpruned - 1e-9
-        assert rep.inf_scan_value <= max(unpruned, rep.s_min) + 1e-9
+        assert rep.inf_scan_value <= unpruned + 1e-9
         # every Haar input is full-rank and certified by the closed form
         pruned_vals, _ = _pruned_scan(ch, structured, haar)
         assert len(pruned_vals) == len(structured)
+
+    def test_solve_reads_upper_side(self):
+        # input 1691 of the seed-33 scan stream: an optimal solve whose
+        # primal side read 2.4e-7 bits below the closed form
+        ch = depolarizing(0.8)
+        haar = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
+                                             4, 2000)
+        vals, ok = _scan_entropies(ch, haar[1691:1692])
+        assert ok[0]
+        assert vals[0] >= channel_min_entropy(ch) - 1e-10
 
     def test_rank_deficient_inputs_are_solved(self):
         ch = depolarizing(0.3)

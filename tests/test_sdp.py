@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from minent import _sampling, sdp
+from minent import _sampling, cli, sdp
 from minent.channels import (_diamond_objective, _diamond_problem_data,
                              choi_matrix, dephasing2)
 from minent.dynamical import _pure_outputs
@@ -239,10 +239,14 @@ class TestSolveStack:
             assert res["primal_value"][i] == pytest.approx(
                 single["primal_value"], abs=1e-6)
 
-    def test_large_haar_stack(self):
+    def test_large_haar_stack(self, monkeypatch):
         # 2000 S_min-up instances of one stack, as a Haar scan of
         # dephasing2 p = 0.4 at seed 33 would solve them without pruning;
-        # every one certifies and sits at or above its closed-form S_min-down
+        # every one certifies and sits at or above its closed-form
+        # S_min-down, and the iteration tail stays short (p90 14 here; 40
+        # when certified instances ran on until mu stalled for 8 iterations
+        # and sigma could collapse after short steps)
+        iters = spy_iterations(monkeypatch)
         ch = dephasing2(0.4)
         vecs = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
                                              4, 2000)
@@ -251,51 +255,48 @@ class TestSolveStack:
         assert ok.all()
         down = cond_min_entropy_down_many(outs, 2, 2)
         assert (up >= down - 1e-7).all()
+        assert np.percentile(iters[0][1], 90) <= 20
 
     def test_cholesky_fallback_leaves_siblings_alone(self, monkeypatch):
-        # qubit diamond-norm instances whose iterates lose definiteness to
-        # roundoff, so their Cholesky factorization fails inside the stack
+        # the iterate factorizations of chosen qubit diamond-norm instances
+        # fail in the first three iterations, as iterates that lose
+        # definiteness to roundoff do; only those take the clamp
         cs, a, b, blocks = diamond_stack(39, 12)
-        fired = []
-        chol = sdp._chol_psd
-
-        def spy(m):
-            try:
-                np.linalg.cholesky(sdp._sym(m))
-            except np.linalg.LinAlgError:
-                fired.append(m.shape[0])
-            return chol(m)
-
-        monkeypatch.setattr(sdp, "_chol_psd", spy)
+        victims = [1, 4]
+        calls = 3 * 2 * len(blocks)  # one X and one S factor per block
+        fired = fail_factors(monkeypatch, "_chol_psd", victims, calls)
         res = solve_stack(cs, a, b, "max", blocks)
         assert any(size > 1 for size in fired)
+        assert fired == [len(cs)] * calls  # no instance left the stack yet
         monkeypatch.undo()
         for i, c in enumerate(cs):
+            if i in victims:
+                fail_factors(monkeypatch, "_chol_psd", [0], calls)
             solo = solve_stack(c, a, b, "max", blocks)
+            monkeypatch.undo()
             assert res["status_str"][i] == solo["status_str"][0]
             assert res["iters"][i] == solo["iters"][0]
             assert res["primal_value"][i] == pytest.approx(
                 solo["primal_value"][0], abs=1e-11)
 
     def test_schur_ridge_leaves_siblings_alone(self, monkeypatch):
-        # near their optima some diamond-norm instances have a Schur
-        # complement whose own Cholesky factorization fails; only those
-        # get the ridge, so each instance follows its solo path
+        # the Schur factorizations of chosen diamond-norm instances fail in
+        # the first three iterations; only those get the ridge, so each
+        # instance follows its solo path
         cs, a, b, blocks = diamond_stack(3, 12)
-        fired = []
-        factor = sdp._schur_inv_factor
-
-        def spy(schur, dscale):
-            bad = ~np.isfinite(sdp._chol_each(schur.copy())).all(axis=(-1, -2))
-            if bad.any() and not bad.all():
-                fired.append(len(schur))
-            return factor(schur, dscale)
-
-        monkeypatch.setattr(sdp, "_schur_inv_factor", spy)
+        victims = [0, 3]
+        fired = fail_factors(monkeypatch, "_schur_inv_factor", victims, 3)
         res = solve_stack(cs, a, b, "max", blocks)
         assert fired
+        assert fired == [len(cs)] * 3
+        assert res["ok"].all()
         monkeypatch.undo()
-        assert_matches_solo(res, cs, a, b, blocks)
+        assert_matches_solo(res, cs, a, b, blocks,
+                            [i for i in range(len(cs)) if i not in victims])
+        for i in victims:
+            fail_factors(monkeypatch, "_schur_inv_factor", [0], 3)
+            assert_matches_solo(res, cs, a, b, blocks, [i])
+            monkeypatch.undo()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_iterate_ends_only_its_instance(self, monkeypatch):
@@ -324,6 +325,50 @@ class TestSolveStack:
         assert_matches_solo(res, cs, a, b, blocks, others)
 
 
+class TestIterationTail:
+    # a certified instance ends once mu stalls for two iterations, and the
+    # centering exponent keeps short steps from jamming an instance; the
+    # bounds leave headroom over this solver's counts for other BLAS
+    # builds (each test notes its counts, and the counts under the former
+    # 8-iteration stall rule and fixed exponent 3 as "before")
+
+    def test_qubit_diamond_stack(self):
+        # mean 14.1 and max 26 here; 34.9 and 151 before
+        cs, a, b, blocks = diamond_stack(7, 1000)
+        res = solve_stack(cs, a, b, "max", blocks)
+        assert len(cs) == 500 and res["ok"].all()
+        assert res["iters"].mean() <= 18
+        assert res["iters"].max() <= 60
+
+    def test_check_hypothesis_sandwich(self, monkeypatch):
+        # the hypothesis-testing SDP of `minent check --seed 3` (blocks
+        # (2, 2, 1)): 14 iterations here, 124 before
+        iters = spy_iterations(monkeypatch)
+        assert all(ok for _, ok, _ in cli._invariants(3))
+        tails = [it for blocks, it in iters if blocks == (2, 2, 1)]
+        assert len(tails) == 1 and tails[0][0] <= 30
+
+    @pytest.mark.parametrize("seed", [1243, 1675, 2983])
+    def test_check_seed_certifies(self, seed):
+        # `minent check` raised SdpFailure at these seeds: the S_min-up SDP
+        # of its random two-qubit state ended at max-iterations
+        assert all(ok for _, ok, _ in cli._invariants(seed))
+
+
+def spy_iterations(monkeypatch):
+    """Record (blocks, iters) of every `sdp.solve_stack` call."""
+    seen = []
+    real = sdp.solve_stack
+
+    def spy(c, a, b, sense="min", blocks=None, **kwargs):
+        res = real(c, a, b, sense, blocks, **kwargs)
+        seen.append((blocks, res["iters"]))
+        return res
+
+    monkeypatch.setattr(sdp, "solve_stack", spy)
+    return seen
+
+
 def diamond_stack(seed, count):
     """Qubit diamond-norm problems for count/2 differences of channels."""
     chans = random_qubit_channels(seed, count)
@@ -331,6 +376,35 @@ def diamond_stack(seed, count):
     cs = np.stack([_diamond_objective(chois[i] - chois[i + 1], 2, 2)
                    for i in range(0, count, 2)])
     return (cs,) + _diamond_problem_data(2, 2)
+
+
+def fail_factors(monkeypatch, caller, victims, calls):
+    """Make the first `_chol_each` call of each of the first `calls` calls
+    of `sdp.<caller>` return NaN for the instances `victims`, as a failed
+    factorization does; returns the stack size of each such call."""
+    fired = []
+    real_caller, real_each = getattr(sdp, caller), sdp._chol_each
+    state = {"calls": 0, "armed": False}
+
+    def each(m):
+        lf = real_each(m)
+        if state["armed"]:
+            state["armed"] = False
+            lf[victims] = np.nan
+            fired.append(len(m))
+        return lf
+
+    def wrapped(*args):
+        state["calls"] += 1
+        state["armed"] = state["calls"] <= calls
+        try:
+            return real_caller(*args)
+        finally:
+            state["armed"] = False
+
+    monkeypatch.setattr(sdp, "_chol_each", each)
+    monkeypatch.setattr(sdp, caller, wrapped)
+    return fired
 
 
 def assert_matches_solo(res, cs, a, b, blocks, which=None):

@@ -19,9 +19,9 @@ from minent.channels import (apply_many, choi_matrix, dephasing1, dephasing2,
                              depolarizing, identity_channel, replacer)
 from minent.dynamical import (channel_min_entropy,
                               smooth_channel_min_entropy_lower_bound)
-from minent.entropies import (SMOOTH_GRID, _smooth_candidates,
-                              cond_min_entropy_down_many, cond_min_entropy_up,
-                              cond_min_entropy_up_many,
+from minent.entropies import (SMOOTH_GRID, _cond_min_up_sides,
+                              _smooth_candidates, cond_min_entropy_down_many,
+                              cond_min_entropy_up,
                               smooth_min_entropy_lower_bound,
                               smooth_min_entropy_lower_bound_many)
 from minent.linalg import (TOL, DensityOperator, herm_eig, maximally_mixed,
@@ -75,6 +75,15 @@ def ref_candidates(rho, eps):
                 yield state
 
 
+def ref_up_low(rho):
+    """S_min-up of one state on the primal (low) side, which the smoothed
+    lower bound reads; SdpFailure unless the SDP certifies."""
+    low, _, ok = _cond_min_up_sides(rho.matrix[None], *rho.dims)
+    if not ok[0]:
+        raise sdp.SdpFailure("conditional min-entropy SDP did not certify")
+    return float(low[0])
+
+
 def ref_smooth_bound(eps, rho, variant):
     da, db = rho.dims
     cands = list(ref_candidates(rho, eps))
@@ -84,7 +93,7 @@ def ref_smooth_bound(eps, rho, variant):
     best = -math.inf
     for k, cand in enumerate(cands):
         try:
-            val = cond_min_entropy_up(cand)
+            val = ref_up_low(cand)
         except sdp.SdpFailure:
             if k == 0:
                 raise
@@ -193,9 +202,13 @@ class TestAgainstScalarReference:
                 0.1, DensityOperator(raw, (2, 2)), variant)
 
     def test_zero_eps_is_unsmoothed(self):
+        # the low side of the unsmoothed value, within the solver's gap
+        # below the high side that cond_min_entropy_up reads
         for rho in seeded_states():
-            assert smooth_min_entropy_lower_bound(0.0, rho, "up") \
-                == cond_min_entropy_up(rho)
+            got = smooth_min_entropy_lower_bound(0.0, rho, "up")
+            assert got == ref_up_low(rho)
+            assert cond_min_entropy_up(rho) - 1e-6 <= got \
+                <= cond_min_entropy_up(rho) + 1e-9
 
     def test_channel_bounds(self):
         for ch in channels():
@@ -257,7 +270,7 @@ class TestCertificationRule:
     def test_other_candidates_are_skipped(self, monkeypatch):
         stack, mask = _smooth_candidates(self.RHO.matrix[None], 2, 2, self.EPS)
         cands = stack[mask]
-        vals, ok = cond_min_entropy_up_many(cands, 2, 2)
+        vals, _, ok = _cond_min_up_sides(cands, 2, 2)
         assert ok.all()
         best = int(np.argmax(vals))
         assert best > 0  # the skip below changes the bound
