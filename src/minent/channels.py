@@ -334,17 +334,12 @@ def apply_many(n: KrausMap, ops: np.ndarray, left: int = 1,
     return out.transpose(0, 1, 5, 2, 3, 6, 4).reshape(-1, d, d)
 
 
-def apply(n: KrausMap, rho: DensityOperator,
-          acting_subsystem: int | None = None) -> DensityOperator:
-    """Apply a channel to a state, or to one subsystem of a larger state."""
-    dims = [rho.dim] if acting_subsystem is None else list(rho.dims)
-    k = range(len(dims))[acting_subsystem or 0]
-    if dims[k] != n.in_dim:
-        raise ValueError("subsystem dimension does not match channel input")
-    out = apply_many(n, rho.matrix[None], math.prod(dims[:k]),
-                     math.prod(dims[k + 1:]))[0]
-    dims[k] = n.out_dim
-    return DensityOperator(out, tuple(dims),
+def apply(n: KrausMap, rho: DensityOperator) -> DensityOperator:
+    """Apply a channel to a state; `apply_many` acts on one subsystem."""
+    if rho.dim != n.in_dim:
+        raise ValueError("state dimension does not match channel input")
+    out = apply_many(n, rho.matrix[None])[0]
+    return DensityOperator(out, (n.out_dim,),
                            subnormalized=not isinstance(n, QuantumChannel))
 
 

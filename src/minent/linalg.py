@@ -210,23 +210,22 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return _eig_apply(m, f)
 
 
-def psd_inv_sqrt(m: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Pseudo-inverse square root on the support of a PSD matrix."""
-    if cutoff is None:
-        cutoff = TOL.support
+def psd_inv_sqrt(m: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse square root on the support of a PSD matrix (the
+    eigenvalues above the `support` tolerance)."""
 
     def f(w):
+        cut = TOL.support
         w = np.clip(w, 0.0, None)
-        return np.where(w > cutoff, 1.0 / np.sqrt(np.where(w > cutoff, w, 1.0)), 0.0)
+        return np.where(w > cut, 1.0 / np.sqrt(np.where(w > cut, w, 1.0)), 0.0)
 
     return _eig_apply(m, f)
 
 
-def support_projector(m: np.ndarray, cutoff: float | None = None) -> np.ndarray:
-    """Projector onto eigenspaces with eigenvalue above the support cutoff."""
-    if cutoff is None:
-        cutoff = TOL.support
-    return _eig_apply(m, lambda w: (w > cutoff).astype(float))
+def support_projector(m: np.ndarray) -> np.ndarray:
+    """Projector onto eigenspaces with eigenvalue above the `support`
+    tolerance."""
+    return _eig_apply(m, lambda w: (w > TOL.support).astype(float))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,12 @@ Standard form handled here:
     subject to            tr(A_i X) = b_i,   X >= 0,
 
 with C, A_i Hermitian. The solver is a primal-dual path-following
-interior point method with Nesterov-Todd scaling, run on the real
-symmetric embedding  M -> [[Re M, -Im M], [Im M, Re M]].
+interior point method with Nesterov-Todd scaling, run on the complex
+Hermitian blocks themselves, as SDPT3 (Toh, Todd and Tutuncu, Optim.
+Methods Softw. 1999) runs on complex data. The dual multipliers y and the
+Schur complement M_ij = tr(W A_i W A_j) are real, since the trace of a
+product of two Hermitian matrices is real; every such trace is taken as
+the dot product of the real float64 views of the two matrices.
 
 The variable may carry block-diagonal structure (`blocks`); data outside
 the diagonal blocks is ignored by the solver, which keeps iterates
@@ -18,7 +22,7 @@ sweep, because the Monte Carlo layers above solve thousands of small
 SDPs; a single SDP is a stack of one.
 
 Each matrix is factored once per iteration. The Cholesky factors Lx,
-Ls of the primal and dual iterates feed one SVD, G = Ls^T Lx = U Sig V^T,
+Ls of the primal and dual iterates feed one SVD, G = Ls^H Lx = U Sig V^H,
 as in Todd, Toh and Tutuncu, "On the Nesterov-Todd direction in
 semidefinite programming" (SIAM J. Optim. 1998). That SVD gives the NT
 scaling point W, S^-1 and the whitening factors Px, Ps for the step
@@ -27,18 +31,18 @@ one Cholesky factor per instance, inverted once and applied by matmuls in
 the predictor, the corrector and their refinement steps.
 
 An instance ends "optimal" once it meets the strict certificate, or once
-it meets the loose one (the `sdp_feas` and `sdp_gap` tolerances) and mu
-has fallen by less than 10% in each of its last two iterations, so a
-certified instance does not run on through a tail of shrinking steps.
-The primal step is halved while it grows the primal residual beyond its
-linear model; a residual that stays below a tenth of `sdp_feas`, an order
-of magnitude inside the certificate, never trips that guard. The
-centering parameter is Mehrotra's (mu_aff / mu)^e with the exponent
+it meets the loose one (residual below 0.9 `sdp_feas`, gap below 0.9
+`sdp_gap`) and mu has fallen by less than 10% in each of its last two
+iterations, so a certified instance does not run on through a tail of
+shrinking steps; after MAX_ITER iterations the loose certificate alone
+decides. The primal step is halved while it grows the primal residual
+beyond its linear model; a residual that stays below 0.05 `sdp_feas`,
+well inside the certificate, never trips that guard. The centering
+parameter is Mehrotra's (mu_aff / mu)^e with the exponent
 e = max(1, 3 min(alpha_p, alpha_d)^2) of the previous iteration's step
-lengths, after SDPT3 (Toh, Todd and Tutuncu, Optim. Methods Softw.
-1999): after short steps it centres more, so an iterate whose primal and
-dual affine steps are far apart recovers instead of jamming at the cone
-boundary.
+lengths, after SDPT3: after short steps it centres more, so an iterate
+whose primal and dual affine steps are far apart recovers instead of
+jamming at the cone boundary.
 
 A stack is factored in one call to numpy's batched Cholesky gufunc, which
 writes NaN for exactly the instances whose own factorization fails.
@@ -55,7 +59,7 @@ from numpy.linalg import _umath_linalg
 
 from .linalg import TOL
 
-__all__ = ["SdpFailure", "embed_matrix", "solve_stack"]
+__all__ = ["SdpFailure", "solve_stack"]
 
 
 class SdpFailure(RuntimeError):
@@ -65,30 +69,11 @@ class SdpFailure(RuntimeError):
 _STATUS = ("optimal", "infeasible", "max-iterations", "numerical-error")
 
 MAX_ITER = 500
-MAX_DIM = 64  # complex variable dim; the real embedding doubles it
+MAX_DIM = 64  # sum of the complex block dims
 STEP_FRACTION = 0.98
 DIVERGENCE = 1e10
 SCHUR_RIDGES = (1e-15, 1e-12, 1e-9, 1e-6)  # times the mean Schur diagonal
-SCHUR_CHUNK = 1 << 18  # entries in one Schur-assembly temporary
-
-
-def embed_matrix(m: np.ndarray) -> np.ndarray:
-    """Real symmetric embedding [[Re, -Im], [Im, Re]] of a Hermitian matrix.
-
-    Eigenvalues are doubled in multiplicity; inner products double:
-    tr(E(A) E(B)) = 2 tr(AB).
-    """
-    m = np.asarray(m, dtype=complex)
-    top = np.concatenate([m.real, -m.imag], axis=-1)
-    bot = np.concatenate([m.imag, m.real], axis=-1)
-    return np.concatenate([top, bot], axis=-2)
-
-
-def _unembed(m: np.ndarray) -> np.ndarray:
-    n = m.shape[-1] // 2
-    re = (m[..., :n, :n] + m[..., n:, n:]) / 2
-    im = (m[..., n:, :n] - m[..., :n, n:]) / 2
-    return re + 1j * im
+SCHUR_CHUNK = 1 << 18  # float64s in one Schur-assembly temporary
 
 
 def _block_slices(blocks):
@@ -100,23 +85,30 @@ def _block_slices(blocks):
 
 
 # ---------------------------------------------------------------------------
-# batched real symmetric core
+# batched Hermitian core
+
+
+def _h(m):
+    """Conjugate transpose of each matrix of a stack (a view if real)."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def _sym(m):
-    return (m + m.swapaxes(-1, -2)) / 2
+    return (m + _h(m)) / 2
 
 
 def _chol_each(m):
     """Cholesky factor of each instance, all NaN where that instance's own
     factorization fails or is not finite.
 
-    This is numpy's batched Cholesky gufunc itself: it factors each
+    This is numpy's batched Cholesky gufunc itself, its complex loop for
+    the iterates and its real loop for the Schur matrix: it factors each
     instance on its own and writes NaN for the ones that fail, where
     np.linalg.cholesky would raise for the whole stack.
     """
+    sig = "D->D" if m.dtype.kind == "c" else "d->d"
     with np.errstate(invalid="ignore"):
-        lf = _umath_linalg.cholesky_lo(m, signature="d->d")
+        lf = _umath_linalg.cholesky_lo(m, signature=sig)
     lf[~np.isfinite(lf).all(axis=(-1, -2))] = np.nan
     return lf
 
@@ -130,40 +122,40 @@ def _chol_psd(m):
     factorization fails or when a squared pivot, which bounds its
     smallest eigenvalue from above, shows an eigenvalue below the clamp
     floor: a near-singular slack that still factors would otherwise
-    blow the primal iterate up (replacer-channel scans do this).
+    blow the primal iterate up (replacer-channel scans do this). Each
+    instance of `m` must be exactly Hermitian, as the iterates are.
     """
-    m = _sym(m)
     lf = _chol_each(m)
-    piv = np.diagonal(lf, axis1=-2, axis2=-1).min(axis=-1) ** 2
+    piv = np.diagonal(lf, axis1=-2, axis2=-1).real.min(axis=-1) ** 2
     # the largest diagonal entry is a lower bound on the largest eigenvalue
-    scale = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).max(axis=-1), 1.0)
+    scale = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).real.max(axis=-1),
+                       1.0)
     bad = ~(piv >= 1e-14 * scale)  # NaN factors count as failed
     if bad.any():
         w, q = np.linalg.eigh(m[bad])
         w = np.maximum(w, 1e-14 * np.maximum(w[..., -1:], 1.0))
-        lf[bad] = np.linalg.cholesky(_sym((q * w[..., None, :])
-                                          @ q.swapaxes(-1, -2)))
+        lf[bad] = np.linalg.cholesky(_sym((q * w[..., None, :]) @ _h(q)))
     return lf
 
 
 def _nt_scaling(lx, ls):
-    """NT scaling of X = Lx Lx^T and S = Ls Ls^T from one SVD.
+    """NT scaling of X = Lx Lx^H and S = Ls Ls^H from one SVD.
 
-    With G = Ls^T Lx = U Sig V^T, returns (W, S^-1, Px, Ps):
-      W    = Lx V Sig^-1 V^T Lx^T, the NT point with W S W = X;
-      S^-1 = Lx V Sig^-2 V^T Lx^T, since Ls^-T = Lx V Sig^-1 U^T;
-      Px   = Sig^-1 U^T Ls^T, with Px X Px^T = I;
-      Ps   = Sig^-1 V^T Lx^T, with Ps S Ps^T = I.
+    With G = Ls^H Lx = U Sig V^H, returns (W, S^-1, Px, Ps):
+      W    = Lx V Sig^-1 V^H Lx^H, the NT point with W S W = X;
+      S^-1 = Lx V Sig^-2 V^H Lx^H, since Ls^-H = Lx V Sig^-1 U^H;
+      Px   = Sig^-1 U^H Ls^H, with Px X Px^H = I;
+      Ps   = Sig^-1 V^H Lx^H, with Ps S Ps^H = I.
     Px and Ps whiten X and S for `_max_step`, so neither factor is
     inverted.
     """
-    u, sig, vt = np.linalg.svd(ls.swapaxes(-1, -2) @ lx)
+    u, sig, vh = np.linalg.svd(_h(ls) @ lx)
     sig = np.maximum(sig, 1e-150)[..., None]
-    vlx = vt @ lx.swapaxes(-1, -2)
+    vlx = vh @ _h(lx)
     ps = vlx / sig
-    px = (u.swapaxes(-1, -2) @ ls.swapaxes(-1, -2)) / sig
-    w = _sym(vlx.swapaxes(-1, -2) @ ps)
-    s_inv = _sym(ps.swapaxes(-1, -2) @ ps)
+    px = (_h(u) @ _h(ls)) / sig
+    w = _sym(_h(vlx) @ ps)
+    s_inv = _sym(_h(ps) @ ps)
     return w, s_inv, px, ps
 
 
@@ -176,7 +168,7 @@ def _tri_inv(lf):
         return np.linalg.solve(lf, np.broadcast_to(np.eye(n), lf.shape))
     h = n // 2
     ai, di = _tri_inv(lf[..., :h, :h]), _tri_inv(lf[..., h:, h:])
-    out = np.zeros(lf.shape)
+    out = np.zeros(lf.shape, dtype=lf.dtype)
     out[..., :h, :h] = ai
     out[..., h:, h:] = di
     out[..., h:, :h] = -di @ (lf[..., h:, :h] @ ai)
@@ -185,12 +177,12 @@ def _tri_inv(lf):
 
 def _max_step(p, d):
     """Largest alpha with X + alpha D >= 0, from any factors P with
-    P X P^T = I (the Px or Ps of `_nt_scaling`): it is
-    1 / lambda_max(-P D P^T), the same for every such P. NaN for an
+    P X P^H = I (the Px or Ps of `_nt_scaling`): it is
+    1 / lambda_max(-P D P^H), the same for every such P. NaN for an
     instance whose direction is not finite."""
     steps = None
     for pb, db in zip(p, d):
-        g = -_sym(pb @ db @ pb.swapaxes(-1, -2))
+        g = -_sym(pb @ db @ _h(pb))
         finite = np.isfinite(g).all(axis=(-1, -2))
         g[~finite] = 0.0
         lam = np.linalg.eigvalsh(g)[..., -1]
@@ -203,19 +195,25 @@ def _max_step(p, d):
 def _schur_matrix(w_nt, a_blocks):
     """Schur complement M_ij = sum over blocks of tr(W A_i W A_j).
 
-    With T_i = W A_i, M_ij = sum_kl T_i[k, l] T_j[l, k]. T is formed for a
-    chunk of instances at a time, so the temporaries stay small whatever
-    the stack size.
+    With T_i = W A_i, M_ij = tr(T_i T_j) is the dot product of the real
+    views of T_i and T_j^H = A_i W; all the A_i W of an instance come from
+    one product of the stacked A_i with W. T is formed for a chunk of
+    instances at a time, so the temporaries stay small whatever the stack
+    size.
     """
     count, m = w_nt[0].shape[0], a_blocks[0].shape[0]
     schur = np.zeros((count, m, m))
     for w, a in zip(w_nt, a_blocks):
-        step = max(1, SCHUR_CHUNK // a.size)
+        nb = a.shape[-1]
+        step = max(1, SCHUR_CHUNK // (2 * a.size))
+        t = np.empty((min(step, count),) + a.shape, dtype=complex)
+        a_rows = a.reshape(1, m * nb, nb)
         for lo in range(0, count, step):
-            t = w[lo:lo + step, None] @ a[None]
-            k = t.shape[0]
-            schur[lo:lo + k] += t.reshape(k, m, -1) @ \
-                t.swapaxes(-1, -2).reshape(k, m, -1).swapaxes(-1, -2)
+            t_h = (a_rows @ w[lo:lo + step]).reshape(-1, m, nb, nb)
+            k = t_h.shape[0]
+            np.conjugate(t_h.swapaxes(-1, -2), out=t[:k])
+            schur[lo:lo + k] += t[:k].view(np.float64).reshape(k, m, -1) @ \
+                t_h.view(np.float64).reshape(k, m, -1).swapaxes(-1, -2)
     return _sym(schur)
 
 
@@ -257,15 +255,17 @@ def _schur_inv_factor(schur, dscale):
 
 
 def _inner(a, b):
-    return sum(np.sum(x * y, axis=(-1, -2)) for x, y in zip(a, b))
+    """sum over blocks of tr(A B), for Hermitian blocks."""
+    return sum((x.view(np.float64) * y.view(np.float64)).sum(axis=(-1, -2))
+               for x, y in zip(a, b))
 
 
 def _ipm(a_blocks, c_blocks, b, keep_trace=False):
-    """Batched NT path-following IPM on real symmetric blocks.
+    """Batched NT path-following IPM on complex Hermitian blocks.
 
     a_blocks: per block (m, nb, nb), shared across instances.
     c_blocks: per block (B, nb, nb).
-    b: (B, m).
+    b: (B, m) real.
 
     Finished instances are compacted out of the working set, so a few
     slowly converging stragglers do not drag the whole stack along.
@@ -275,37 +275,42 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     bsz = b.shape[0]
     dims = [a.shape[-1] for a in a_blocks]
     ntot = sum(dims)
-    a_flat = [a.reshape(m, -1) for a in a_blocks]
+    a_flat = [a.view(np.float64).reshape(m, -1) for a in a_blocks]
 
     def op_a(xb):
         cnt = xb[0].shape[0]
-        return sum(xb[i].reshape(cnt, 1, -1) @ a_flat[i].T
+        return sum(xb[i].view(np.float64).reshape(cnt, 1, -1) @ a_flat[i].T
                    for i in range(nblk)).reshape(cnt, m)
 
     def op_at(yv):
-        return [np.einsum("bm,mij->bij", yv, a) for a in a_blocks]
+        # one (1, m) @ (m, 2 nb^2) product per instance, so an instance's
+        # rounding does not depend on its stack
+        cnt = yv.shape[0]
+        return [(yv[:, None] @ af).view(complex).reshape(cnt, nb, nb)
+                for af, nb in zip(a_flat, dims)]
 
     # initial point: tau from least-squares fit of the equality constraints
-    tr_a = sum(np.trace(a, axis1=-2, axis2=-1) for a in a_blocks)
+    tr_a = sum(np.trace(a, axis1=-2, axis2=-1).real for a in a_blocks)
     denom = float(tr_a @ tr_a)
     tau_p = np.abs(b @ tr_a) / denom if denom > 0 else np.ones(bsz)
     tau_p = np.clip(tau_p, 1.0, 1e4)
-    c_scale = np.sqrt(sum(np.sum(c * c, axis=(-1, -2)) for c in c_blocks) / ntot)
-    tau_d = np.clip(c_scale, 1.0, 1e6)
+    c_sq = _inner(c_blocks, c_blocks)
+    tau_d = np.clip(np.sqrt(c_sq / ntot), 1.0, 1e6)
 
-    x = [np.eye(nb) * tau_p[:, None, None] for nb in dims]
-    s = [np.eye(nb) * tau_d[:, None, None] for nb in dims]
+    x = [np.eye(nb, dtype=complex) * tau_p[:, None, None] for nb in dims]
+    s = [np.eye(nb, dtype=complex) * tau_d[:, None, None] for nb in dims]
     y = np.zeros((bsz, m))
 
     b_norm = 1.0 + np.linalg.norm(b, axis=1)
-    c_norm = 1.0 + np.sqrt(sum(np.sum(c * c, axis=(-1, -2)) for c in c_blocks))
+    c_norm = 1.0 + np.sqrt(c_sq)
 
     status = np.full(bsz, -1, dtype=int)
     out = {
         "pobj": np.zeros(bsz), "dobj": np.zeros(bsz), "gap": np.full(bsz, np.inf),
         "pres": np.full(bsz, np.inf), "dres": np.full(bsz, np.inf),
         "iters": np.zeros(bsz, dtype=int),
-        "x": [np.zeros((bsz, nb, nb)) for nb in dims], "y": np.zeros((bsz, m)),
+        "x": [np.zeros((bsz, nb, nb), dtype=complex) for nb in dims],
+        "y": np.zeros((bsz, m)),
     }
     trace = []
     cur = np.arange(bsz)  # global index of each working instance
@@ -357,8 +362,15 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         pobj = _inner(c_blocks, x)
         dobj = np.einsum("bm,bm->b", y, b)
         pres = np.linalg.norm(rp, axis=1)
-        dres = np.sqrt(sum(np.sum(r * r, axis=(-1, -2)) for r in rd))
+        dres = np.sqrt(_inner(rd, rd))
         return rp, rd, pobj, dobj, pres, dres
+
+    def certified(pobj, dobj, pres, dres):
+        # the loose certificate: it ends a stalled instance, and it alone
+        # decides the status after MAX_ITER iterations
+        return (pres < 0.9 * TOL.sdp_feas) & \
+               (np.abs(pobj - dobj) < 0.9 * TOL.sdp_gap) & \
+               (dres / c_norm < 1e-7)
 
     for it in range(1, MAX_ITER + 1):
         drop_nonfinite(it - 1)
@@ -368,12 +380,9 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         mu = _inner(x, s) / ntot
         gap = np.abs(pobj - dobj)
 
-        # classification happens at the complex scale, where embedded
-        # residuals and gaps are twice as large
         strict = (pres / b_norm < 1e-10) & (dres / c_norm < 1e-10) & \
                  (gap / (1.0 + np.abs(pobj) + np.abs(dobj)) < 1e-9)
-        loose = (pres < 1.8 * TOL.sdp_feas) & (gap < 1.8 * TOL.sdp_gap) & \
-                (dres / c_norm < 1e-7)
+        loose = certified(pobj, dobj, pres, dres)
         stall = np.where(mu > 0.9 * mu_prev, stall + 1, 0)
         mu_prev = mu.copy()
 
@@ -401,15 +410,15 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
             rd = [r[keep] for r in rd]
             pres, mu = pres[keep], mu[keep]
 
-        # one factorization per matrix: the SVD of Ls^T Lx gives the NT
+        # one factorization per matrix: the SVD of Ls^H Lx gives the NT
         # scaling point, S^-1 and the whitening factors for the step lengths
         w_nt, s_inv, px, ps = zip(*(_nt_scaling(_chol_psd(xb), _chol_psd(sb))
                                     for xb, sb in zip(x, s)))
 
         schur = _schur_matrix(w_nt, a_blocks)
-        dscale = np.maximum(np.einsum("bii->b", schur) / m, 1.0)
+        dscale = np.maximum(np.einsum("bii->b", schur) / m, 0.5)
         idx = np.arange(m)
-        schur[:, idx, idx] += 1e-12  # absolute jitter; scale-free on purpose
+        schur[:, idx, idx] += 0.5e-12  # absolute jitter; scale-free on purpose
         schur_inv = _schur_inv_factor(schur, dscale)
         schur_inv_t = schur_inv.swapaxes(-1, -2)
 
@@ -461,13 +470,13 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
 
         # guard against inaccurate directions: shrink any step that makes
         # the attached residual grow beyond its linear model, unless it
-        # stays below a tenth of the feasibility tolerance; after six
-        # halvings the step is taken as it is
+        # stays below 0.05 sdp_feas; after six halvings the step is taken
+        # as it is (x and dx are exactly Hermitian, and so is each x_try)
         for _ in range(6):
-            x_try = [_sym(x[i] + ap[:, None, None] * dx[i]) for i in range(nblk)]
+            x_try = [x[i] + ap[:, None, None] * dx[i] for i in range(nblk)]
             pres_try = np.linalg.norm(b - op_a(x_try), axis=1)
             bad_p = pres_try > np.maximum((1 - 0.5 * ap) * pres,
-                                           0.1 * TOL.sdp_feas)
+                                           0.05 * TOL.sdp_feas)
             if not bad_p.any():
                 break
             ap = np.where(bad_p, 0.5 * ap, ap)
@@ -479,8 +488,7 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
     drop_nonfinite(MAX_ITER)
     if cur.size:
         _, _, pobj, dobj, pres, dres = residuals()
-        ok = (pres < 1.8 * TOL.sdp_feas) & \
-             (np.abs(pobj - dobj) < 1.8 * TOL.sdp_gap)
+        ok = certified(pobj, dobj, pres, dres)
         record(ok, 0, pobj, dobj, pres, dres, MAX_ITER)
         record(~ok, 2, pobj, dobj, pres, dres, MAX_ITER)
 
@@ -555,21 +563,17 @@ def solve_stack(objective, constraints, rhs, sense="min", blocks=None,
     sgn = 1.0 if sense == "min" else -1.0
 
     slc = _block_slices(blocks)
-    a_blocks = [embed_matrix(a[:, s_, s_]) for s_ in slc]
-    c_blocks = [embed_matrix(sgn * c[:, s_, s_]) for s_ in slc]
-    res = _ipm(a_blocks, c_blocks, np.ascontiguousarray(2.0 * b),
+    res = _ipm([np.ascontiguousarray(a[:, s_, s_]) for s_ in slc],
+               [sgn * c[:, s_, s_] for s_ in slc], np.ascontiguousarray(b),
                keep_trace=keep_trace)
 
-    # undo embedding (values double) and sense flip
-    res["primal_value"] = sgn * res.pop("pobj") / 2.0
-    res["dual_value"] = sgn * res.pop("dobj") / 2.0
-    res["gap"] = res["gap"] / 2.0
-    res["pres"] = res["pres"] / 2.0
-    # J-invariance of the iterates makes the unembedding exact
-    res["x_complex"] = [_unembed(xb) for xb in res.pop("x")]
+    # undo the sense flip
+    res["primal_value"] = sgn * res.pop("pobj")
+    res["dual_value"] = sgn * res.pop("dobj")
+    res["x_complex"] = res.pop("x")
     res["status_str"] = [_STATUS[k] for k in res["status"]]
     res["ok"] = res["status"] == 0
     if keep_trace:
-        res["trace"] = [(sgn * p / 2, sgn * d / 2, pr / 2, dr)
+        res["trace"] = [(sgn * p, sgn * d, pr, dr)
                         for p, d, pr, dr in res["trace"]]
     return res

@@ -3,11 +3,13 @@
 
 Costs are tracked in bits of work (multiples of k_B T ln 2) and convert
 to joules only at the edge. Channel-level costs are suprema over inputs.
-The preparation scan and the zero-error erasure scan always include the
-maximally entangled reference input and the maximally mixed input,
-because they attain the zero-error optima exactly (the Choi state
-realizes the infimum defining the channel min-entropy); at mu > 0 the
-erasure supremum is one SDP over all inputs.
+The preparation scan always includes the maximally entangled reference
+input, which attains the zero-error optimum exactly (the Choi state
+realizes the infimum defining the channel min-entropy). The zero-error
+erasure cost is the closed form at the maximally mixed input alone:
+every full-rank input gives the Stinespring output the same support,
+hence the same S_H^0(A|E), and no rank-deficient input exceeds it. At
+mu > 0 the erasure supremum is one SDP over all inputs.
 """
 
 from __future__ import annotations
@@ -164,8 +166,8 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     gives it a certified-upper flag inherited from the one-sided
     smoothing, which the report's certification carries. Erasure is the
     supremum of S_H(A|E) over inputs to the isometric extension: at
-    mu = 0 the closed form over mixed inputs (the maximally mixed one
-    included), where both sides meet -S_min exactly; at mu > 0 one SDP
+    mu = 0 the closed form at the maximally mixed input, which attains
+    it, where both sides meet -S_min exactly; at mu > 0 one SDP
     over all inputs (`entropies.cond_hypothesis_entropy_sup`), exact
     within its gap, which raises SdpFailure unless it is optimal. Each
     side names the input that attains it (the first within 1e-9 of the
@@ -203,20 +205,13 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
     prep_cert = "exact" if mu == 0 else "certified-upper"
 
     if mu == 0:
-        # the mixed-input draws come after the preparation draws, whose
-        # stream they must leave as it is
-        mixed = [np.eye(dr, dtype=complex) / dr]
-        eye = np.eye(dr, dtype=complex)
-        mixed.extend(np.outer(eye[k], eye[k].conj()) for k in range(dr))
-        mixed.extend(_sampling.random_density_matrices(gen, dr,
-                                                       max(n_samples // 2, 1)))
-        big = np.stack([v @ m @ v.conj().T for m in mixed])
-        hvals, _ = entropies.cond_hypothesis_entropy_many(0.0, big, da, de)
-        eras_bits = float(hvals.max())
-        eras_idx = int(np.nonzero(hvals >= hvals.max() - 1e-9)[0][0])
-        eras_label = "maximally-mixed input" if eras_idx == 0 \
-            else f"sample-{eras_idx}"
-        eras_state = mixed[eras_idx]
+        # every full-rank input gives V rho V^dag the support range(V), so
+        # they all share S_H^0(A|E), and no rank-deficient input exceeds it
+        eras_state = np.eye(dr, dtype=complex) / dr
+        hvals, _ = entropies.cond_hypothesis_entropy_many(
+            0.0, (v @ eras_state @ v.conj().T)[None], da, de)
+        eras_bits = float(hvals[0])
+        eras_label = "maximally-mixed input"
 
     # certified ceilings implied by the one-shot cost bounds
     smooth_lb = dynamical.smooth_channel_min_entropy_lower_bound(mu, channel)
@@ -264,13 +259,9 @@ def adversarial_erasure_bound(channel: QuantumChannel, eps: float, delta: float,
         valid=bool(raw >= 0.0))
 
 
-def work_extraction_ledger(d_qubits: int, t_kelvin: float,
-                           mode: str = "extract") -> WorkCost:
-    """Energy ledger of the pure <-> maximally mixed conversion of d
-    qubits: d k_B T ln2 extractable one way, paid back on erasure."""
+def work_extraction_ledger(d_qubits: int, t_kelvin: float) -> WorkCost:
+    """Work extractable from turning d pure qubits maximally mixed:
+    d k_B T ln2, so -d bits (erasure pays the same back)."""
     if d_qubits < 0:
         raise ValueError("d_qubits must be nonnegative")
-    if mode not in ("extract", "erase"):
-        raise ValueError("mode must be 'extract' or 'erase'")
-    bits = -float(d_qubits) if mode == "extract" else float(d_qubits)
-    return WorkCost(bits, t_kelvin)
+    return WorkCost(-float(d_qubits), t_kelvin)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minent import _sampling, sdp
-from minent.channels import apply, depolarizing
+from minent.channels import apply, apply_many, depolarizing
 from minent.entropies import (_in_ball, cond_hypothesis_entropy,
                               cond_hypothesis_entropy_many,
                               cond_min_entropy_down, cond_min_entropy_down_many,
@@ -201,11 +201,13 @@ def hypothesis_zero_reference(m, da, db):
 
 
 def cost_inputs(ch):
-    """The rank-deficient states channel_costs evaluates at mu = 0: basis
-    products |i>|j> through id (x) N, ordered (A, R), and isometric
-    extension outputs of basis states, ordered (A, E)."""
-    prep = [permute_systems(apply(ch, basis_state(4, i, (2, 2)), 1).op, (1, 0)).matrix
-            for i in range(4)]
+    """Rank-deficient states of the kinds the cost scans see: basis
+    products |i>|j> through id (x) N, ordered (A, R), as the preparation
+    scan evaluates them at mu = 0, and isometric extension outputs of
+    basis states, ordered (A, E)."""
+    outs = apply_many(ch, np.eye(4), left=2)
+    prep = [permute_systems(HermitianOperator(out, (2, 2)), (1, 0)).matrix
+            for out in outs]
     eras = [stinespring_output(ch, basis_state(2, k)).matrix for k in range(2)]
     return np.stack(prep), np.stack(eras)
 

@@ -9,7 +9,7 @@ from minent.dynamical import _pure_outputs
 from minent.entropies import (cond_min_entropy_down_many,
                               cond_min_entropy_up_many)
 from minent.linalg import TOL, hermitian_basis, maximally_entangled
-from minent.sdp import _block_slices, embed_matrix, solve_stack
+from minent.sdp import _block_slices, solve_stack
 
 from conftest import random_qubit_channels
 
@@ -41,57 +41,8 @@ def solve_one(c, a, b, blocks, sense="min", keep_trace=False):
     return dict(one, x=x, trace=res["trace"])
 
 
-def embed_hermitian(c, a, b, blocks):
-    """The real symmetric problem equivalent to a Hermitian one: each block
-    embedded by `embed_matrix`, right-hand sides doubled to match the
-    doubled inner products."""
-    n2 = 2 * c.shape[-1]
-
-    def emb(mat):
-        out = np.zeros((n2, n2))
-        pos = 0
-        for s_ in _block_slices(blocks):
-            nb = s_.stop - s_.start
-            out[pos:pos + 2 * nb, pos:pos + 2 * nb] = embed_matrix(mat[s_, s_])
-            pos += 2 * nb
-        return out
-
-    return (emb(c), np.stack([emb(ak) for ak in a]), 2.0 * b,
-            tuple(2 * nb for nb in blocks))
-
-
 RHO3 = np.diag([0.1, 0.2, 0.7]).astype(complex)
 EYE3 = np.eye(3, dtype=complex)[None]
-
-
-class TestEmbedding:
-    def test_pauli_y(self):
-        e = embed_matrix(np.array([[0, -1j], [1j, 0]]))
-        assert e.shape == (4, 4)
-        assert np.allclose(e, e.T)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(e)), [-1, -1, 1, 1])
-
-    def test_real_symmetric_duplicates(self):
-        m = np.array([[2.0, 1.0], [1.0, 0.0]])
-        e = embed_matrix(m)
-        assert np.allclose(e[:2, :2], m) and np.allclose(e[2:, 2:], m)
-        assert np.allclose(e[:2, 2:], 0)
-
-    def test_identity(self):
-        assert np.allclose(embed_matrix(np.eye(3)), np.eye(6))
-
-    def test_problem_embedding_doubles_values(self):
-        prob = cond_min_problem(maximally_entangled(2).matrix, 2, 2)
-        emb = embed_hermitian(*prob)
-        assert emb[0].shape[-1] == 2 * prob[0].shape[-1]
-        assert emb[2][0] == pytest.approx(2 * prob[2][0])
-        # the embedded problem is real symmetric, block structure intact,
-        # and solves to exactly twice the Hermitian optimum
-        assert np.abs(emb[1].imag).max() == 0
-        sol_c = solve_one(*prob)
-        sol_r = solve_one(*emb)
-        assert sol_r["primal_value"] == pytest.approx(
-            2 * sol_c["primal_value"], abs=1e-6)
 
 
 class TestSolve:
@@ -218,6 +169,16 @@ class TestSolveStackInput:
         assert res["ok"].tolist() == [s == "optimal" for s in res["status_str"]]
         assert res["ok"].tolist() == (res["status"] == 0).tolist()
 
+    def test_max_iterations_status_needs_dual_certificate(self, monkeypatch):
+        # min 0 s.t. x = 1, stopped at its starting point x = s = 1: primal
+        # feasible with zero gap, but its dual residual is 1, so the same
+        # certificate that ends an instance early must refuse it here
+        monkeypatch.setattr(sdp, "MAX_ITER", 0)
+        res = solve_stack(np.zeros((1, 1)), np.ones((1, 1, 1)), [1.0])
+        assert res["status_str"] == ["max-iterations"]
+        assert res["gap"][0] == 0.0 and res["pres"][0] == 0.0
+        assert res["dres"][0] == pytest.approx(1.0)
+
 
 class TestSolveStack:
     def test_batched_matches_single(self, rng):
@@ -243,7 +204,7 @@ class TestSolveStack:
         # 2000 S_min-up instances of one stack, as a Haar scan of
         # dephasing2 p = 0.4 at seed 33 would solve them without pruning;
         # every one certifies and sits at or above its closed-form
-        # S_min-down, and the iteration tail stays short (p90 14 here; 40
+        # S_min-down, and the iteration tail stays short (p90 16 here; 40
         # when certified instances ran on until mu stalled for 8 iterations
         # and sigma could collapse after short steps)
         iters = spy_iterations(monkeypatch)
@@ -333,7 +294,7 @@ class TestIterationTail:
     # 8-iteration stall rule and fixed exponent 3 as "before")
 
     def test_qubit_diamond_stack(self):
-        # mean 14.1 and max 26 here; 34.9 and 151 before
+        # mean 13.9 and max 36 here; 34.9 and 151 before
         cs, a, b, blocks = diamond_stack(7, 1000)
         res = solve_stack(cs, a, b, "max", blocks)
         assert len(cs) == 500 and res["ok"].all()
@@ -342,7 +303,7 @@ class TestIterationTail:
 
     def test_check_hypothesis_sandwich(self, monkeypatch):
         # the hypothesis-testing SDP of `minent check --seed 3` (blocks
-        # (2, 2, 1)): 14 iterations here, 124 before
+        # (2, 2, 1)): 21 iterations here, 124 before
         iters = spy_iterations(monkeypatch)
         assert all(ok for _, ok, _ in cli._invariants(3))
         tails = [it for blocks, it in iters if blocks == (2, 2, 1)]
@@ -416,7 +377,19 @@ def assert_matches_solo(res, cs, a, b, blocks, which=None):
             solo["primal_value"][0], abs=1e-11)
 
 
+def ginibre(rng, size, field):
+    """Standard normal entries; complex ones for field "complex"."""
+    z = rng.normal(size=size)
+    return z + 1j * rng.normal(size=size) if field == "complex" else z
+
+
+def dagger(m):
+    return m.conj().swapaxes(-1, -2)
+
+
 class TestMaxStep:
+    field = "real"  # the *Complex subclasses rerun each test on Hermitian data
+
     @staticmethod
     def reference(xs, ds):
         # largest alpha with X + alpha D >= 0 from the generalized
@@ -429,25 +402,25 @@ class TestMaxStep:
         return np.array(out)
 
     @staticmethod
-    def stack(rng, count, dims, cond):
-        # X = S Q diag(w) Q^T S with random Q, w in [0.1, 1] and the
+    def stack(rng, count, dims, cond, field="real"):
+        # X = S Q diag(w) Q^H S with random Q, w in [0.1, 1] and the
         # grading S = diag(1 .. cond^-1/2): cond(X) is about `cond`, yet the
         # step is determined to near machine precision by the stored X (a
         # randomly rotated X of condition 1e10 fixes it only to ~1e-7, for
         # any method that starts from a Cholesky factor)
         xs, ds = [], []
         for nb in dims:
-            q, _ = np.linalg.qr(rng.normal(size=(count, nb, nb)))
+            q, _ = np.linalg.qr(ginibre(rng, (count, nb, nb), field))
             w = rng.uniform(0.1, 1.0, size=(count, 1, nb))
             grade = np.logspace(0, -0.5 * np.log10(cond), nb)
-            core = (q * w) @ q.swapaxes(-1, -2)
+            core = (q * w) @ dagger(q)
             xs.append(sdp._sym(grade[:, None] * core * grade[None, :]))
-            ds.append(sdp._sym(rng.normal(size=(count, nb, nb))))
+            ds.append(sdp._sym(ginibre(rng, (count, nb, nb), field)))
         return xs, ds
 
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
     def test_matches_generalized_eigenvalues(self, rng, cond):
-        xs, ds = self.stack(rng, 20, (4, 8), cond)
+        xs, ds = self.stack(rng, 20, (4, 8), cond, self.field)
         assert np.linalg.cond(xs[1]).max() > 0.1 * cond
         l_inv = [sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
         step = sdp._max_step(l_inv, ds)
@@ -455,20 +428,26 @@ class TestMaxStep:
         np.testing.assert_allclose(step, self.reference(xs, ds), rtol=1e-8)
 
     def test_psd_direction_is_unbounded(self, rng):
-        xs, ds = self.stack(rng, 10, (4, 8), 1e10)
-        ds = [d @ d.swapaxes(-1, -2) for d in ds]
+        xs, ds = self.stack(rng, 10, (4, 8), 1e10, self.field)
+        ds = [d @ dagger(d) for d in ds]
         l_inv = [sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
         assert np.all(self.reference(xs, ds) == np.inf)
         assert np.all(sdp._max_step(l_inv, ds) == np.inf)
 
 
+class TestMaxStepComplex(TestMaxStep):
+    field = "complex"
+
+
 class TestNtScaling:
+    field = "real"
+
     @staticmethod
-    def pair(rng, cond, pairing):
+    def pair(rng, cond, pairing, field):
         # graded X and S as in TestMaxStep.stack; "complementary" grades S
         # the other way round, as X and S are near an optimum (XS ~ mu I)
-        xs, dxs = TestMaxStep.stack(rng, 20, (4, 8), cond)
-        ss, dss = TestMaxStep.stack(rng, 20, (4, 8), cond)
+        xs, dxs = TestMaxStep.stack(rng, 20, (4, 8), cond, field)
+        ss, dss = TestMaxStep.stack(rng, 20, (4, 8), cond, field)
         if pairing == "complementary":
             ss = [s[..., ::-1, ::-1].copy() for s in ss]
         nt = [sdp._nt_scaling(np.linalg.cholesky(x), np.linalg.cholesky(s))
@@ -478,16 +457,14 @@ class TestNtScaling:
     @pytest.mark.parametrize("pairing", ["aligned", "complementary"])
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
     def test_factors_from_one_svd(self, rng, cond, pairing):
-        xs, ss, _, _, nt = self.pair(rng, cond, pairing)
+        xs, ss, _, _, nt = self.pair(rng, cond, pairing, self.field)
         eps = np.finfo(float).eps
         for x, s, (w, s_inv, px, ps) in zip(xs, ss, nt):
             eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape)
             scale = np.linalg.norm(x, 2, axis=(-1, -2))[:, None, None]
             np.testing.assert_allclose((w @ s @ w - x) / scale, 0, atol=1e-12)
-            np.testing.assert_allclose(px @ x @ px.swapaxes(-1, -2), eye,
-                                       atol=1e-12)
-            np.testing.assert_allclose(ps @ s @ ps.swapaxes(-1, -2), eye,
-                                       atol=1e-12)
+            np.testing.assert_allclose(px @ x @ dagger(px), eye, atol=1e-12)
+            np.testing.assert_allclose(ps @ s @ dagger(ps), eye, atol=1e-12)
             # an inverse is only as accurate as the forward error bound
             # 8 n eps cond(S) lets it be
             bound = max(1e-12, 8 * x.shape[-1] * eps * np.linalg.cond(s).max())
@@ -497,7 +474,7 @@ class TestNtScaling:
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
     def test_whitened_steps_match_generalized_eigenvalues(self, rng, cond,
                                                           pairing):
-        xs, ss, dxs, dss, nt = self.pair(rng, cond, pairing)
+        xs, ss, dxs, dss, nt = self.pair(rng, cond, pairing, self.field)
         px = [f[2] for f in nt]
         ps = [f[3] for f in nt]
         np.testing.assert_allclose(sdp._max_step(px, dxs),
@@ -506,19 +483,25 @@ class TestNtScaling:
                                    TestMaxStep.reference(ss, dss), rtol=1e-8)
 
 
+class TestNtScalingComplex(TestNtScaling):
+    field = "complex"
+
+
 class TestCholEach:
+    field = "real"
+
     @staticmethod
-    def mixed(rng):
+    def mixed(rng, field):
         # PD, indefinite (one eigenvalue -1e-3), PD, NaN, PD
-        a = rng.normal(size=(5, 6, 6))
-        m = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(6)
+        a = ginibre(rng, (5, 6, 6), field)
+        m = a @ dagger(a) + 0.1 * np.eye(6)
         m[1] -= (np.linalg.eigvalsh(m[1])[0] + 1e-3) * np.eye(6)
         m[3] = np.nan
         return m
 
     @pytest.mark.filterwarnings("error")
     def test_matches_numpy_and_nans_failures(self, rng):
-        m = self.mixed(rng)
+        m = self.mixed(rng, self.field)
         lf = sdp._chol_each(m)
         for i in (0, 2, 4):
             assert np.array_equal(lf[i], np.linalg.cholesky(m[i]))
@@ -527,10 +510,14 @@ class TestCholEach:
 
     @pytest.mark.filterwarnings("error")
     def test_single_and_all_failing_stacks(self, rng):
-        m = self.mixed(rng)
+        m = self.mixed(rng, self.field)
         assert np.array_equal(sdp._chol_each(m[:1]), np.linalg.cholesky(m[:1]))
         assert np.isnan(sdp._chol_each(m[1:2])).all()
         assert np.isnan(sdp._chol_each(m[[1, 3, 1]])).all()
+
+
+class TestCholEachComplex(TestCholEach):
+    field = "complex"
 
 
 class TestSchurRidge:

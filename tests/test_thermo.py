@@ -45,7 +45,6 @@ class TestWorkCost:
         assert work_extraction_ledger(0, 300.0).bits == 0.0
         assert work_extraction_ledger(2, 300.0).bits == pytest.approx(
             2 * work_extraction_ledger(1, 300.0).bits)
-        assert work_extraction_ledger(3, 77.0, "erase").bits == 3.0
 
     def test_temperature_validation(self):
         with pytest.raises(ValueError):
