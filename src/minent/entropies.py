@@ -78,31 +78,26 @@ def d_max(rho: DensityOperator, sigma: HermitianOperator) -> float:
 
 
 def d_max_sdp(rho: DensityOperator, sigma: HermitianOperator) -> float:
-    """Max-relative entropy by SDP: min lambda s.t. lambda*sigma >= rho.
+    """Max-relative entropy by SDP, an independent code path from d_max
+    used for dual-path agreement audits.
 
-    Independent code path from d_max, used for dual-path agreement
-    audits. Returns +inf on infeasibility.
+    The dual form of min lambda s.t. lambda*sigma >= rho (Koenig, Renner
+    and Schaffner, IEEE Trans. Inf. Theory 2009), with one constraint:
+
+        max tr(rho X)  s.t.  tr(sigma X) = 1,  X >= 0.
+
+    Reads the lambda (dual) side, which bounds D_max from above. Returns
+    +inf when rho leaves the support of sigma, checked before solving as
+    in d_max; raises SdpFailure, naming the status, unless the SDP
+    certified.
     """
     sig = sigma.matrix
-    d = rho.dim
-    n = 1 + d
-    basis = hermitian_basis(d)
-    m = d * d
-    a = np.zeros((m, n, n), dtype=complex)
-    b = np.zeros(m)
-    for k, ek in enumerate(basis):
-        a[k, 0, 0] = -np.trace(ek @ sig)
-        a[k, 1:, 1:] = ek
-        b[k] = -np.real(np.trace(ek @ rho.matrix))
-    c = np.zeros((n, n), dtype=complex)
-    c[0, 0] = 1.0
-    res = sdp.solve_stack(c, a, b, "min", (1, d))
-    status = res["status_str"][0]
-    if status == "infeasible":
+    if _support_violation(rho.matrix, sig):
         return math.inf
+    res = sdp.solve_stack(rho.matrix, sig[None], [1.0], "max")
     if not res["ok"][0]:
-        raise sdp.SdpFailure(f"d_max SDP ended with status {status}")
-    return math.log2(max(float(res["primal_value"][0]), 1e-300))
+        raise sdp.SdpFailure(f"d_max SDP ended with status {res['status_str'][0]}")
+    return math.log2(max(float(res["dual_value"][0]), 1e-300))
 
 
 def _matrix_power_psd(m: np.ndarray, power: float) -> np.ndarray:
@@ -212,34 +207,28 @@ def _split_dims(rho: DensityOperator):
     return rho.dims
 
 
-def _cond_min_up_data(da: int, db: int):
-    """SDP data for min tr(sigma_B) s.t. 1_A (x) sigma_B >= rho_AB.
-
-    Blocks (sigma_B, Y) with Y = 1 (x) sigma - rho; rho enters only the
-    right-hand side, so stacks of states share all constraint matrices.
-    """
-    dab = da * db
-    basis = hermitian_basis(dab)
-    n = db + dab
-    m = dab * dab
-    a = np.zeros((m, n, n), dtype=complex)
-    for k, ek in enumerate(basis):
-        a[k, :db, :db] = -np.einsum("ikil->kl", ek.reshape(da, db, da, db))
-        a[k, db:, db:] = ek
-    c = np.zeros((n, n), dtype=complex)
-    c[:db, :db] = np.eye(db)
-    return a, c, basis, (db, dab)
-
-
 def _cond_min_up_sides(mats: np.ndarray, da: int, db: int):
-    """(low, high, ok) for a stack of states (B, dab, dab): -log2 of the
-    primal and of the dual value of each S_min-up SDP, which bound
-    S_min(A|B) from below and from above where ok (the SDP certified)."""
-    a, c, basis, blocks = _cond_min_up_data(da, db)
-    b = -np.einsum("kij,bji->bk", basis, mats).real
-    res = sdp.solve_stack(c, a, b, "min", blocks)
+    """(low, high, ok) for a stack of states (N, dab, dab): bounds on
+    S_min-up(A|B) from below and from above where ok (the SDP certified).
+
+    Each state is one instance of the dual form of min tr(sigma_B) s.t.
+    1_A (x) sigma_B >= rho_AB (Koenig, Renner and Schaffner, IEEE Trans.
+    Inf. Theory 2009):
+
+        max tr(rho X)  s.t.  tr_A X = 1_B,  X >= 0,
+
+    with one constraint tr((1_A (x) E_k) X) = tr E_k per element E_k of
+    the Hermitian basis of B. rho enters only the objective, so the stack
+    shares its constraints. The X (primal) value is at most 2^-S_min, so
+    high, -log2 of it, bounds S_min from above; the sigma (dual) value
+    tr(sigma) is at least 2^-S_min, so low bounds it from below.
+    """
+    basis = hermitian_basis(db)
+    res = sdp.solve_stack(hermitian_part(mats),
+                          np.kron(np.eye(da)[None], basis),
+                          np.einsum("kii->k", basis).real, "max")
     low, high = (-np.log2(np.clip(res[k], 1e-300, None))
-                 for k in ("primal_value", "dual_value"))
+                 for k in ("dual_value", "primal_value"))
     return low, high, res["ok"]
 
 
@@ -247,8 +236,9 @@ def cond_min_entropy_up_many(mats: np.ndarray, da: int, db: int):
     """S_min(A|B) for a stack of states (B, dab, dab).
 
     Returns (values, ok) where ok flags instances whose SDP certified
-    optimality; values are -log2 of the dual value, the side that bounds
-    S_min(A|B) from above, so a minimum over inputs never undercuts S_min.
+    optimality; values are read on the X (primal) side of
+    `_cond_min_up_sides`, which bounds S_min(A|B) from above, so a minimum
+    over inputs never undercuts S_min.
     """
     _, high, ok = _cond_min_up_sides(mats, da, db)
     return high, ok
@@ -475,9 +465,9 @@ def smooth_min_entropy_lower_bound_many(eps: float, mats: np.ndarray, da: int,
     the only candidate is the state and the bound is the unsmoothed
     value. The down variant smooths the conditioning marginal along with
     the state and is closed form. The up variant solves all candidates of
-    all states in one SDP stack and reads each on its primal (low) side:
-    each state itself must certify (else SdpFailure), other candidates
-    that do not are skipped.
+    all states in one SDP stack and reads each on its sigma (dual) side,
+    the low side of `_cond_min_up_sides`: each state itself must certify
+    (else SdpFailure), other candidates that do not are skipped.
     """
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
@@ -489,7 +479,7 @@ def smooth_min_entropy_lower_bound_many(eps: float, mats: np.ndarray, da: int,
     if variant == "down":
         best[mask] = cond_min_entropy_down_many(stack[mask], da, db)
         return best.max(axis=1)
-    # the primal side, which bounds each candidate's S_min-up from below
+    # the sigma side, which bounds each candidate's S_min-up from below
     vals, _, ok = _cond_min_up_sides(stack[mask], da, db)
     certified = np.zeros_like(mask)
     certified[mask] = ok

@@ -157,7 +157,7 @@ class TestPruning:
 
     def test_solve_reads_upper_side(self):
         # input 1691 of the seed-33 scan stream: an optimal solve whose
-        # primal side read 2.4e-7 bits below the closed form
+        # sigma side read 2.4e-7 bits below the closed form
         ch = depolarizing(0.8)
         haar = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
                                              4, 2000)

@@ -60,6 +60,35 @@ class TestDmax:
             assert d_max_sdp(rho, sig.op) == pytest.approx(d_max(rho, sig.op),
                                                            abs=1e-6)
 
+    def test_sdp_path_support_violation_is_infinite(self):
+        # checked before solving: the one-constraint program is unbounded
+        # there, and its iterates would overflow
+        assert d_max_sdp(KET0, basis_state(2, 1).op) == math.inf
+
+    def test_sdp_path_badly_scaled_sigma(self):
+        # rank-2 rho against a full-rank sigma with
+        # lambda_min / lambda_max = 10^U(-6, -3), where the closed form is
+        # immediate: the SDP certifies 55 of the first 60 draws of this
+        # stream and 28 of the 30 here, and the others must name a status
+        gen = np.random.default_rng(2024)
+        certified = 0
+        for _ in range(30):
+            g = gen.normal(size=(4, 2)) + 1j * gen.normal(size=(4, 2))
+            h = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+            w, v = np.linalg.eigh(h @ h.conj().T)
+            w[0] = w[-1] * 10.0 ** gen.uniform(-6, -3)
+            rho = DensityOperator(g @ g.conj().T / np.vdot(g, g).real)
+            sig = HermitianOperator((v * w) @ v.conj().T / w.sum())
+            try:
+                got = d_max_sdp(rho, sig)
+            except sdp.SdpFailure as err:
+                assert "status max-iterations" in str(err) \
+                    or "status numerical-error" in str(err)
+                continue
+            assert got == pytest.approx(d_max(rho, sig), abs=1e-6)
+            certified += 1
+        assert certified >= 24
+
     def test_data_processing(self, rng):
         ch = depolarizing(0.35)
         for _ in range(10):

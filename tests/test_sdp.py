@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg
 
 from minent import _sampling, cli, sdp
-from minent.channels import (_diamond_objective, _diamond_problem_data,
-                             choi_matrix, dephasing2)
+from minent.channels import (KrausMap, _diamond_objective,
+                             _diamond_problem_data, choi_matrix, dephasing2)
+from minent.decoupling import _cp_choi_checked
 from minent.dynamical import _pure_outputs
-from minent.entropies import (cond_min_entropy_down_many,
+from minent.entropies import (_cond_min_up_sides, cond_min_entropy_down_many,
                               cond_min_entropy_up_many)
 from minent.linalg import TOL, hermitian_basis, maximally_entangled
 from minent.sdp import _block_slices, solve_stack
@@ -16,7 +17,13 @@ from conftest import random_qubit_channels
 
 def cond_min_problem(rho, da, db, scale=1.0):
     """min tr(sigma) s.t. 1_A (x) sigma >= rho, as block SDP data
-    (c, a, b, blocks) for `solve_stack`."""
+    (c, a, b, blocks) for `solve_stack`.
+
+    This is the slack form, blocks (sigma, Y) with Y = 1 (x) sigma - rho
+    and (d_A d_B)^2 constraints, not the d_B^2-constraint form that
+    `entropies` solves: it exercises the solver on two blocks, and
+    `TestCrossForm` holds the library's form against it.
+    """
     dab = da * db
     n = db + dab
     basis = hermitian_basis(dab)
@@ -204,9 +211,10 @@ class TestSolveStack:
         # 2000 S_min-up instances of one stack, as a Haar scan of
         # dephasing2 p = 0.4 at seed 33 would solve them without pruning;
         # every one certifies and sits at or above its closed-form
-        # S_min-down, and the iteration tail stays short (p90 16 here; 40
-        # when certified instances ran on until mu stalled for 8 iterations
-        # and sigma could collapse after short steps)
+        # S_min-down, and the iteration tail stays short (p90 13 here, 16
+        # in the slack form of `cond_min_problem`; 40 when certified
+        # instances ran on until mu stalled for 8 iterations and sigma
+        # could collapse after short steps)
         iters = spy_iterations(monkeypatch)
         ch = dephasing2(0.4)
         vecs = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
@@ -286,6 +294,57 @@ class TestSolveStack:
         assert_matches_solo(res, cs, a, b, blocks, others)
 
 
+def bracket_states(da, db):
+    """Seeded states on (da, db): two of rank 2 and two pure ones, plus on
+    (2, 2) the subnormalized Choi state of a trace-decreasing map."""
+    gen = _sampling.stream(da * 10 + db, 0xB0B)
+    vecs = _sampling.random_pure_vectors(gen, da * db, 2)
+    mats = [*_sampling.random_density_matrices(gen, da * db, 2, rank=2),
+            *(vecs[:, :, None] * vecs[:, None, :].conj())]
+    if (da, db) == (2, 2):
+        t_map = KrausMap([0.9 * k for k in random_qubit_channels(71, 1)[0].kraus])
+        mats.append(_cp_choi_checked(t_map).matrix)
+    return np.stack(mats)
+
+
+class TestCrossForm:
+    """Each form's low side is at most the other form's high side.
+
+    In value space t* = 2^-S_min, the library's form (max tr(rho X) s.t.
+    tr_A X = 1_B) reports p = tr(rho X) and d = tr(sigma), and the slack
+    form of `cond_min_problem` reports P = tr(sigma) and D = tr(rho Z)
+    with Z = -sum_k y_k E_k. Their residuals bound how far each value may
+    sit on the wrong side of t*:
+      p <= (1 + pres) t*, since ||tr_A X - 1_B|| <= pres;
+      t* <= d + d_B dres, since sigma + dres 1_B is feasible;
+      t* <= P + d_B PRES, since sigma + PRES 1_B is feasible;
+      D <= (1 + (1 + d_A) DRES) t*, since Z + DRES 1 is PSD with
+      tr_A at most that factor times 1_B.
+    The slack of each comparison is the product of its two factors.
+    """
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 4), (4, 2)],
+                             ids=["2x2", "2x4", "4x2"])
+    def test_sides_bracket(self, dims, monkeypatch):
+        da, db = dims
+        mats = bracket_states(da, db)
+        new = spy_results(monkeypatch)
+        low, high, ok = _cond_min_up_sides(mats, da, db)
+        monkeypatch.undo()
+        assert ok.all() and len(new) == 1
+        new = new[0]
+        for i, rho in enumerate(mats):
+            old = solve_one(*cond_min_problem(rho, da, db))
+            assert old["ok"]
+            big_p, big_d = old["primal_value"], old["dual_value"]
+            # the slack form's sides are low = -log2 P and high = -log2 D
+            assert low[i] <= -np.log2(big_d) + np.log2(
+                (1 + (1 + da) * old["dres"])
+                * (1 + db * new["dres"][i] / new["dual_value"][i]))
+            assert -np.log2(big_p) <= high[i] + np.log2(
+                (1 + new["pres"][i]) * (1 + db * old["pres"] / big_p))
+
+
 class TestIterationTail:
     # a certified instance ends once mu stalls for two iterations, and the
     # centering exponent keeps short steps from jamming an instance; the
@@ -325,6 +384,19 @@ def spy_iterations(monkeypatch):
         res = real(c, a, b, sense, blocks, **kwargs)
         seen.append((blocks, res["iters"]))
         return res
+
+    monkeypatch.setattr(sdp, "solve_stack", spy)
+    return seen
+
+
+def spy_results(monkeypatch):
+    """Record the result of every `sdp.solve_stack` call."""
+    seen = []
+    real = sdp.solve_stack
+
+    def spy(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
 
     monkeypatch.setattr(sdp, "solve_stack", spy)
     return seen

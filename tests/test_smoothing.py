@@ -76,7 +76,7 @@ def ref_candidates(rho, eps):
 
 
 def ref_up_low(rho):
-    """S_min-up of one state on the primal (low) side, which the smoothed
+    """S_min-up of one state on the sigma (low) side, which the smoothed
     lower bound reads; SdpFailure unless the SDP certifies."""
     low, _, ok = _cond_min_up_sides(rho.matrix[None], *rho.dims)
     if not ok[0]:
