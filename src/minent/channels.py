@@ -390,33 +390,23 @@ def tensor_channels(n: KrausMap, m: KrausMap) -> QuantumChannel | KrausMap:
 
 
 def _diamond_problem_data(din: int, dout: int):
-    """Constraint data for max <J, W> s.t. 0 <= W <= rho (x) 1, tr rho = 1.
+    """Constraint data (a, b) for max <J, W> s.t. 0 <= W <= rho (x) 1,
+    tr rho = 1.
 
-    Blocks: W (din*dout), Y = rho (x) 1 - W (din*dout), rho (din).
+    Blocks: W (din*dout), Y = rho (x) 1 - W (din*dout), rho (din); one
+    equality W + Y - rho (x) 1 = 0 per element E_k of the Hermitian basis,
+    and tr rho = 1. W and Y share one constraint array.
     """
     dd = din * dout
-    n = 2 * dd + din
     basis = hermitian_basis(dd)
-    m = dd * dd + 1
-    a = np.zeros((m, n, n), dtype=complex)
-    b = np.zeros(m)
-    for k, ek in enumerate(basis):
-        a[k, :dd, :dd] = ek
-        a[k, dd:2 * dd, dd:2 * dd] = ek
-        # <rho (x) 1, Ek> = <rho, tr_out Ek>
-        a[k, 2 * dd:, 2 * dd:] = -np.einsum(
-            "ikjk->ij", ek.reshape(din, dout, din, dout))
-    a[m - 1, 2 * dd:, 2 * dd:] = np.eye(din)
-    b[m - 1] = 1.0
-    return a, b, (dd, dd, din)
-
-
-def _diamond_objective(j: np.ndarray, din: int, dout: int) -> np.ndarray:
-    dd = din * dout
-    n = 2 * dd + din
-    c = np.zeros((n, n), dtype=complex)
-    c[:dd, :dd] = j
-    return c
+    w = np.concatenate([basis, np.zeros((1, dd, dd))])
+    # <rho (x) 1, E_k> = <rho, tr_out E_k>
+    rho = np.concatenate([-np.einsum("nikjk->nij",
+                                     basis.reshape(-1, din, dout, din, dout)),
+                          np.eye(din)[None]])
+    b = np.zeros(dd * dd + 1)
+    b[-1] = 1.0
+    return [w, w, rho], b
 
 
 def diamond_distance(n: KrausMap, m: KrausMap) -> float:
@@ -437,13 +427,13 @@ def _diamond_batch(diffs, din: int, dout: int, chunk: int = 64):
 
     Returns (values, ok); ok flags the instances whose SDP ended optimal.
     """
-    a, b, blocks = _diamond_problem_data(din, dout)
+    a, b = _diamond_problem_data(din, dout)
+    zeros = [np.zeros(ab.shape[1:]) for ab in a[1:]]
     vals = np.zeros(len(diffs))
     ok = np.zeros(len(diffs), dtype=bool)
     for start in range(0, len(diffs), chunk):
         part = diffs[start:start + chunk]
-        cs = np.stack([_diamond_objective(j, din, dout) for j in part])
-        res = sdp.solve_stack(cs, a, b, sense="max", blocks=blocks)
+        res = sdp.solve_stack([np.stack(part)] + zeros, a, b, sense="max")
         vals[start:start + len(part)] = np.maximum(res["primal_value"], 0.0)
         ok[start:start + len(part)] = res["ok"]
     return vals, ok

@@ -341,7 +341,7 @@ def _invariants(seed: int):
         np.abs(pt2.matrix - a.matrix).max() < 1e-14, ""
 
     # sdp
-    res = sdp.solve_stack(np.eye(2), np.eye(2)[None], [1.0], "min", (2,),
+    res = sdp.solve_stack([np.eye(2)], [np.eye(2)[None]], [1.0], "min",
                           keep_trace=True)
     # an empty trace checks nothing, so at least one iterate must be checked
     weak = [d <= p + 1e-7 for p, d, pr, _ in res["trace"] if pr < 1e-6]

@@ -94,7 +94,7 @@ def d_max_sdp(rho: DensityOperator, sigma: HermitianOperator) -> float:
     sig = sigma.matrix
     if _support_violation(rho.matrix, sig):
         return math.inf
-    res = sdp.solve_stack(rho.matrix, sig[None], [1.0], "max")
+    res = sdp.solve_stack([rho.matrix], [sig[None]], [1.0], "max")
     if not res["ok"][0]:
         raise sdp.SdpFailure(f"d_max SDP ended with status {res['status_str'][0]}")
     return math.log2(max(float(res["dual_value"][0]), 1e-300))
@@ -172,22 +172,16 @@ def d_hypothesis(eps: float, rho: DensityOperator, sigma: HermitianOperator) -> 
         raise ValueError("eps must lie in [0, 1)")
     if eps == 0:
         return petz_renyi(0, rho, sigma)
+    # blocks L (d), 1 - L (d) and the slack of tr(rho L) >= 1 - eps (1);
+    # one equality L + (1 - L) = 1 per element E_k of the Hermitian basis
     d = rho.dim
     basis = hermitian_basis(d)
-    n = 2 * d + 1
-    m = d * d + 1
-    a = np.zeros((m, n, n), dtype=complex)
-    b = np.zeros(m)
-    for k, ek in enumerate(basis):
-        a[k, :d, :d] = ek
-        a[k, d:2 * d, d:2 * d] = ek
-        b[k] = np.real(np.trace(ek))
-    a[m - 1, :d, :d] = rho.matrix
-    a[m - 1, 2 * d:, 2 * d:] = -1.0
-    b[m - 1] = 1.0 - eps
-    c = np.zeros((n, n), dtype=complex)
-    c[:d, :d] = sigma.matrix
-    res = sdp.solve_stack(c, a, b, "min", (d, d, 1))
+    a = [np.concatenate([basis, rho.matrix[None]]),
+         np.concatenate([basis, np.zeros((1, d, d))]),
+         np.concatenate([np.zeros((d * d, 1, 1)), -np.ones((1, 1, 1))])]
+    b = np.append(np.einsum("kii->k", basis).real, 1.0 - eps)
+    res = sdp.solve_stack([sigma.matrix, np.zeros((d, d)), np.zeros((1, 1))],
+                          a, b, "min")
     if not res["ok"][0]:
         raise sdp.SdpFailure(
             f"hypothesis-testing SDP status {res['status_str'][0]}")
@@ -224,8 +218,8 @@ def _cond_min_up_sides(mats: np.ndarray, da: int, db: int):
     tr(sigma) is at least 2^-S_min, so low bounds it from below.
     """
     basis = hermitian_basis(db)
-    res = sdp.solve_stack(hermitian_part(mats),
-                          np.kron(np.eye(da)[None], basis),
+    res = sdp.solve_stack([hermitian_part(mats)],
+                          [np.kron(np.eye(da)[None], basis)],
                           np.einsum("kii->k", basis).real, "max")
     low, high = (-np.log2(np.clip(res[k], 1e-300, None))
                  for k in ("dual_value", "primal_value"))
@@ -290,8 +284,8 @@ def cond_min_entropy_down_sdp(rho: DensityOperator) -> float:
 
 
 def _hypothesis_dual(eps: float, da: int, db: int, r: int, input_block):
-    """SDP data (c, a, b, blocks) of the dual hypothesis test behind
-    S_H(A|B) at error eps, with an input block P of size r:
+    """SDP data (c, a, b) of the dual hypothesis test behind S_H(A|B) at
+    error eps, with an input block P of size r:
 
         max (1 - eps) tr P - tr Z  s.t.  L(P) <= 1_A (x) sigma_B + Z,
                                           tr sigma = 1,  P, Z, sigma >= 0.
@@ -302,30 +296,23 @@ def _hypothesis_dual(eps: float, da: int, db: int, r: int, input_block):
     those equalities, L^dag(E_k), as (dab^2, r, r): tr(E_k rho) for a
     state rho (r = 1, L(mu) = mu rho), V^dag E_k V for an isometry V
     (r = d_in, L(P) = V P V^dag). Raises ValueError, before building
-    anything, when the variable is larger than the solver takes.
+    anything, when the program is larger than the solver takes.
     """
     dab = da * db
-    n = db + r + 2 * dab
-    if n > sdp.MAX_DIM:
-        raise ValueError(f"hypothesis-testing SDP of dim {n} (d_B + d_in "
-                         f"+ 2 d_A d_B) exceeds {sdp.MAX_DIM}")
+    sdp.check_size((db, r, dab, dab), dab * dab + 1)
     basis = hermitian_basis(dab)
-    m = dab * dab + 1
-    p_, z_, y_ = slice(db, db + r), slice(db + r, db + r + dab), \
-        slice(db + r + dab, n)
-    a = np.zeros((m, n, n), dtype=complex)
-    a[:-1, :db, :db] = -np.einsum("nikil->nkl",
-                                  basis.reshape(-1, da, db, da, db))
-    a[:-1, p_, p_] = input_block(basis)
-    a[:-1, z_, z_] = -basis
-    a[:-1, y_, y_] = basis
-    a[-1, :db, :db] = np.eye(db)
-    b = np.zeros(m)
+    zero = np.zeros((1, dab, dab))
+    a = [np.concatenate([-np.einsum("nikil->nkl",
+                                    basis.reshape(-1, da, db, da, db)),
+                         np.eye(db)[None]]),
+         np.concatenate([input_block(basis), np.zeros((1, r, r))]),
+         np.concatenate([-basis, zero]),
+         np.concatenate([basis, zero])]
+    b = np.zeros(dab * dab + 1)
     b[-1] = 1.0
-    c = np.zeros((n, n), dtype=complex)
-    c[p_, p_] = (1.0 - eps) * np.eye(r)
-    c[z_, z_] = -np.eye(dab)
-    return c, a, b, (db, r, dab, dab)
+    c = [np.zeros((db, db)), (1.0 - eps) * np.eye(r), -np.eye(dab),
+         np.zeros((dab, dab))]
+    return c, a, b
 
 
 def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
@@ -353,10 +340,10 @@ def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
         return vals, np.ones(len(mats), dtype=bool)
     vals, ok = [], []
     for rho in mats:
-        c, a, b, blocks = _hypothesis_dual(
+        c, a, b = _hypothesis_dual(
             eps, da, db, 1,
             lambda basis: np.einsum("kij,ji->k", basis, rho).real[:, None, None])
-        res = sdp.solve_stack(c, a, b, "max", blocks)
+        res = sdp.solve_stack(c, a, b, "max")
         vals.append(math.log2(max(float(res["primal_value"][0]), 1e-300)))
         ok.append(bool(res["ok"][0]))
     return np.array(vals), np.array(ok, dtype=bool)
@@ -384,10 +371,10 @@ def cond_hypothesis_entropy_sup(eps: float, v: np.ndarray, da: int, db: int):
     v = np.asarray(v, dtype=complex)
     if v.ndim != 2 or v.shape[0] != da * db:
         raise ValueError("isometry must be (da * db, d_in)")
-    c, a, b, blocks = _hypothesis_dual(
+    c, a, b = _hypothesis_dual(
         eps, da, db, v.shape[1],
         lambda basis: hermitian_part(v.conj().T @ basis @ v))
-    res = sdp.solve_stack(c, a, b, "max", blocks)
+    res = sdp.solve_stack(c, a, b, "max")
     p = hermitian_part(res["x_complex"][1][0])
     bits = math.log2(max(float(res["primal_value"][0]), 1e-300))
     return bits, p / max(np.trace(p).real, 1e-300), bool(res["ok"][0])
@@ -534,19 +521,19 @@ def max_fidelity_uniform(rho: DensityOperator) -> float:
     basis = hermitian_basis(r)
     # blocks: sigma (db), Z = [[P, X], [X^dag, Q]] (2r); P = 1 and
     # Q = K^dag (1 (x) sigma) K, i.e. tr(E Q) = tr(tr_A(K E K^dag) sigma)
-    n = db + 2 * r
-    p_, q_ = slice(db, db + r), slice(db + r, n)
-    a = np.zeros((2 * r * r + 1, n, n), dtype=complex)
-    b = np.zeros(2 * r * r + 1)
-    a[:r * r, p_, p_] = basis
+    m = 2 * r * r + 1
+    sig = np.zeros((m, db, db), dtype=complex)
+    z = np.zeros((m, 2 * r, 2 * r), dtype=complex)
+    z[:r * r, :r, :r] = basis
+    z[r * r:-1, r:, r:] = basis
+    sig[r * r:-1] = -np.einsum("aei,kij,afj->kef", k3, basis, k3.conj())
+    sig[-1] = np.eye(db)
+    b = np.zeros(m)
     b[:r * r] = np.einsum("kii->k", basis).real
-    a[r * r:-1, q_, q_] = basis
-    a[r * r:-1, :db, :db] = -np.einsum("aei,kij,afj->kef", k3, basis, k3.conj())
-    a[-1, :db, :db] = np.eye(db)
     b[-1] = 1.0
-    c = np.zeros((n, n), dtype=complex)
-    c[p_, q_] = c[q_, p_] = np.eye(r) / 2
-    res = sdp.solve_stack(c, a, b, "max", (db, 2 * r))
+    c = np.zeros((2 * r, 2 * r))
+    c[:r, r:] = c[r:, :r] = np.eye(r) / 2
+    res = sdp.solve_stack([np.zeros((db, db)), c], [sig, z], b, "max")
     if not res["ok"][0]:
         raise sdp.SdpFailure(f"fidelity SDP status {res['status_str'][0]}")
     ws, vs = np.linalg.eigh(hermitian_part(res["x_complex"][0][0]))

@@ -14,12 +14,13 @@ Schur complement M_ij = tr(W A_i W A_j) are real, since the trace of a
 product of two Hermitian matrices is real; every such trace is taken as
 the dot product of the real float64 views of the two matrices.
 
-The variable may carry block-diagonal structure (`blocks`); data outside
-the diagonal blocks is ignored by the solver, which keeps iterates
-block diagonal. The one entry point, `solve_stack`, checks its input and
-solves a stack of problems that share their constraint matrices in one
-sweep, because the Monte Carlo layers above solve thousands of small
-SDPs; a single SDP is a stack of one.
+The variable is block diagonal, and every matrix of a problem is given
+as one array per diagonal block, as SDPT3 takes its data; a block's size
+is read off its arrays. The one entry point, `solve_stack`, checks its
+input and solves a stack of problems that share their constraint
+matrices in one sweep, because the Monte Carlo layers above solve
+thousands of small SDPs; a single SDP is a stack of one. `check_size`
+states which programs the solver takes.
 
 Each matrix is factored once per iteration. The Cholesky factors Lx,
 Ls of the primal and dual iterates feed one SVD, G = Ls^H Lx = U Sig V^H,
@@ -59,7 +60,7 @@ from numpy.linalg import _umath_linalg
 
 from .linalg import TOL
 
-__all__ = ["SdpFailure", "solve_stack"]
+__all__ = ["SdpFailure", "check_size", "solve_stack"]
 
 
 class SdpFailure(RuntimeError):
@@ -69,19 +70,12 @@ class SdpFailure(RuntimeError):
 _STATUS = ("optimal", "infeasible", "max-iterations", "numerical-error")
 
 MAX_ITER = 500
-MAX_DIM = 64  # sum of the complex block dims
+MAX_DIM = 64  # largest complex block dim
+MAX_DATA = MAX_DIM ** 4  # complex entries of the constraint data, m sum n_b^2
 STEP_FRACTION = 0.98
 DIVERGENCE = 1e10
 SCHUR_RIDGES = (1e-15, 1e-12, 1e-9, 1e-6)  # times the mean Schur diagonal
 SCHUR_CHUNK = 1 << 18  # float64s in one Schur-assembly temporary
-
-
-def _block_slices(blocks):
-    out, k = [], 0
-    for nb in blocks:
-        out.append(slice(k, k + nb))
-        k += nb
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,43 +495,70 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
 # public entry points
 
 
-def _check_stack(c, a, b, sense, blocks):
-    """Raise ValueError unless (c, a, b, sense, blocks) is a stack that
-    `solve_stack` can solve as given."""
+def check_size(dims, m):
+    """Raise ValueError unless the solver takes a program with diagonal
+    blocks of the sizes `dims` and `m` constraints.
+
+    Each block is at most MAX_DIM, and the constraint data, m sum n_b^2
+    complex entries, at most MAX_DATA. Independent constraints number at
+    most sum n_b^2, so every such program whose blocks sum to at most
+    MAX_DIM meets the second cap; one MAX_DIM block with MAX_DIM^2
+    constraints meets it exactly. Callers that build large data call
+    this first.
+    """
+    if max(dims) > MAX_DIM:
+        raise ValueError(f"block dim {max(dims)} exceeds {MAX_DIM}")
+    size = m * sum(nb * nb for nb in dims)
+    if size > MAX_DATA:
+        raise ValueError(f"constraint data of {size} entries (m sum n_b^2) "
+                         f"exceeds {MAX_DATA}")
+
+
+def _check_stack(c, a, b, sense):
+    """Batch size of (c, a, b, sense), or ValueError unless that is a
+    stack that `solve_stack` can solve as given: every shape and size is
+    checked before the data."""
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
-    if c.ndim not in (2, 3) or c.shape[-1] != c.shape[-2]:
-        raise ValueError("objective must be (n, n) or (B, n, n)")
-    n = c.shape[-1]
-    if n > MAX_DIM:
-        raise ValueError(f"variable dim {n} exceeds {MAX_DIM}")
-    if a.ndim != 3 or a.shape[1:] != (n, n):
-        raise ValueError("constraints must be (m, n, n), n the objective's")
-    if b.ndim not in (1, 2) or b.shape[-1] != a.shape[0]:
+    if not c or len(c) != len(a):
+        raise ValueError("objective and constraints need one array per block")
+    for cb, ab in zip(c, a):
+        if cb.ndim not in (2, 3) or cb.shape[-1] != cb.shape[-2] \
+                or not cb.shape[-1]:
+            raise ValueError("objective blocks must be (n_b, n_b) or "
+                             "(B, n_b, n_b), n_b >= 1")
+        if ab.ndim != 3 or ab.shape[1:] != cb.shape[-2:]:
+            raise ValueError("constraints must be (m, n_b, n_b) per block, "
+                             "n_b the objective block's")
+    m = a[0].shape[0]
+    if any(ab.shape[0] != m for ab in a):
+        raise ValueError("constraint blocks must share their count m")
+    if b.ndim not in (1, 2) or b.shape[-1] != m:
         raise ValueError("rhs must be (m,) or (B, m), one per constraint")
-    if blocks and (sum(blocks) != n or min(blocks) < 1):
-        raise ValueError("block dims must be positive and sum to the "
-                         "variable dim")
-    bc = c.shape[0] if c.ndim == 3 else 1
-    bb = b.shape[0] if b.ndim == 2 else 1
-    if bc != bb and 1 not in (bc, bb):
+    sizes = {x.shape[0] for x in c if x.ndim == 3} | {len(b) if b.ndim == 2 else 1}
+    if len(sizes - {1}) > 1:
         raise ValueError("objective and rhs batch sizes must be 1 or equal")
-    for name, m in (("objective", c), ("constraint", a)):
-        dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(initial=0.0)
-        if not dev <= TOL.herm:  # NaN fails too
-            raise ValueError(f"{name} matrices must be finite and Hermitian")
+    check_size([ab.shape[-1] for ab in a], m)
+    for name, blocks in (("objective", c), ("constraint", a)):
+        for x in blocks:
+            dev = np.abs(x - x.conj().swapaxes(-1, -2)).max(initial=0.0)
+            if not dev <= TOL.herm:  # NaN fails too
+                raise ValueError(f"{name} matrices must be finite and "
+                                 "Hermitian")
+    return max(sizes)
 
 
-def solve_stack(objective, constraints, rhs, sense="min", blocks=None,
-                keep_trace=False):
+def solve_stack(objective, constraints, rhs, sense="min", keep_trace=False):
     """Solve a stack of Hermitian SDPs that share their constraint
     matrices; the solver's one entry point (a single SDP is a stack of
     one).
 
-    objective: (n, n) or (B, n, n) complex Hermitian, n <= MAX_DIM.
-    constraints: (m, n, n) complex Hermitian, shared by all instances.
+    objective: one complex Hermitian array per diagonal block, (n_b, n_b)
+    or (B, n_b, n_b).
+    constraints: one complex Hermitian array per block, (m, n_b, n_b),
+    shared by all instances; `check_size` bounds n_b and m.
     rhs: (m,) or (B, m) real.
-    sense: "min" or "max"; blocks: diagonal block sizes, default (n,).
+    sense: "min" or "max".
     Batch sizes of 1 broadcast against the others. Raises ValueError on
     input of any other form. Returns a dict of per-instance arrays:
     primal_value, dual_value, gap, pres, dres, iters, y, x_complex (the
@@ -545,26 +566,14 @@ def solve_stack(objective, constraints, rhs, sense="min", blocks=None,
     (status is optimal); with keep_trace, trace holds (primal_obj,
     dual_obj, primal_res, dual_res) of instance 0 per iterate.
     """
-    c = np.asarray(objective, dtype=complex)
-    a = np.asarray(constraints, dtype=complex)
+    c = [np.asarray(cb, dtype=complex) for cb in objective]
+    a = [np.ascontiguousarray(ab, dtype=complex) for ab in constraints]
     b = np.asarray(rhs, dtype=float)
-    _check_stack(c, a, b, sense, blocks)
-    if c.ndim == 2:
-        c = c[None]
-    if b.ndim == 1:
-        b = b[None]
-    bsz = max(c.shape[0], b.shape[0])
-    if c.shape[0] == 1 and bsz > 1:
-        c = np.broadcast_to(c, (bsz,) + c.shape[1:])
-    if b.shape[0] == 1 and bsz > 1:
-        b = np.broadcast_to(b, (bsz, b.shape[1]))
-    n = c.shape[-1]
-    blocks = tuple(blocks) if blocks else (n,)
+    bsz = _check_stack(c, a, b, sense)
     sgn = 1.0 if sense == "min" else -1.0
-
-    slc = _block_slices(blocks)
-    res = _ipm([np.ascontiguousarray(a[:, s_, s_]) for s_ in slc],
-               [sgn * c[:, s_, s_] for s_ in slc], np.ascontiguousarray(b),
+    res = _ipm(a, [sgn * np.broadcast_to(cb, (bsz,) + cb.shape[-2:])
+                   for cb in c],
+               np.ascontiguousarray(np.broadcast_to(b, (bsz, b.shape[-1]))),
                keep_trace=keep_trace)
 
     # undo the sense flip

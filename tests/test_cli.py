@@ -207,9 +207,22 @@ class TestCosts:
         code, _, _ = run(capsys, "costs", "--family", "unitary", "--mu", "1.2")
         assert code == 2
 
+    def test_qutrit_replacer_erasure_sdp(self, capsys):
+        # the erasure SDP's blocks (9, 3, 27, 27) sum to more than 64, but
+        # each is within the solver's per-block cap
+        code, out, _ = run(capsys, "costs", "--spec",
+                           '{"family": "replacer", "omega": '
+                           '"maximally-mixed", "dims": 3}',
+                           "--mu", "0.1", "--n", "8", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["eras_bits"] == pytest.approx(
+            -payload["s_min_channel"] + np.log2(0.9), abs=1e-6)
+
     def test_oversize_erasure_sdp(self, capsys):
-        # d_E + d_in + 2 d_A d_E = 36 + 6 + 432 is over the solver's cap:
-        # refused before the SDP data is built
+        # blocks (d_E, d_in, d_A d_E, d_A d_E) = (36, 6, 216, 216): 216 is
+        # over the solver's per-block cap, refused before the SDP data is
+        # built
         code, out, err = run(capsys, "costs", "--spec",
                              '{"family": "replacer", "omega": '
                              '"maximally-mixed", "dims": 6}',

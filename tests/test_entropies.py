@@ -285,22 +285,20 @@ def hypothesis_reference(eps, rho):
     da, db = rho.dims
     dab = da * db
     basis = hermitian_basis(dab)
-    n = db + 1 + 2 * dab
     m = dab * dab + 1
-    a = np.zeros((m, n, n), dtype=complex)
+    # blocks sigma, mu, Z, Y
+    a = [np.zeros((m, nb, nb), dtype=complex) for nb in (db, 1, dab, dab)]
     b = np.zeros(m)
-    z0, y0 = db + 1, db + 1 + dab
     for k, ek in enumerate(basis):
-        a[k, :db, :db] = -np.einsum("ikil->kl", ek.reshape(da, db, da, db))
-        a[k, db, db] = np.real(np.trace(ek @ rho.matrix))
-        a[k, z0:y0, z0:y0] = -ek
-        a[k, y0:, y0:] = ek
-    a[m - 1, :db, :db] = np.eye(db)
+        a[0][k] = -np.einsum("ikil->kl", ek.reshape(da, db, da, db))
+        a[1][k] = np.real(np.trace(ek @ rho.matrix))
+        a[2][k] = -ek
+        a[3][k] = ek
+    a[0][m - 1] = np.eye(db)
     b[m - 1] = 1.0
-    c = np.zeros((n, n), dtype=complex)
-    c[db, db] = 1.0 - eps
-    c[z0:y0, z0:y0] = -np.eye(dab)
-    res = sdp.solve_stack(c, a, b, "max", (db, 1, dab, dab))
+    c = [np.zeros((db, db)), np.full((1, 1), 1.0 - eps), -np.eye(dab),
+         np.zeros((dab, dab))]
+    res = sdp.solve_stack(c, a, b, "max")
     return math.log2(max(float(res["primal_value"][0]), 1e-300)), bool(res["ok"][0])
 
 

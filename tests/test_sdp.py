@@ -3,21 +3,21 @@ import pytest
 import scipy.linalg
 
 from minent import _sampling, cli, sdp
-from minent.channels import (KrausMap, _diamond_objective,
-                             _diamond_problem_data, choi_matrix, dephasing2)
+from minent.channels import (KrausMap, _diamond_problem_data, choi_matrix,
+                             dephasing2)
 from minent.decoupling import _cp_choi_checked
 from minent.dynamical import _pure_outputs
 from minent.entropies import (_cond_min_up_sides, cond_min_entropy_down_many,
                               cond_min_entropy_up_many)
 from minent.linalg import TOL, hermitian_basis, maximally_entangled
-from minent.sdp import _block_slices, solve_stack
+from minent.sdp import solve_stack
 
 from conftest import random_qubit_channels
 
 
 def cond_min_problem(rho, da, db, scale=1.0):
-    """min tr(sigma) s.t. 1_A (x) sigma >= rho, as block SDP data
-    (c, a, b, blocks) for `solve_stack`.
+    """min tr(sigma) s.t. 1_A (x) sigma >= rho, as per-block SDP data
+    (c, a, b) for `solve_stack`.
 
     This is the slack form, blocks (sigma, Y) with Y = 1 (x) sigma - rho
     and (d_A d_B)^2 constraints, not the d_B^2-constraint form that
@@ -25,27 +25,19 @@ def cond_min_problem(rho, da, db, scale=1.0):
     `TestCrossForm` holds the library's form against it.
     """
     dab = da * db
-    n = db + dab
     basis = hermitian_basis(dab)
-    a = np.zeros((dab * dab, n, n), dtype=complex)
-    a[:, :db, :db] = -np.einsum("nikil->nkl", basis.reshape(-1, da, db, da, db))
-    a[:, db:, db:] = basis
+    a = [-np.einsum("nikil->nkl", basis.reshape(-1, da, db, da, db)), basis]
     b = -np.einsum("kij,ji->k", basis, rho).real
-    c = np.zeros((n, n), dtype=complex)
-    c[:db, :db] = scale * np.eye(db)
-    return c, a, b, (db, dab)
+    return [scale * np.eye(db), np.zeros((dab, dab))], a, b
 
 
-def solve_one(c, a, b, blocks, sense="min", keep_trace=False):
-    """Instance 0 of a solve, as {key: value}; x is the block-diagonal
-    primal matrix."""
-    res = solve_stack(c, a, b, sense, blocks, keep_trace=keep_trace)
-    x = np.zeros(c.shape[-2:], dtype=complex)
-    for s_, xb in zip(_block_slices(blocks), res["x_complex"]):
-        x[s_, s_] = xb[0]
+def solve_one(c, a, b, sense="min", keep_trace=False):
+    """Instance 0 of a solve, as {key: value}; x is the list of its
+    primal blocks."""
+    res = solve_stack(c, a, b, sense, keep_trace=keep_trace)
     one = {k: v[0] for k, v in res.items()
            if k not in ("x_complex", "trace")}
-    return dict(one, x=x, trace=res["trace"])
+    return dict(one, x=[xb[0] for xb in res["x_complex"]], trace=res["trace"])
 
 
 RHO3 = np.diag([0.1, 0.2, 0.7]).astype(complex)
@@ -98,18 +90,18 @@ class TestSolve:
         assert scaled == pytest.approx(3.5 * base, rel=1e-6)
 
     def test_primal_certificate_consistent(self):
-        c, a, b, blocks = cond_min_problem(maximally_entangled(2).matrix, 2, 2)
-        sol = solve_one(c, a, b, blocks)
+        c, a, b = cond_min_problem(maximally_entangled(2).matrix, 2, 2)
+        sol = solve_one(c, a, b)
         x = sol["x"]
-        assert np.trace(c @ x).real == pytest.approx(sol["primal_value"],
-                                                     abs=1e-8)
-        worst = np.abs(np.einsum("kij,ji->k", a, x).real - b).max()
-        assert worst < 1e-8
-        assert np.linalg.eigvalsh(x).min() > -1e-9
+        assert sum(np.trace(cb @ xb).real for cb, xb in zip(c, x)) == \
+            pytest.approx(sol["primal_value"], abs=1e-8)
+        lhs = sum(np.einsum("kij,ji->k", ab, xb).real for ab, xb in zip(a, x))
+        assert np.abs(lhs - b).max() < 1e-8
+        assert min(np.linalg.eigvalsh(xb).min() for xb in x) > -1e-9
 
     def test_infeasible(self):
-        sol = solve_one(np.eye(2, dtype=complex), np.eye(2, dtype=complex)[None],
-                        np.array([-1.0]), (2,))
+        sol = solve_one([np.eye(2, dtype=complex)],
+                        [np.eye(2, dtype=complex)[None]], np.array([-1.0]))
         assert sol["status_str"] == "infeasible" and not sol["ok"]
 
     def test_deterministic(self):
@@ -121,7 +113,7 @@ class TestSolve:
 
     def test_max_sense(self):
         # max tr(rho X) s.t. tr X = 1, X >= 0 equals lambda_max(rho)
-        sol = solve_one(RHO3, EYE3, np.array([1.0]), (3,), "max")
+        sol = solve_one([RHO3], [EYE3], np.array([1.0]), "max")
         assert sol["status_str"] == "optimal" and sol["ok"]
         assert sol["primal_value"] == pytest.approx(0.7, abs=1e-7)
         assert sol["dual_value"] >= sol["primal_value"] - 1e-7
@@ -129,34 +121,40 @@ class TestSolve:
     def test_validation(self):
         none = np.zeros((0, 2, 2))
         with pytest.raises(ValueError, match="Hermitian"):
-            solve_stack(np.array([[0, 1], [0, 0]]), none, [], "min")
+            solve_stack([np.array([[0, 1], [0, 0]])], [none], [], "min")
         with pytest.raises(ValueError, match="sense"):
-            solve_stack(np.eye(2), none, [], "maximize")
-        with pytest.raises(ValueError, match="block dims"):
-            solve_stack(np.eye(2), none, [], "min", (3,))
+            solve_stack([np.eye(2)], [none], [], "maximize")
+        with pytest.raises(ValueError, match="one array per block"):
+            solve_stack([np.eye(2)], [none, none], [], "min")
         with pytest.raises(ValueError, match="exceeds 64"):
-            solve_stack(np.eye(80), np.zeros((0, 80, 80)), [], "min")
+            solve_stack([np.eye(80)], [np.zeros((0, 80, 80))], [], "min")
 
 
 class TestSolveStackInput:
     # more cases than test_validation's; each used to solve something, or
     # fail inside the solver
     @pytest.mark.parametrize("args, match", [
-        ((RHO3, EYE3, [1.0], "MIN"), "sense"),
-        ((RHO3, EYE3, [1.0], "max", (2,)), "block dims"),
-        ((RHO3 + 1e-11j * np.triu(np.ones((3, 3)), 1), EYE3, [1.0]),
+        (([RHO3], [EYE3], [1.0], "MIN"), "sense"),
+        (([RHO3, RHO3], [EYE3], [1.0], "max"), "one array per block"),
+        (([RHO3, np.eye(2)], [EYE3, EYE3], [1.0], "max"),
+         "the objective block's"),
+        (([RHO3, np.eye(2)], [EYE3, np.stack([np.eye(2)] * 2)], [1.0]),
+         "share their count m"),
+        (([RHO3 + 1e-11j * np.triu(np.ones((3, 3)), 1)], [EYE3], [1.0]),
          "Hermitian"),
-        ((RHO3, EYE3 + np.triu(np.ones((3, 3)), 1), [1.0]), "Hermitian"),
-        ((np.full((3, 3), np.nan), EYE3, [1.0]), "Hermitian"),
-        ((np.stack([RHO3] * 3), EYE3, np.ones((5, 1))), "batch"),
-        ((RHO3[:, :2], EYE3, [1.0]), "objective"),
-        ((RHO3, np.eye(2)[None], [1.0]), "constraints"),
-        ((RHO3, EYE3, [1.0, 2.0]), "rhs"),
-        ((np.eye(65), np.eye(65)[None], [1.0]), "exceeds 64"),
-    ], ids=["sense-upper", "blocks-short", "objective-above-tol",
+        (([RHO3], [EYE3 + np.triu(np.ones((3, 3)), 1)], [1.0]), "Hermitian"),
+        (([np.full((3, 3), np.nan)], [EYE3], [1.0]), "Hermitian"),
+        (([np.stack([RHO3] * 3)], [EYE3], np.ones((5, 1))), "batch"),
+        (([RHO3[:, :2]], [EYE3], [1.0]), "objective"),
+        (([np.zeros((0, 0))], [np.zeros((1, 0, 0))], [1.0]), "n_b >= 1"),
+        (([RHO3], [np.eye(2)[None]], [1.0]), "constraints"),
+        (([RHO3], [EYE3], [1.0, 2.0]), "rhs"),
+        (([np.eye(65)], [np.eye(65)[None]], [1.0]), "exceeds 64"),
+    ], ids=["sense-upper", "block-count", "block-dim-mismatch",
+            "block-m-mismatch", "objective-above-tol",
             "constraint-nonherm", "objective-nan",
-            "batch-mismatch", "objective-shape", "constraint-shape",
-            "rhs-length", "dim-cap"])
+            "batch-mismatch", "objective-shape", "block-empty",
+            "constraint-shape", "rhs-length", "dim-cap"])
     def test_rejects(self, args, match):
         with pytest.raises(ValueError, match=match):
             solve_stack(*args)
@@ -165,13 +163,13 @@ class TestSolveStackInput:
         # deviations at TOL.herm pass: the callers build their data from
         # products whose Hermiticity holds only to roundoff
         c = RHO3 + TOL.herm * 1j * np.triu(np.ones((3, 3)), 1)
-        res = solve_stack(c, EYE3, [1.0], "max")
+        res = solve_stack([c], [EYE3], [1.0], "max")
         assert res["ok"][0]
         assert res["primal_value"][0] == pytest.approx(0.7, abs=1e-7)
 
     def test_ok_mask_is_optimal_status(self):
         # min tr X s.t. tr X = b: optimal at b = 1, infeasible at b = -1
-        res = solve_stack(np.eye(2), np.eye(2)[None], [[1.0], [-1.0]])
+        res = solve_stack([np.eye(2)], [np.eye(2)[None]], [[1.0], [-1.0]])
         assert res["status_str"] == ["optimal", "infeasible"]
         assert res["ok"].tolist() == [s == "optimal" for s in res["status_str"]]
         assert res["ok"].tolist() == (res["status"] == 0).tolist()
@@ -181,7 +179,7 @@ class TestSolveStackInput:
         # feasible with zero gap, but its dual residual is 1, so the same
         # certificate that ends an instance early must refuse it here
         monkeypatch.setattr(sdp, "MAX_ITER", 0)
-        res = solve_stack(np.zeros((1, 1)), np.ones((1, 1, 1)), [1.0])
+        res = solve_stack([np.zeros((1, 1))], [np.ones((1, 1, 1))], [1.0])
         assert res["status_str"] == ["max-iterations"]
         assert res["gap"][0] == 0.0 and res["pres"][0] == 0.0
         assert res["dres"][0] == pytest.approx(1.0)
@@ -191,15 +189,12 @@ class TestSolveStack:
     def test_batched_matches_single(self, rng):
         mats = _sampling.random_density_matrices(rng, 4, 12)
         basis = hermitian_basis(4)
-        n = 6
-        a = np.zeros((16, n, n), dtype=complex)
+        a = [np.zeros((16, nb, nb), dtype=complex) for nb in (2, 4)]
         for k, ek in enumerate(basis):
-            a[k, :2, :2] = -np.einsum("ikil->kl", ek.reshape(2, 2, 2, 2))
-            a[k, 2:, 2:] = ek
-        c = np.zeros((n, n), dtype=complex)
-        c[:2, :2] = np.eye(2)
+            a[0][k] = -np.einsum("ikil->kl", ek.reshape(2, 2, 2, 2))
+            a[1][k] = ek
         bs = -np.einsum("kij,bji->bk", basis, mats).real
-        res = solve_stack(c, a, bs, "min", (2, 4))
+        res = solve_stack([np.eye(2), np.zeros((4, 4))], a, bs, "min")
         assert all(s == "optimal" for s in res["status_str"])
         assert res["ok"].all()
         for i in (0, 5, 11):
@@ -230,18 +225,18 @@ class TestSolveStack:
         # the iterate factorizations of chosen qubit diamond-norm instances
         # fail in the first three iterations, as iterates that lose
         # definiteness to roundoff do; only those take the clamp
-        cs, a, b, blocks = diamond_stack(39, 12)
+        js, a, b = diamond_stack(39, 12)
         victims = [1, 4]
-        calls = 3 * 2 * len(blocks)  # one X and one S factor per block
+        calls = 3 * 2 * len(a)  # one X and one S factor per block
         fired = fail_factors(monkeypatch, "_chol_psd", victims, calls)
-        res = solve_stack(cs, a, b, "max", blocks)
+        res = solve_diamonds(js, a, b)
         assert any(size > 1 for size in fired)
-        assert fired == [len(cs)] * calls  # no instance left the stack yet
+        assert fired == [len(js)] * calls  # no instance left the stack yet
         monkeypatch.undo()
-        for i, c in enumerate(cs):
+        for i, j in enumerate(js):
             if i in victims:
                 fail_factors(monkeypatch, "_chol_psd", [0], calls)
-            solo = solve_stack(c, a, b, "max", blocks)
+            solo = solve_diamonds(j, a, b)
             monkeypatch.undo()
             assert res["status_str"][i] == solo["status_str"][0]
             assert res["iters"][i] == solo["iters"][0]
@@ -252,26 +247,26 @@ class TestSolveStack:
         # the Schur factorizations of chosen diamond-norm instances fail in
         # the first three iterations; only those get the ridge, so each
         # instance follows its solo path
-        cs, a, b, blocks = diamond_stack(3, 12)
+        js, a, b = diamond_stack(3, 12)
         victims = [0, 3]
         fired = fail_factors(monkeypatch, "_schur_inv_factor", victims, 3)
-        res = solve_stack(cs, a, b, "max", blocks)
+        res = solve_diamonds(js, a, b)
         assert fired
-        assert fired == [len(cs)] * 3
+        assert fired == [len(js)] * 3
         assert res["ok"].all()
         monkeypatch.undo()
-        assert_matches_solo(res, cs, a, b, blocks,
-                            [i for i in range(len(cs)) if i not in victims])
+        assert_matches_solo(res, js, a, b,
+                            [i for i in range(len(js)) if i not in victims])
         for i in victims:
             fail_factors(monkeypatch, "_schur_inv_factor", [0], 3)
-            assert_matches_solo(res, cs, a, b, blocks, [i])
+            assert_matches_solo(res, js, a, b, [i])
             monkeypatch.undo()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_iterate_ends_only_its_instance(self, monkeypatch):
         # an overflow in one instance turns its iterate non-finite; that
         # instance ends with "numerical-error", the others run on unchanged
-        cs, a, b, blocks = diamond_stack(3, 12)
+        js, a, b = diamond_stack(3, 12)
         victim = 2
         done = []
         nt_scaling = sdp._nt_scaling
@@ -286,12 +281,12 @@ class TestSolveStack:
             return w, s_inv, px, ps
 
         monkeypatch.setattr(sdp, "_nt_scaling", poisoned)
-        res = solve_stack(cs, a, b, "max", blocks)
+        res = solve_diamonds(js, a, b)
         monkeypatch.undo()
         assert res["status_str"][victim] == "numerical-error"
         assert res["iters"][victim] == 1
-        others = [i for i in range(len(cs)) if i != victim]
-        assert_matches_solo(res, cs, a, b, blocks, others)
+        others = [i for i in range(len(js)) if i != victim]
+        assert_matches_solo(res, js, a, b, others)
 
 
 def bracket_states(da, db):
@@ -354,9 +349,9 @@ class TestIterationTail:
 
     def test_qubit_diamond_stack(self):
         # mean 13.9 and max 36 here; 34.9 and 151 before
-        cs, a, b, blocks = diamond_stack(7, 1000)
-        res = solve_stack(cs, a, b, "max", blocks)
-        assert len(cs) == 500 and res["ok"].all()
+        js, a, b = diamond_stack(7, 1000)
+        res = solve_diamonds(js, a, b)
+        assert len(js) == 500 and res["ok"].all()
         assert res["iters"].mean() <= 18
         assert res["iters"].max() <= 60
 
@@ -376,13 +371,13 @@ class TestIterationTail:
 
 
 def spy_iterations(monkeypatch):
-    """Record (blocks, iters) of every `sdp.solve_stack` call."""
+    """Record (block dims, iters) of every `sdp.solve_stack` call."""
     seen = []
     real = sdp.solve_stack
 
-    def spy(c, a, b, sense="min", blocks=None, **kwargs):
-        res = real(c, a, b, sense, blocks, **kwargs)
-        seen.append((blocks, res["iters"]))
+    def spy(c, a, b, sense="min", **kwargs):
+        res = real(c, a, b, sense, **kwargs)
+        seen.append((tuple(np.shape(ab)[-1] for ab in a), res["iters"]))
         return res
 
     monkeypatch.setattr(sdp, "solve_stack", spy)
@@ -403,12 +398,19 @@ def spy_results(monkeypatch):
 
 
 def diamond_stack(seed, count):
-    """Qubit diamond-norm problems for count/2 differences of channels."""
+    """Qubit diamond-norm problems for count/2 differences of channels:
+    (js, a, b), js the stack of Choi-matrix differences."""
     chans = random_qubit_channels(seed, count)
     chois = [choi_matrix(ch, normalized=False).matrix for ch in chans]
-    cs = np.stack([_diamond_objective(chois[i] - chois[i + 1], 2, 2)
-                   for i in range(0, count, 2)])
-    return (cs,) + _diamond_problem_data(2, 2)
+    js = np.stack([chois[i] - chois[i + 1] for i in range(0, count, 2)])
+    return (js,) + _diamond_problem_data(2, 2)
+
+
+def solve_diamonds(js, a, b):
+    """Solve the diamond-norm SDPs whose objective's W block is js, (4, 4)
+    or (B, 4, 4); its other blocks are zero."""
+    return solve_stack([js] + [np.zeros(ab.shape[1:]) for ab in a[1:]], a, b,
+                       "max")
 
 
 def fail_factors(monkeypatch, caller, victims, calls):
@@ -440,9 +442,9 @@ def fail_factors(monkeypatch, caller, victims, calls):
     return fired
 
 
-def assert_matches_solo(res, cs, a, b, blocks, which=None):
-    for i in range(len(cs)) if which is None else which:
-        solo = solve_stack(cs[i], a, b, "max", blocks)
+def assert_matches_solo(res, js, a, b, which=None):
+    for i in range(len(js)) if which is None else which:
+        solo = solve_diamonds(js[i], a, b)
         assert res["status_str"][i] == solo["status_str"][0]
         assert res["iters"][i] == solo["iters"][0]
         assert res["primal_value"][i] == pytest.approx(

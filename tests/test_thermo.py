@@ -254,16 +254,44 @@ class TestJointErasureSdp:
         assert ok_again[0]
         assert abs(again[0] - bits) <= 1e-6
 
-    def test_validation(self):
+    def test_qutrit_replacer_beyond_sum_cap(self):
+        # blocks (9, 3, 27, 27) sum to 66, but each is within the solver's
+        # per-block cap; the value lies between the one-input SDP at the
+        # maximally mixed input, blocks (9, 1, 27, 27), and the certified
+        # ceiling, which agree here (-1.7369656 bits)
+        ch = make_named_channel("replacer", dims=3)
+        v = stinespring_isometry(ch).isometry
+        bits, _, ok = cond_hypothesis_entropy_sup(0.1, v, 3, 9)
+        assert ok
+        vals, ok_one = cond_hypothesis_entropy_many(
+            0.1, (v @ v.conj().T / 3)[None], 3, 9)
+        assert ok_one[0]
+        ceiling = -channel_min_entropy(ch) + math.log2(0.9)
+        assert bits >= vals[0] - 1e-6 and bits <= ceiling + 1e-6
+        assert abs(bits - vals[0]) <= 1e-6 and abs(bits - ceiling) <= 1e-6
+
+    def test_validation(self, monkeypatch):
         v = stinespring_isometry(depolarizing(0.5)).isometry
         with pytest.raises(ValueError, match="eps"):
             cond_hypothesis_entropy_sup(0.0, v, 2, 4)
         with pytest.raises(ValueError, match="isometry"):
             cond_hypothesis_entropy_sup(0.1, v, 2, 2)
-        # 36 + 6 + 2 * 216: refused before any data is built
+        # refused before any data is built
+        from minent import entropies
+
+        def unreachable(d):
+            raise AssertionError("SDP data built")
+
+        monkeypatch.setattr(entropies, "hermitian_basis", unreachable)
+        # blocks (36, 6, 216, 216): 216 is over the per-block cap
         v6 = stinespring_isometry(make_named_channel("replacer", dims=6)).isometry
         with pytest.raises(ValueError, match="exceeds 64"):
             cond_hypothesis_entropy_sup(0.1, v6, 6, 36)
+        # blocks (16, 4, 64, 64) each fit, but 4097 constraints of
+        # 16^2 + 4^2 + 2 * 64^2 entries are over the constraint-data cap
+        v4 = stinespring_isometry(make_named_channel("replacer", dims=4)).isometry
+        with pytest.raises(ValueError, match="exceeds"):
+            cond_hypothesis_entropy_sup(0.1, v4, 4, 16)
 
 
 class TestAdversarialBound:
