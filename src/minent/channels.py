@@ -52,17 +52,13 @@ class KrausMap:
     in_dim: int
     out_dim: int
 
-    def __init__(self, kraus, in_dim=None, out_dim=None):
+    def __init__(self, kraus):
         ops = tuple(np.array(k, dtype=complex) for k in kraus)
         if not ops:
             raise ValueError("need at least one Kraus operator")
         dout, din = ops[0].shape
         if any(k.shape != (dout, din) for k in ops):
             raise ValueError("all Kraus operators must share one shape")
-        if in_dim is not None and in_dim != din:
-            raise ValueError("in_dim does not match Kraus shape")
-        if out_dim is not None and out_dim != dout:
-            raise ValueError("out_dim does not match Kraus shape")
         for k in ops:
             k.flags.writeable = False
         object.__setattr__(self, "kraus", ops)
@@ -77,8 +73,8 @@ class KrausMap:
 class QuantumChannel(KrausMap):
     """Trace-preserving Kraus map: sum K†K = identity."""
 
-    def __init__(self, kraus, in_dim=None, out_dim=None):
-        KrausMap.__init__(self, kraus, in_dim, out_dim)
+    def __init__(self, kraus):
+        KrausMap.__init__(self, kraus)
         gap = np.abs(self.completeness() - np.eye(self.in_dim)).max()
         if not gap <= 1e-10:  # also rejects a NaN gap from overflowing input
             raise ValueError(f"Kraus completeness violated by {gap:.3e}")

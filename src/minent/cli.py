@@ -74,6 +74,9 @@ def cmd_entropy(args) -> int:
         return EXIT_BAD_SPEC
     try:
         report = dynamical.channel_min_entropy_scan(channel, args.n, args.seed)
+    except ValueError as exc:  # a sample count below 1, or an SDP too large
+        print(f"invalid arguments: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     except (sdp.SdpFailure, RuntimeError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -184,12 +187,15 @@ def cmd_decouple(args) -> int:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     try:
+        if not isinstance(spec, dict):
+            raise ValueError("must be a JSON object")
+        eps = channels._real(spec.get("epsilon", 0.0), "epsilon")
         if args.mode == "states":
-            report = _decouple_states_from_spec(spec, args)
+            report = _decouple_states_from_spec(spec, eps, args)
         elif args.mode == "channel":
-            report = _decouple_channel_from_spec(spec, args)
+            report = _decouple_channel_from_spec(spec, eps, args)
         else:
-            return _decouple_subsystem_from_spec(spec, args)
+            return _decouple_subsystem_from_spec(spec, eps, args)
     except (ValueError, KeyError) as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
@@ -205,10 +211,13 @@ def cmd_decouple(args) -> int:
 
 def _state_from_spec(spec) -> DensityOperator:
     name = spec.get("state", "maximally-entangled")
+    d = channels._positive_int(spec.get("dim", 2), "dim")
+    # the bound's S_min SDP has the (d, d) state as one block and d^2
+    # constraints: refuse a state it cannot take before building it
+    sdp.check_size((d * d,), d * d)
     if name == "maximally-entangled":
-        return maximally_entangled(int(spec.get("dim", 2)))
+        return maximally_entangled(d)
     if name == "product-mixed":
-        d = int(spec.get("dim", 2))
         return DensityOperator(np.eye(d * d) / (d * d), (d, d))
     raise ValueError(f"unknown state {name!r}")
 
@@ -224,20 +233,18 @@ def _post_map(spec, da):
     raise ValueError(f"unknown post-processing map {name!r}")
 
 
-def _decouple_states_from_spec(spec, args):
+def _decouple_states_from_spec(spec, eps, args):
     phi = _state_from_spec(spec)
     t_map = _post_map(spec, phi.dims[1])
     sampler = decoupling.HaarSampler(phi.dims[1], seed=args.seed)
-    return decoupling.decouple_states_mc(phi, t_map, args.n,
-                                         float(spec.get("epsilon", 0.0)), sampler)
+    return decoupling.decouple_states_mc(phi, t_map, args.n, eps, sampler)
 
 
-def _decouple_channel_from_spec(spec, args):
+def _decouple_channel_from_spec(spec, eps, args):
     channel = channels.channel_from_spec(spec["channel"])
     t_map = _post_map(spec, channel.out_dim)
     sampler = decoupling.HaarSampler(channel.out_dim, seed=args.seed)
-    return decoupling.decouple_channel_mc(channel, t_map, args.n,
-                                          float(spec.get("epsilon", 0.0)), sampler)
+    return decoupling.decouple_channel_mc(channel, t_map, args.n, eps, sampler)
 
 
 def _stinespring_state(channel) -> DensityOperator:
@@ -249,14 +256,13 @@ def _stinespring_state(channel) -> DensityOperator:
     return DensityOperator(big, (dr, iso.out_dim, iso.env_dim))
 
 
-def _decouple_subsystem_from_spec(spec, args) -> int:
+def _decouple_subsystem_from_spec(spec, eps, args) -> int:
     channel = channels.channel_from_spec(spec["channel"])
     phi = _stinespring_state(channel)
     sampler = decoupling.HaarSampler(phi.dims[1], seed=args.seed)
-    eps = float(spec.get("epsilon", 0.0))
     found = decoupling.find_decoupled_subsystem(
-        phi, float(spec.get("delta_prime", 0.2)), eps, sampler,
-        max_tries=args.n)
+        phi, channels._real(spec.get("delta_prime", 0.2), "delta_prime"), eps,
+        sampler, max_tries=args.n)
     _emit({
         "a1_dim": found.a1_dim,
         "trace_distance_to_product": found.trace_distance_to_product,
@@ -340,13 +346,15 @@ def _invariants(seed: int):
     yield "linalg.partial_transpose involution", \
         np.abs(pt2.matrix - a.matrix).max() < 1e-14, ""
 
-    # sdp
-    res = sdp.solve_stack([np.eye(2)], [np.eye(2)[None]], [1.0], "min",
-                          keep_trace=True)
-    # an empty trace checks nothing, so at least one iterate must be checked
-    weak = [d <= p + 1e-7 for p, d, pr, _ in res["trace"] if pr < 1e-6]
-    passed = bool(weak) and all(weak) and bool(res["ok"][0])
-    yield "sdp.weak_duality", passed, res["status_str"][0]
+    # sdp: the returned certificate; X and the dual slack S = C - sum y_i A_i
+    # are PSD, and the dual value is not above the primal one
+    c, a = np.eye(2), np.eye(2)[None]
+    res = sdp.solve_stack([c], [a], [1.0], "min")
+    slack = c - np.tensordot(res["y"][0], a, 1)
+    low = np.linalg.eigvalsh([res["x_complex"][0][0], slack]).min()
+    passed = res["ok"][0] and low >= -TOL.psd \
+        and res["dual_value"][0] <= res["primal_value"][0] + 1e-7
+    yield "sdp.weak_duality", bool(passed), res["status_str"][0]
 
     base = entropies.cond_min_entropy_up(phi)
     yield "sdp.closed_form_agreement Phi", abs(base + 1.0) < 1e-6, f"{base:.2e}"

@@ -45,9 +45,8 @@ class HaarSampler:
     def __post_init__(self):
         self._gen = _sampling.stream(self.seed, self.stream_id)
 
-    def unitaries(self, count: int, dim: int | None = None) -> np.ndarray:
-        return _sampling.haar_unitaries(self._gen,
-                                        self.dim if dim is None else dim, count)
+    def unitaries(self, count: int) -> np.ndarray:
+        return _sampling.haar_unitaries(self._gen, self.dim, count)
 
 
 @dataclass(frozen=True)
@@ -155,7 +154,7 @@ def decouple_states_mc(phi: DensityOperator, t_map: KrausMap, n: int,
     phi_r = partial_trace(phi.op, [0]).matrix
     target = np.kron(phi_r, target_b)
 
-    rotated = _rotate(sampler.unitaries(n, da), phi.matrix, dr)
+    rotated = _rotate(sampler.unitaries(n), phi.matrix, dr)
     outs = apply_many(t_map, rotated, left=dr)
     diffs = outs - target
     lhs = np.abs(np.linalg.eigvalsh(diffs)).sum(axis=1)
@@ -190,7 +189,7 @@ def decouple_channel_mc(channel: QuantumChannel, t_map: KrausMap, n: int,
     t_pi = apply_many(t_map, np.eye(da, dtype=complex)[None] / da)[0]
     gamma_target = np.kron(np.eye(dr), t_pi)
 
-    rotated = _rotate(sampler.unitaries(n, da), gamma_n, dr)
+    rotated = _rotate(sampler.unitaries(n), gamma_n, dr)
     pushed = apply_many(t_map, rotated, left=dr)
     diffs = [pushed[i] - gamma_target for i in range(n)]
     halves, ok = _diamond_batch(diffs, dr, t_map.out_dim)
@@ -253,7 +252,7 @@ def find_decoupled_subsystem(phi: DensityOperator, delta_prime: float,
             break
         d2 = da // d1
         target = np.kron(phi_r, np.eye(d1) / d1)
-        for u in sampler.unitaries(max_tries, da):
+        for u in sampler.unitaries(max_tries):
             big = HermitianOperator(_rotate(u[None], phi.matrix, dr, de)[0],
                                     (dr, d1, d2, de))
             red = partial_trace(big, [0, 1]).matrix
@@ -278,8 +277,8 @@ class ErasureProtocolReport:
 
 
 def erasure_protocol_work(phi: DensityOperator, delta_prime: float, eps: float,
-                          t_kelvin: float, sampler: HaarSampler | None = None,
-                          max_tries: int = 32) -> ErasureProtocolReport:
+                          t_kelvin: float,
+                          sampler: HaarSampler) -> ErasureProtocolReport:
     """Work ledger of the subsystem-decoupling erasure protocol.
 
     The protocol pays log|A| - 2 log|A1| bits after decoupling A1; the
@@ -289,11 +288,9 @@ def erasure_protocol_work(phi: DensityOperator, delta_prime: float, eps: float,
     rounds 2^gl down to a divisor of |A|, so the work can exceed the
     entropic form.
     """
-    if 2 * delta_prime - 12 * eps <= 0:
-        raise ValueError("bound undefined for delta' <= 6*eps")
     _, da, _ = phi.dims
-    sampler = sampler or HaarSampler(da, seed=2024, stream_id=0xE7A5)
-    found = find_decoupled_subsystem(phi, delta_prime, eps, sampler, max_tries)
+    # raises ValueError where the bound is undefined, delta' <= 6 eps
+    found = find_decoupled_subsystem(phi, delta_prime, eps, sampler)
     work_bits = math.log2(da) - 2 * math.log2(found.a1_dim)
     bound_bits = -found.s_min_ar - 2 * math.log2(2 * delta_prime - 12 * eps)
     return ErasureProtocolReport(

@@ -32,7 +32,6 @@ __all__ = [
     "cond_min_entropy_down_many",
     "cond_min_entropy_down_sdp",
     "cond_hypothesis_entropy",
-    "cond_hypothesis_entropy_many",
     "cond_hypothesis_entropy_sup",
     "smooth_min_entropy_lower_bound",
     "smooth_min_entropy_lower_bound_many",
@@ -315,45 +314,11 @@ def _hypothesis_dual(eps: float, da: int, db: int, r: int, input_block):
     return c, a, b
 
 
-def cond_hypothesis_entropy_many(eps: float, mats: np.ndarray, da: int,
-                                 db: int):
-    """Hypothesis-testing conditional entropy S_H(A|B) at error eps for a
-    stack of states (N, dab, dab).
-
-    Returns (values, ok) where ok flags the instances that certified.
-    eps = 0 is the closed form log2 lambda_max(tr_A Pi_rho), Pi_rho the
-    projector onto the support of rho, and every instance is ok. For
-    eps > 0 the inner test minimization is dualized, leaving one joint
-    maximization over (sigma, mu, Z):  max mu(1-eps) - tr Z  with
-    mu rho <= 1 (x) sigma + Z (`_hypothesis_dual` with r = 1); the
-    entropy is log2 of the optimum, one SDP per state.
-    """
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
-    mats = hermitian_part(np.asarray(mats, dtype=complex))
-    if eps == 0:
-        w, v = np.linalg.eigh(mats)
-        proj = hermitian_part((v * (w > TOL.support)[:, None])
-                              @ v.conj().swapaxes(-1, -2))
-        red = np.einsum("nakal->nkl", proj.reshape(-1, da, db, da, db))
-        vals = np.log2(np.clip(np.linalg.eigvalsh(red)[:, -1], 1e-300, None))
-        return vals, np.ones(len(mats), dtype=bool)
-    vals, ok = [], []
-    for rho in mats:
-        c, a, b = _hypothesis_dual(
-            eps, da, db, 1,
-            lambda basis: np.einsum("kij,ji->k", basis, rho).real[:, None, None])
-        res = sdp.solve_stack(c, a, b, "max")
-        vals.append(math.log2(max(float(res["primal_value"][0]), 1e-300)))
-        ok.append(bool(res["ok"][0]))
-    return np.array(vals), np.array(ok, dtype=bool)
-
-
 def cond_hypothesis_entropy_sup(eps: float, v: np.ndarray, da: int, db: int):
     """sup over input states rho of S_H(A|B) at error eps of V rho V^dag,
     for an isometry V (dab, d_in), as one SDP.
 
-    The dual in `cond_hypothesis_entropy_many` sees the state only through
+    The dual in `cond_hypothesis_entropy` sees the state only through
     mu rho (Wang and Renner, PRL 108, 200501 (2012)). With
     rho = V rho_in V^dag, P = mu rho_in ranges over every PSD matrix as mu
     and rho_in vary, so the supremum over inputs and the inner maximum
@@ -381,13 +346,30 @@ def cond_hypothesis_entropy_sup(eps: float, v: np.ndarray, da: int, db: int):
 
 
 def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
-    """S_H(A|B) of one state, the one-instance
-    `cond_hypothesis_entropy_many`; raises SdpFailure unless it certified."""
-    vals, ok = cond_hypothesis_entropy_many(eps, rho.matrix[None],
-                                            *_split_dims(rho))
-    if not ok[0]:
+    """Hypothesis-testing conditional entropy S_H(A|B) of one state at
+    error eps.
+
+    eps = 0 is the closed form log2 lambda_max(tr_A Pi_rho), Pi_rho the
+    projector onto the support of rho. For eps > 0 the inner test
+    minimization is dualized, leaving one joint maximization over
+    (sigma, mu, Z):  max mu(1-eps) - tr Z  with  mu rho <= 1 (x) sigma + Z
+    (`_hypothesis_dual` with r = 1); the entropy is log2 of the optimum.
+    Raises SdpFailure unless that SDP certified.
+    """
+    if not 0 <= eps < 1:
+        raise ValueError("eps must lie in [0, 1)")
+    da, db = _split_dims(rho)
+    if eps == 0:
+        proj = support_projector(rho.matrix)
+        red = np.einsum("akal->kl", proj.reshape(da, db, da, db))
+        return float(np.log2(max(np.linalg.eigvalsh(red)[-1], 1e-300)))
+    c, a, b = _hypothesis_dual(
+        eps, da, db, 1,
+        lambda basis: np.einsum("kij,ji->k", basis, rho.matrix).real[:, None, None])
+    res = sdp.solve_stack(c, a, b, "max")
+    if not res["ok"][0]:
         raise sdp.SdpFailure("conditional hypothesis SDP did not certify")
-    return float(vals[0])
+    return math.log2(max(float(res["primal_value"][0]), 1e-300))
 
 
 # ---------------------------------------------------------------------------

@@ -376,6 +376,8 @@ def maximally_mixed(d: int, dims=None) -> DensityOperator:
 
 def maximally_entangled(d: int) -> DensityOperator:
     """|Phi> = (1/sqrt(d)) sum_i |ii> as a density operator on d x d."""
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
     v = np.zeros(d * d)
     v[:: d + 1] = 1.0 / math.sqrt(d)
     return pure_state(v, (d, d))

@@ -20,7 +20,9 @@ is read off its arrays. The one entry point, `solve_stack`, checks its
 input and solves a stack of problems that share their constraint
 matrices in one sweep, because the Monte Carlo layers above solve
 thousands of small SDPs; a single SDP is a stack of one. `check_size`
-states which programs the solver takes.
+states which programs the solver takes. What a solve returns is its final
+certificate, the primal blocks X and the multipliers y, from which a
+caller can recompute the dual slack; no iterate is kept.
 
 Each matrix is factored once per iteration. The Cholesky factors Lx,
 Ls of the primal and dual iterates feed one SVD, G = Ls^H Lx = U Sig V^H,
@@ -58,7 +60,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .linalg import TOL
+from .linalg import TOL, hermitian_part
 
 __all__ = ["SdpFailure", "check_size", "solve_stack"]
 
@@ -85,10 +87,6 @@ SCHUR_CHUNK = 1 << 18  # float64s in one Schur-assembly temporary
 def _h(m):
     """Conjugate transpose of each matrix of a stack (a view if real)."""
     return m.conj().swapaxes(-1, -2)
-
-
-def _sym(m):
-    return (m + _h(m)) / 2
 
 
 def _chol_each(m):
@@ -128,7 +126,7 @@ def _chol_psd(m):
     if bad.any():
         w, q = np.linalg.eigh(m[bad])
         w = np.maximum(w, 1e-14 * np.maximum(w[..., -1:], 1.0))
-        lf[bad] = np.linalg.cholesky(_sym((q * w[..., None, :]) @ _h(q)))
+        lf[bad] = np.linalg.cholesky(hermitian_part((q * w[..., None, :]) @ _h(q)))
     return lf
 
 
@@ -148,8 +146,8 @@ def _nt_scaling(lx, ls):
     vlx = vh @ _h(lx)
     ps = vlx / sig
     px = (_h(u) @ _h(ls)) / sig
-    w = _sym(_h(vlx) @ ps)
-    s_inv = _sym(_h(ps) @ ps)
+    w = hermitian_part(_h(vlx) @ ps)
+    s_inv = hermitian_part(_h(ps) @ ps)
     return w, s_inv, px, ps
 
 
@@ -176,7 +174,7 @@ def _max_step(p, d):
     instance whose direction is not finite."""
     steps = None
     for pb, db in zip(p, d):
-        g = -_sym(pb @ db @ _h(pb))
+        g = -hermitian_part(pb @ db @ _h(pb))
         finite = np.isfinite(g).all(axis=(-1, -2))
         g[~finite] = 0.0
         lam = np.linalg.eigvalsh(g)[..., -1]
@@ -208,7 +206,7 @@ def _schur_matrix(w_nt, a_blocks):
             np.conjugate(t_h.swapaxes(-1, -2), out=t[:k])
             schur[lo:lo + k] += t[:k].view(np.float64).reshape(k, m, -1) @ \
                 t_h.view(np.float64).reshape(k, m, -1).swapaxes(-1, -2)
-    return _sym(schur)
+    return hermitian_part(schur)
 
 
 def _inv_chol(m):
@@ -254,7 +252,7 @@ def _inner(a, b):
                for x, y in zip(a, b))
 
 
-def _ipm(a_blocks, c_blocks, b, keep_trace=False):
+def _ipm(a_blocks, c_blocks, b):
     """Batched NT path-following IPM on complex Hermitian blocks.
 
     a_blocks: per block (m, nb, nb), shared across instances.
@@ -303,10 +301,9 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         "pobj": np.zeros(bsz), "dobj": np.zeros(bsz), "gap": np.full(bsz, np.inf),
         "pres": np.full(bsz, np.inf), "dres": np.full(bsz, np.inf),
         "iters": np.zeros(bsz, dtype=int),
-        "x": [np.zeros((bsz, nb, nb), dtype=complex) for nb in dims],
+        "x_complex": [np.zeros((bsz, nb, nb), dtype=complex) for nb in dims],
         "y": np.zeros((bsz, m)),
     }
-    trace = []
     cur = np.arange(bsz)  # global index of each working instance
     stall = np.zeros(bsz, dtype=int)
     mu_prev = np.full(bsz, np.inf)
@@ -322,7 +319,7 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         out["dres"][gidx] = dres[mask]
         out["iters"][gidx] = it
         for i in range(nblk):
-            out["x"][i][gidx] = x[i][mask]
+            out["x_complex"][i][gidx] = x[i][mask]
         out["y"][gidx] = y[mask]
 
     def keep_only(keep):
@@ -390,9 +387,6 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
             record(diverged, 1, pobj, dobj, pres, dres, it - 1)
         active = ~(done | diverged)
 
-        if keep_trace and cur.size and cur[0] == 0:
-            trace.append((float(pobj[0]), float(dobj[0]),
-                          float(pres[0]), float(dres[0])))
         if not active.any():
             cur = cur[:0]
             break
@@ -416,7 +410,7 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         schur_inv = _schur_inv_factor(schur, dscale)
         schur_inv_t = schur_inv.swapaxes(-1, -2)
 
-        a_wrw = op_a([_sym(w_nt[i] @ rd[i] @ w_nt[i]) for i in range(nblk)])
+        a_wrw = op_a([hermitian_part(w_nt[i] @ rd[i] @ w_nt[i]) for i in range(nblk)])
         a_sinv = op_a(s_inv)
 
         def solve_schur(rhs):
@@ -437,9 +431,9 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
             dy = solve_schur(rhs)
             at_dy = op_at(dy)
             ds = [rd[i] - at_dy[i] for i in range(nblk)]
-            dx = [_sym(sigma_mu[:, None, None] * s_inv[i] - x[i]
-                       - (corr[i] if corr is not None else 0.0)
-                       - w_nt[i] @ ds[i] @ w_nt[i]) for i in range(nblk)]
+            dx = [hermitian_part(sigma_mu[:, None, None] * s_inv[i] - x[i]
+                                 - (corr[i] if corr is not None else 0.0)
+                                 - w_nt[i] @ ds[i] @ w_nt[i]) for i in range(nblk)]
             return dy, dx, ds
 
         # predictor (affine scaling) step fixes the centering parameter
@@ -457,7 +451,7 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         sigma = np.clip(ratio ** expon, 1e-3, 0.99)
 
         # Mehrotra second-order term, symmetrized HKM style
-        corr = [_sym(dxa[i] @ dsa[i] @ s_inv[i]) for i in range(nblk)]
+        corr = [hermitian_part(dxa[i] @ dsa[i] @ s_inv[i]) for i in range(nblk)]
         dy, dx, ds = newton(sigma * mu, corr)
         ap = np.minimum(STEP_FRACTION * _max_step(px, dx), 1.0)
         ad = np.minimum(STEP_FRACTION * _max_step(ps, ds), 1.0)
@@ -475,7 +469,7 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
                 break
             ap = np.where(bad_p, 0.5 * ap, ap)
         x = x_try
-        s = [_sym(s[i] + ad[:, None, None] * ds[i]) for i in range(nblk)]
+        s = [hermitian_part(s[i] + ad[:, None, None] * ds[i]) for i in range(nblk)]
         y = y + ad[:, None] * dy
         step_prev = np.minimum(ap, ad)
 
@@ -487,7 +481,6 @@ def _ipm(a_blocks, c_blocks, b, keep_trace=False):
         record(~ok, 2, pobj, dobj, pres, dres, MAX_ITER)
 
     out["status"] = status
-    out["trace"] = trace
     return out
 
 
@@ -548,7 +541,7 @@ def _check_stack(c, a, b, sense):
     return max(sizes)
 
 
-def solve_stack(objective, constraints, rhs, sense="min", keep_trace=False):
+def solve_stack(objective, constraints, rhs, sense="min"):
     """Solve a stack of Hermitian SDPs that share their constraint
     matrices; the solver's one entry point (a single SDP is a stack of
     one).
@@ -563,8 +556,9 @@ def solve_stack(objective, constraints, rhs, sense="min", keep_trace=False):
     input of any other form. Returns a dict of per-instance arrays:
     primal_value, dual_value, gap, pres, dres, iters, y, x_complex (the
     primal blocks), status (index into _STATUS), status_str and ok
-    (status is optimal); with keep_trace, trace holds (primal_obj,
-    dual_obj, primal_res, dual_res) of instance 0 per iterate.
+    (status is optimal). y is the multiplier of the minimization of
+    sgn C, with sgn = 1 for "min" and -1 for "max": the dual slack is
+    S = sgn C - sum_i y_i A_i, and dual_value = sgn b.y.
     """
     c = [np.asarray(cb, dtype=complex) for cb in objective]
     a = [np.ascontiguousarray(ab, dtype=complex) for ab in constraints]
@@ -573,16 +567,11 @@ def solve_stack(objective, constraints, rhs, sense="min", keep_trace=False):
     sgn = 1.0 if sense == "min" else -1.0
     res = _ipm(a, [sgn * np.broadcast_to(cb, (bsz,) + cb.shape[-2:])
                    for cb in c],
-               np.ascontiguousarray(np.broadcast_to(b, (bsz, b.shape[-1]))),
-               keep_trace=keep_trace)
+               np.ascontiguousarray(np.broadcast_to(b, (bsz, b.shape[-1]))))
 
     # undo the sense flip
     res["primal_value"] = sgn * res.pop("pobj")
     res["dual_value"] = sgn * res.pop("dobj")
-    res["x_complex"] = res.pop("x")
     res["status_str"] = [_STATUS[k] for k in res["status"]]
     res["ok"] = res["status"] == 0
-    if keep_trace:
-        res["trace"] = [(sgn * p, sgn * d, pr, dr)
-                        for p, d, pr, dr in res["trace"]]
     return res

@@ -50,8 +50,8 @@ class WorkCost:
     certification: str = "exact"
 
     def __post_init__(self):
-        if self.temperature_kelvin <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature_kelvin < math.inf:  # NaN fails too
+            raise ValueError("temperature must be finite and positive")
 
     @property
     def joules(self) -> float:
@@ -208,9 +208,8 @@ def channel_costs(channel: QuantumChannel, mu: float, t_kelvin: float,
         # every full-rank input gives V rho V^dag the support range(V), so
         # they all share S_H^0(A|E), and no rank-deficient input exceeds it
         eras_state = np.eye(dr, dtype=complex) / dr
-        hvals, _ = entropies.cond_hypothesis_entropy_many(
-            0.0, (v @ eras_state @ v.conj().T)[None], da, de)
-        eras_bits = float(hvals[0])
+        eras_bits = entropies.cond_hypothesis_entropy(
+            0.0, DensityOperator(v @ eras_state @ v.conj().T, (da, de)))
         eras_label = "maximally-mixed input"
 
     # certified ceilings implied by the one-shot cost bounds

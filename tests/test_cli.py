@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from minent.cli import main
 
@@ -51,6 +55,18 @@ class TestEntropy:
                            "--n", "4", "--json")
         assert code == 0
         assert json.loads(out)["s_min"] == pytest.approx(0.0, abs=1e-9)
+
+    # these used to end in a ValueError traceback with exit 1
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "depolarizing", "--p", "0.5", "--n", "0"], "at least 1"),
+        (["--family", "depolarizing", "--p", "0.5", "--n", "-3"], "at least 1"),
+        (["--family", "replacer", "--dims", "9", "--n", "2"], "exceeds 64"),
+    ])
+    def test_invalid_arguments_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "entropy", *argv, "--json")
+        assert code == 2
+        assert out == ""
+        assert "invalid arguments" in err and message in err
 
 
 class TestSweep:
@@ -101,6 +117,37 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--families", "amplitude",
                          "--out", "/tmp/x.csv")
         assert code == 2
+
+
+DECOUPLE_MODES = ("states", "channel", "subsystem")
+# leaves of drawn specs; integers stay small, since a valid state of a
+# large dim makes an example take seconds (the large dims drawn for "dim"
+# are all refused)
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(-3, 4),
+                        st.floats(), st.text(max_size=4))
+# channel specs, most of them valid: the wire format's own fuzzing is in
+# test_channels
+CHANNEL_SPECS = st.sampled_from([
+    {"family": "depolarizing", "p": 0.9}, {"family": "dephasing2", "p": 0.3},
+    {"family": "replacer", "omega": "maximally-mixed", "dims": 3},
+    {"family": "povm", "dims": 4}, {"family": "unitary"},
+    '{"family": "dephasing1", "p": 0.5}', {"family": "bogus"}, {"p": 0.5},
+    None, 5, "x", [], {}])
+SPEC_FIELDS = {
+    "state": st.one_of(st.sampled_from(["maximally-entangled", "product-mixed",
+                                        "bogus"]), JSON_LEAVES),
+    "dim": st.one_of(JSON_LEAVES, st.sampled_from([9, 10 ** 6, 1e300])),
+    "post": st.one_of(st.sampled_from(["identity", "trace-half"]), JSON_LEAVES),
+    "epsilon": JSON_LEAVES,
+    "delta_prime": JSON_LEAVES,
+}
+# any JSON value, an object with any of the fields, or one with a channel
+DECOUPLE_SPECS = st.one_of(
+    st.recursive(JSON_LEAVES, lambda kids: st.lists(kids, max_size=2)
+                 | st.dictionaries(st.text(max_size=3), kids, max_size=2),
+                 max_leaves=4),
+    st.fixed_dictionaries({}, optional={**SPEC_FIELDS, "channel": CHANNEL_SPECS}),
+    st.fixed_dictionaries({"channel": CHANNEL_SPECS}, optional=SPEC_FIELDS))
 
 
 class TestDecouple:
@@ -170,6 +217,32 @@ class TestDecouple:
                          "--spec", '{"post": "identity"}', "--json")
         assert code == 2
 
+    # JSON that is not an object used to raise AttributeError or TypeError
+    # in every mode, and a state of dim 0 ZeroDivisionError
+    @pytest.mark.parametrize("mode, spec", [
+        *((mode, spec) for mode in DECOUPLE_MODES for spec in ("[1]", '"x"')),
+        ("states", '{"dim": 0}'),
+    ])
+    def test_malformed_spec_exits_2(self, capsys, mode, spec):
+        code, out, err = run(capsys, "decouple", "--mode", mode,
+                             "--spec", spec, "--n", "2", "--json")
+        assert code == 2
+        assert out == ""
+        assert "invalid spec" in err
+
+    @pytest.mark.parametrize("mode", DECOUPLE_MODES)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(spec=DECOUPLE_SPECS, n=st.integers(-1, 4))
+    @example(spec=[1], n=2)
+    @example(spec={"dim": 0}, n=2)
+    def test_fuzzed_spec_exits_cleanly(self, mode, spec, n):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["decouple", "--mode", mode, f"--spec={json.dumps(spec)}",
+                         f"--n={n}", "--json"])
+        assert code in (0, 2, 3)
+        assert "Traceback" not in err.getvalue()
+
 
 class TestCosts:
     def test_identity(self, capsys):
@@ -206,6 +279,15 @@ class TestCosts:
     def test_bad_mu(self, capsys):
         code, _, _ = run(capsys, "costs", "--family", "unitary", "--mu", "1.2")
         assert code == 2
+
+    @pytest.mark.parametrize("kelvin", ["nan", "inf", "0"])
+    def test_bad_temperature(self, capsys, kelvin):
+        # NaN and Infinity used to pass into the JSON, which is then invalid
+        code, out, err = run(capsys, "costs", "--family", "unitary", "--n", "2",
+                             "--temperature", kelvin, "--json")
+        assert code == 2
+        assert out == ""
+        assert "temperature must be finite and positive" in err
 
     def test_qutrit_replacer_erasure_sdp(self, capsys):
         # the erasure SDP's blocks (9, 3, 27, 27) sum to more than 64, but
@@ -282,18 +364,32 @@ class TestCheck:
         assert code == 1
         assert "FAIL" in out
 
-    def test_empty_trace_fails_weak_duality(self, capsys, monkeypatch):
-        # with no iterate to check, weak duality would hold vacuously
+    @pytest.mark.parametrize("fault", ["status", "primal-not-psd",
+                                       "slack-not-psd", "dual-above-primal"])
+    def test_corrupted_certificate_fails_weak_duality(self, capsys, monkeypatch,
+                                                      fault):
+        # the line recomputes what the returned certificate claims; each
+        # fault is made in the first SDP that check solves, its toy program
         from minent import sdp
 
         solve_stack = sdp.solve_stack
+        calls = []
 
-        def traceless(*args, **kw):
+        def corrupted(*args, **kw):
             res = solve_stack(*args, **kw)
-            res["trace"] = []
+            calls.append(None)
+            if len(calls) == 1:
+                if fault == "status":
+                    res["ok"][0] = False
+                elif fault == "primal-not-psd":
+                    res["x_complex"][0][0] = np.diag([1.5, -0.5])
+                elif fault == "slack-not-psd":
+                    res["y"][0] += 1e-6
+                else:
+                    res["dual_value"][0] = res["primal_value"][0] + 1e-6
             return res
 
-        monkeypatch.setattr(sdp, "solve_stack", traceless)
+        monkeypatch.setattr(sdp, "solve_stack", corrupted)
         code, out, _ = run(capsys, "check")
         assert code == 1
         assert "FAIL sdp.weak_duality  [optimal]" in out

@@ -51,9 +51,8 @@ class TestHaar:
             assert np.array_equal(np.stack(ref), kraus)
 
     def test_invalid_dim(self):
-        # an explicit dim of 0 is an error, not "use the sampler's dim"
         with pytest.raises(ValueError):
-            HaarSampler(2, seed=1).unitaries(1, 0)
+            HaarSampler(0, seed=1).unitaries(1)
         with pytest.raises(ValueError):
             _sampling.haar_unitaries(_sampling.stream(1), 0, 1)
 
@@ -197,12 +196,17 @@ class TestSubsystemSearch:
             SubsystemSearchResult(2, 0.5, 0.1, np.eye(4), 1, 0.0)
 
 
+def protocol_sampler(phi):
+    """A Haar sampler on the A of a state on (R, A, E)."""
+    return HaarSampler(phi.dims[1], seed=2024, stream_id=0xE7A5)
+
+
 class TestErasureProtocol:
     def test_fully_decoupled_extracts(self):
         va = np.zeros(16)
         va[0::5] = 0.5
         phi = pure_state(np.kron([1.0, 0.0], va), (2, 4, 4))
-        rep = erasure_protocol_work(phi, 0.01, 0.0, 300.0)
+        rep = erasure_protocol_work(phi, 0.01, 0.0, 300.0, protocol_sampler(phi))
         assert rep.work.bits == pytest.approx(-2.0)
         assert rep.work.extractable()
         assert rep.a1_dim >= rep.guaranteed_dim
@@ -214,8 +218,9 @@ class TestErasureProtocol:
                                                          delta_prime):
         # guaranteed_dim rounds 2^gl down to a divisor of |A|, so meeting it
         # does not put the work under log|A| - 2 gl
-        rep = erasure_protocol_work(_stinespring_state(channel, 2),
-                                    delta_prime, 0.0, 300.0)
+        phi = _stinespring_state(channel, 2)
+        rep = erasure_protocol_work(phi, delta_prime, 0.0, 300.0,
+                                    protocol_sampler(phi))
         assert rep.a1_dim == rep.guaranteed_dim
         assert rep.work.bits > rep.entropy_bound.bits + 0.2
 
@@ -230,7 +235,7 @@ class TestErasureProtocol:
 
         monkeypatch.setattr(entropies, "smooth_min_entropy_lower_bound", counted)
         phi = _stinespring_state(depolarizing(0.9), 2)
-        rep = erasure_protocol_work(phi, 0.35, 0.0, 300.0)
+        rep = erasure_protocol_work(phi, 0.35, 0.0, 300.0, protocol_sampler(phi))
         assert len(calls) == 1
         assert rep.entropy_bound.bits == pytest.approx(
             -bound(0.0, calls[0][1]) - 2 * math.log2(0.7), abs=1e-12)
@@ -239,7 +244,7 @@ class TestErasureProtocol:
         ent = pure_state(np.array([1 if i % 5 == 0 else 0 for i in range(16)]),
                          (4, 4))
         phi = DensityOperator(ent.matrix, (4, 4, 1))
-        rep = erasure_protocol_work(phi, 0.2, 0.0, 300.0)
+        rep = erasure_protocol_work(phi, 0.2, 0.0, 300.0, protocol_sampler(phi))
         assert rep.a1_dim == 1
         assert rep.work.bits == pytest.approx(2.0)  # log|A| with trivial A1
 
@@ -248,4 +253,4 @@ class TestErasureProtocol:
         va[0::5] = 0.5
         phi = pure_state(np.kron([1.0, 0.0], va), (2, 4, 4))
         with pytest.raises(ValueError):
-            erasure_protocol_work(phi, 0.05, 0.01, 300.0)
+            erasure_protocol_work(phi, 0.05, 0.01, 300.0, protocol_sampler(phi))

@@ -6,7 +6,6 @@ import pytest
 from minent import _sampling, sdp
 from minent.channels import apply, apply_many, depolarizing
 from minent.entropies import (_in_ball, cond_hypothesis_entropy,
-                              cond_hypothesis_entropy_many,
                               cond_min_entropy_down, cond_min_entropy_down_many,
                               cond_min_entropy_down_sdp, cond_min_entropy_up,
                               d_hypothesis, d_max, d_max_sdp,
@@ -266,17 +265,17 @@ class TestBatchedClosedForms:
 
     def test_hypothesis_zero_many_matches_projector(self):
         stack = self.two_qubit_stack()
-        got, ok = cond_hypothesis_entropy_many(0.0, stack, 2, 2)
+        got = [cond_hypothesis_entropy(0.0, DensityOperator(m, (2, 2)))
+               for m in stack]
         ref = [hypothesis_zero_reference(m, 2, 2) for m in stack]
-        assert ok.all()
-        assert np.abs(got - ref).max() < 1e-12
+        assert np.abs(np.subtract(got, ref)).max() < 1e-12
         for ch in self.CHANNELS:
             eras = cost_inputs(ch)[1]
             de = eras.shape[1] // 2
-            got, ok = cond_hypothesis_entropy_many(0.0, eras, 2, de)
+            got = [cond_hypothesis_entropy(0.0, DensityOperator(m, (2, de)))
+                   for m in eras]
             ref = [hypothesis_zero_reference(m, 2, de) for m in eras]
-            assert ok.all()
-            assert np.abs(got - ref).max() < 1e-12
+            assert np.abs(np.subtract(got, ref)).max() < 1e-12
 
 
 def hypothesis_reference(eps, rho):
@@ -310,31 +309,9 @@ class TestHypothesisMany:
     def test_matches_scalar_reference(self, eps):
         for dims in ((2, 2), (2, 4)):
             states = [rho for rho in self.STATES if rho.dims == dims]
-            vals, ok = cond_hypothesis_entropy_many(
-                eps, np.stack([rho.matrix for rho in states]), *dims)
+            vals = [(cond_hypothesis_entropy(eps, rho), True) for rho in states]
             ref = [hypothesis_reference(eps, rho) for rho in states]
-            assert list(zip(vals.tolist(), ok.tolist())) == ref
-            assert cond_hypothesis_entropy(eps, states[-1]) == ref[-1][0]
-
-    def test_failure_masks_only_its_state(self, monkeypatch):
-        # each state is one SDP; the eleventh fails and only its entry is
-        # not ok
-        states = np.stack([rho.matrix for rho in random_two_qubit_states(66, 19)])
-        real = sdp.solve_stack
-        calls = []
-
-        def patched(*args, **kwargs):
-            res = real(*args, **kwargs)
-            calls.append(len(res["ok"]))
-            if len(calls) == 11:
-                res["ok"][0] = False
-            return res
-
-        monkeypatch.setattr(sdp, "solve_stack", patched)
-        vals, ok = cond_hypothesis_entropy_many(0.3, states, 2, 2)
-        assert calls == [1] * 19
-        assert ok.tolist() == [i != 10 for i in range(19)]
-        assert np.isfinite(vals).all()
+            assert vals == ref
 
     def test_scalar_raises_when_not_certified(self, monkeypatch):
         real = sdp.solve_stack
@@ -345,14 +322,12 @@ class TestHypothesisMany:
             return res
 
         monkeypatch.setattr(sdp, "solve_stack", patched)
-        vals, ok = cond_hypothesis_entropy_many(0.1, PHI.matrix[None], 2, 2)
-        assert not ok[0]
         with pytest.raises(sdp.SdpFailure):
             cond_hypothesis_entropy(0.1, PHI)
 
     def test_bad_eps(self):
         with pytest.raises(ValueError):
-            cond_hypothesis_entropy_many(1.0, PHI.matrix[None], 2, 2)
+            cond_hypothesis_entropy(1.0, PHI)
 
 
 class TestSmoothing:

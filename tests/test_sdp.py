@@ -9,7 +9,8 @@ from minent.decoupling import _cp_choi_checked
 from minent.dynamical import _pure_outputs
 from minent.entropies import (_cond_min_up_sides, cond_min_entropy_down_many,
                               cond_min_entropy_up_many)
-from minent.linalg import TOL, hermitian_basis, maximally_entangled
+from minent.linalg import (TOL, hermitian_basis, hermitian_part,
+                           maximally_entangled)
 from minent.sdp import solve_stack
 
 from conftest import random_qubit_channels
@@ -31,13 +32,12 @@ def cond_min_problem(rho, da, db, scale=1.0):
     return [scale * np.eye(db), np.zeros((dab, dab))], a, b
 
 
-def solve_one(c, a, b, sense="min", keep_trace=False):
+def solve_one(c, a, b, sense="min"):
     """Instance 0 of a solve, as {key: value}; x is the list of its
     primal blocks."""
-    res = solve_stack(c, a, b, sense, keep_trace=keep_trace)
-    one = {k: v[0] for k, v in res.items()
-           if k not in ("x_complex", "trace")}
-    return dict(one, x=[xb[0] for xb in res["x_complex"]], trace=res["trace"])
+    res = solve_stack(c, a, b, sense)
+    one = {k: v[0] for k, v in res.items() if k != "x_complex"}
+    return dict(one, x=[xb[0] for xb in res["x_complex"]])
 
 
 RHO3 = np.diag([0.1, 0.2, 0.7]).astype(complex)
@@ -70,18 +70,24 @@ class TestSolve:
         assert sol["primal_value"] == pytest.approx(float(sv.sum() ** 2),
                                                     abs=1e-7)
 
-    def test_weak_duality_along_iterates(self, rng):
+    @pytest.mark.parametrize("sense", ["min", "max"])
+    def test_returned_certificate(self, rng, sense):
+        # X and the dual slack S = sgn C - sum y_i A_i are PSD, and the dual
+        # value bounds the primal one from the side the sense gives it
         v = _sampling.random_pure_vectors(rng, 8, 1)[0]
-        rho = np.outer(v, v.conj())
-        sol = solve_one(*cond_min_problem(rho, 2, 4), keep_trace=True)
+        if sense == "min":
+            c, a, b = cond_min_problem(np.outer(v, v.conj()), 2, 4)
+        else:
+            c, a, b = [RHO3], [EYE3], np.array([1.0])
+        sol = solve_one(c, a, b, sense)
         assert sol["status_str"] == "optimal"
-        checked = 0
-        for pobj, dobj, pres, dres in sol["trace"]:
-            if pres < 1e-7 and dres < 1e-7:
-                assert dobj <= pobj + 1e-7
-                checked += 1
-        # an empty trace would pass the loop vacuously
-        assert checked >= 1
+        sgn = 1.0 if sense == "min" else -1.0
+        for cb, ab, xb in zip(c, a, sol["x"]):
+            slack = sgn * cb - np.tensordot(sol["y"], ab, 1)
+            assert np.linalg.eigvalsh(xb)[0] >= -TOL.psd
+            assert np.linalg.eigvalsh(slack)[0] >= -TOL.psd
+        assert sgn * (sol["dual_value"] - sol["primal_value"]) <= 1e-7
+        assert sol["dual_value"] == pytest.approx(sgn * b @ sol["y"], abs=1e-12)
 
     def test_objective_scaling(self, rng):
         m = _sampling.random_density_matrices(rng, 4, 1)[0]
@@ -488,8 +494,8 @@ class TestMaxStep:
             w = rng.uniform(0.1, 1.0, size=(count, 1, nb))
             grade = np.logspace(0, -0.5 * np.log10(cond), nb)
             core = (q * w) @ dagger(q)
-            xs.append(sdp._sym(grade[:, None] * core * grade[None, :]))
-            ds.append(sdp._sym(ginibre(rng, (count, nb, nb), field)))
+            xs.append(hermitian_part(grade[:, None] * core * grade[None, :]))
+            ds.append(hermitian_part(ginibre(rng, (count, nb, nb), field)))
         return xs, ds
 
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
@@ -603,7 +609,7 @@ class TestSchurRidge:
         eps = np.finfo(float).eps
         q, _ = np.linalg.qr(rng.normal(size=(m, m)))
         lam = np.r_[1e-2, np.logspace(13, 14, m - 1)]
-        victim = sdp._sym((q * lam) @ q.T)
+        victim = hermitian_part((q * lam) @ q.T)
         norm = np.linalg.norm(victim, 2)
         victim -= eps * norm * np.eye(m)
         a = rng.normal(size=(2, m, m))

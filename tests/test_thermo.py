@@ -9,7 +9,7 @@ from minent.channels import (dephasing1, dephasing2, depolarizing,
                              identity_channel, make_named_channel, povm_channel,
                              replacer, stinespring_isometry, unitary_channel)
 from minent.dynamical import channel_min_entropy
-from minent.entropies import (cond_hypothesis_entropy_many,
+from minent.entropies import (cond_hypothesis_entropy,
                               cond_hypothesis_entropy_sup)
 from minent.linalg import (DensityOperator, maximally_entangled,
                            maximally_mixed, pauli)
@@ -240,19 +240,17 @@ class TestJointErasureSdp:
         bits, rho, ok = cond_hypothesis_entropy_sup(mu, v, da, de)
         assert ok
         # at least every sampled input's value, at most the certified ceiling
-        mats = np.stack([v @ m @ v.conj().T
-                         for m in sampled_erasure_inputs(ch, 8, 5)])
-        vals, ok_many = cond_hypothesis_entropy_many(mu, mats, da, de)
-        assert ok_many.all()
-        assert bits >= vals.max() - 1e-7
+        vals = [cond_hypothesis_entropy(
+            mu, DensityOperator(v @ m @ v.conj().T, (da, de)))
+            for m in sampled_erasure_inputs(ch, 8, 5)]
+        assert bits >= max(vals) - 1e-7
         assert bits <= -channel_min_entropy(ch) + math.log2(1 - mu) + 1e-7
         # the optimal input is a state that attains the value
         assert abs(np.trace(rho) - 1) < 1e-12
         assert np.linalg.eigvalsh(rho).min() > -1e-9
-        again, ok_again = cond_hypothesis_entropy_many(
-            mu, (v @ rho @ v.conj().T)[None], da, de)
-        assert ok_again[0]
-        assert abs(again[0] - bits) <= 1e-6
+        again = cond_hypothesis_entropy(
+            mu, DensityOperator(v @ rho @ v.conj().T, (da, de)))
+        assert abs(again - bits) <= 1e-6
 
     def test_qutrit_replacer_beyond_sum_cap(self):
         # blocks (9, 3, 27, 27) sum to 66, but each is within the solver's
@@ -263,12 +261,11 @@ class TestJointErasureSdp:
         v = stinespring_isometry(ch).isometry
         bits, _, ok = cond_hypothesis_entropy_sup(0.1, v, 3, 9)
         assert ok
-        vals, ok_one = cond_hypothesis_entropy_many(
-            0.1, (v @ v.conj().T / 3)[None], 3, 9)
-        assert ok_one[0]
+        one = cond_hypothesis_entropy(
+            0.1, DensityOperator(v @ v.conj().T / 3, (3, 9)))
         ceiling = -channel_min_entropy(ch) + math.log2(0.9)
-        assert bits >= vals[0] - 1e-6 and bits <= ceiling + 1e-6
-        assert abs(bits - vals[0]) <= 1e-6 and abs(bits - ceiling) <= 1e-6
+        assert bits >= one - 1e-6 and bits <= ceiling + 1e-6
+        assert abs(bits - one) <= 1e-6 and abs(bits - ceiling) <= 1e-6
 
     def test_validation(self, monkeypatch):
         v = stinespring_isometry(depolarizing(0.5)).isometry
