@@ -232,10 +232,14 @@ def _need(value, name):
 
 
 def _real(value, name: str) -> float:
+    # NaN and Infinity are valid JSON to Python's json module
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{name} must be a real number") from exc
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be a finite real number")
+    return x
 
 
 def _positive_int(value, name: str) -> int:

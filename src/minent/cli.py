@@ -190,12 +190,16 @@ def cmd_decouple(args) -> int:
         if not isinstance(spec, dict):
             raise ValueError("must be a JSON object")
         eps = channels._real(spec.get("epsilon", 0.0), "epsilon")
-        if args.mode == "states":
-            report = _decouple_states_from_spec(spec, eps, args)
-        elif args.mode == "channel":
-            report = _decouple_channel_from_spec(spec, eps, args)
-        else:
+        if args.mode == "subsystem":
             return _decouple_subsystem_from_spec(spec, eps, args)
+        if args.mode == "states":
+            source = _state_from_spec(spec)
+            da, run_mc = source.dims[1], decoupling.decouple_states_mc
+        else:
+            source = channels.channel_from_spec(spec["channel"])
+            da, run_mc = source.out_dim, decoupling.decouple_channel_mc
+        report = run_mc(source, _post_map(spec, da), args.n, eps,
+                        decoupling.HaarSampler(da, seed=args.seed))
     except (ValueError, KeyError) as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
@@ -233,20 +237,6 @@ def _post_map(spec, da):
     raise ValueError(f"unknown post-processing map {name!r}")
 
 
-def _decouple_states_from_spec(spec, eps, args):
-    phi = _state_from_spec(spec)
-    t_map = _post_map(spec, phi.dims[1])
-    sampler = decoupling.HaarSampler(phi.dims[1], seed=args.seed)
-    return decoupling.decouple_states_mc(phi, t_map, args.n, eps, sampler)
-
-
-def _decouple_channel_from_spec(spec, eps, args):
-    channel = channels.channel_from_spec(spec["channel"])
-    t_map = _post_map(spec, channel.out_dim)
-    sampler = decoupling.HaarSampler(channel.out_dim, seed=args.seed)
-    return decoupling.decouple_channel_mc(channel, t_map, args.n, eps, sampler)
-
-
 def _stinespring_state(channel) -> DensityOperator:
     """The Stinespring isometry applied to Phi on (R, A'): pure on (R, A, E)."""
     iso = channels.stinespring_isometry(channel)
@@ -282,6 +272,9 @@ def _decouple_subsystem_from_spec(spec, eps, args) -> int:
 def cmd_costs(args) -> int:
     if not 0 <= args.mu < 1:
         print("mu must lie in [0, 1)", file=sys.stderr)
+        return EXIT_BAD_SPEC
+    if not 0 < args.temperature < math.inf:  # NaN fails too
+        print("temperature must be finite and positive", file=sys.stderr)
         return EXIT_BAD_SPEC
     try:
         channel = _channel_from_args(args)

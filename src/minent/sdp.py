@@ -38,10 +38,15 @@ it meets the loose one (residual below 0.9 `sdp_feas`, gap below 0.9
 `sdp_gap`) and mu has fallen by less than 10% in each of its last two
 iterations, so a certified instance does not run on through a tail of
 shrinking steps; after MAX_ITER iterations the loose certificate alone
-decides. The primal step is halved while it grows the primal residual
-beyond its linear model; a residual that stays below 0.05 `sdp_feas`,
-well inside the certificate, never trips that guard. The centering
-parameter is Mehrotra's (mu_aff / mu)^e with the exponent
+decides. Each corrector step is the fraction
+gamma = 0.9 + 0.09 min(alpha_p, alpha_d) of the longest step that stays
+in the cone, where alpha_p and alpha_d are the predictor's step lengths,
+each at most 1, as in SDPT3: an iterate whose affine step was short keeps
+further from the boundary, and one whose affine step was full goes 0.99
+of the way to it. The primal step is halved while it grows the primal
+residual beyond its linear model; a residual that stays below 0.05
+`sdp_feas`, well inside the certificate, never trips that guard. The
+centering parameter is Mehrotra's (mu_aff / mu)^e with the exponent
 e = max(1, 3 min(alpha_p, alpha_d)^2) of the previous iteration's step
 lengths, after SDPT3: after short steps it centres more, so an iterate
 whose primal and dual affine steps are far apart recovers instead of
@@ -74,7 +79,6 @@ _STATUS = ("optimal", "infeasible", "max-iterations", "numerical-error")
 MAX_ITER = 500
 MAX_DIM = 64  # largest complex block dim
 MAX_DATA = MAX_DIM ** 4  # complex entries of the constraint data, m sum n_b^2
-STEP_FRACTION = 0.98
 DIVERGENCE = 1e10
 SCHUR_RIDGES = (1e-15, 1e-12, 1e-9, 1e-6)  # times the mean Schur diagonal
 SCHUR_CHUNK = 1 << 18  # float64s in one Schur-assembly temporary
@@ -452,9 +456,12 @@ def _ipm(a_blocks, c_blocks, b):
 
         # Mehrotra second-order term, symmetrized HKM style
         corr = [hermitian_part(dxa[i] @ dsa[i] @ s_inv[i]) for i in range(nblk)]
+        # SDPT3's step fraction from the predictor's step lengths: 0.9 after
+        # a short affine step, up to 0.99 after a full one
+        gamma = 0.9 + 0.09 * np.minimum(ap, ad)
         dy, dx, ds = newton(sigma * mu, corr)
-        ap = np.minimum(STEP_FRACTION * _max_step(px, dx), 1.0)
-        ad = np.minimum(STEP_FRACTION * _max_step(ps, ds), 1.0)
+        ap = np.minimum(gamma * _max_step(px, dx), 1.0)
+        ad = np.minimum(gamma * _max_step(ps, ds), 1.0)
 
         # guard against inaccurate directions: shrink any step that makes
         # the attached residual grow beyond its linear model, unless it

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from minent import thermo
 from minent.cli import main
 
 
@@ -15,6 +16,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 class TestEntropy:
@@ -218,10 +223,13 @@ class TestDecouple:
         assert code == 2
 
     # JSON that is not an object used to raise AttributeError or TypeError
-    # in every mode, and a state of dim 0 ZeroDivisionError
+    # in every mode, a state of dim 0 ZeroDivisionError, and a delta' of
+    # NaN or Infinity went into the JSON output, which is then invalid
     @pytest.mark.parametrize("mode, spec", [
         *((mode, spec) for mode in DECOUPLE_MODES for spec in ("[1]", '"x"')),
         ("states", '{"dim": 0}'),
+        *(("subsystem", '{"channel": {"family": "depolarizing", "p": 0.9}, '
+           f'"delta_prime": {value}}}') for value in ("NaN", "Infinity")),
     ])
     def test_malformed_spec_exits_2(self, capsys, mode, spec):
         code, out, err = run(capsys, "decouple", "--mode", mode,
@@ -235,6 +243,10 @@ class TestDecouple:
     @given(spec=DECOUPLE_SPECS, n=st.integers(-1, 4))
     @example(spec=[1], n=2)
     @example(spec={"dim": 0}, n=2)
+    @example(spec={"channel": {"family": "depolarizing", "p": 0.9},
+                   "delta_prime": float("nan")}, n=2)
+    @example(spec={"channel": {"family": "depolarizing", "p": 0.9},
+                   "delta_prime": float("inf")}, n=2)
     def test_fuzzed_spec_exits_cleanly(self, mode, spec, n):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -242,6 +254,12 @@ class TestDecouple:
                          f"--n={n}", "--json"])
         assert code in (0, 2, 3)
         assert "Traceback" not in err.getvalue()
+        # stdout is strict JSON: NaN and Infinity, which json.loads takes
+        # by default, are refused
+        if code == 0:
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
+        else:
+            assert out.getvalue() == ""
 
 
 class TestCosts:
@@ -281,8 +299,14 @@ class TestCosts:
         assert code == 2
 
     @pytest.mark.parametrize("kelvin", ["nan", "inf", "0"])
-    def test_bad_temperature(self, capsys, kelvin):
-        # NaN and Infinity used to pass into the JSON, which is then invalid
+    def test_bad_temperature(self, capsys, monkeypatch, kelvin):
+        # NaN and Infinity used to pass into the JSON, which is then
+        # invalid, and later to be refused only after the whole cost
+        # computation: the temperature is checked before any work
+        def no_work(*args, **kwargs):
+            raise AssertionError("costs computed for a refused temperature")
+
+        monkeypatch.setattr(thermo, "channel_costs", no_work)
         code, out, err = run(capsys, "costs", "--family", "unitary", "--n", "2",
                              "--temperature", kelvin, "--json")
         assert code == 2

@@ -67,8 +67,8 @@ class TestDmax:
     def test_sdp_path_badly_scaled_sigma(self):
         # rank-2 rho against a full-rank sigma with
         # lambda_min / lambda_max = 10^U(-6, -3), where the closed form is
-        # immediate: the SDP certifies 55 of the first 60 draws of this
-        # stream and 28 of the 30 here, and the others must name a status
+        # immediate: the SDP certifies 58 of the first 60 draws of this
+        # stream and 29 of the 30 here, and the others must name a status
         gen = np.random.default_rng(2024)
         certified = 0
         for _ in range(30):

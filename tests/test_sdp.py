@@ -212,7 +212,7 @@ class TestSolveStack:
         # 2000 S_min-up instances of one stack, as a Haar scan of
         # dephasing2 p = 0.4 at seed 33 would solve them without pruning;
         # every one certifies and sits at or above its closed-form
-        # S_min-down, and the iteration tail stays short (p90 13 here, 16
+        # S_min-down, and the iteration tail stays short (p90 10 here, 16
         # in the slack form of `cond_min_problem`; 40 when certified
         # instances ran on until mu stalled for 8 iterations and sigma
         # could collapse after short steps)
@@ -354,7 +354,7 @@ class TestIterationTail:
     # 8-iteration stall rule and fixed exponent 3 as "before")
 
     def test_qubit_diamond_stack(self):
-        # mean 13.9 and max 36 here; 34.9 and 151 before
+        # mean 12.2 and max 22 here; 34.9 and 151 before
         js, a, b = diamond_stack(7, 1000)
         res = solve_diamonds(js, a, b)
         assert len(js) == 500 and res["ok"].all()
@@ -363,7 +363,7 @@ class TestIterationTail:
 
     def test_check_hypothesis_sandwich(self, monkeypatch):
         # the hypothesis-testing SDP of `minent check --seed 3` (blocks
-        # (2, 2, 1)): 21 iterations here, 124 before
+        # (2, 2, 1)): 19 iterations here, 124 before
         iters = spy_iterations(monkeypatch)
         assert all(ok for _, ok, _ in cli._invariants(3))
         tails = [it for blocks, it in iters if blocks == (2, 2, 1)]

@@ -1,0 +1,106 @@
+"""Iteration counts of the interior-point solver on three fixed SDP stacks.
+
+    python tools/ipm_iters.py
+
+solves each stack once, from this checkout's sources, and prints for each
+the instance-iterations (the sum of every instance's iteration count),
+the mean, p90 and max iterations per instance, the count of each status
+and the wall time spent in `sdp.solve_stack`:
+
+- diamonds: 500 qubit diamond norms, the differences of 1000 random
+  qubit channels of seed 7, in one stack;
+- haar: 2000 S_min-up SDPs in one stack, the outputs of dephasing2 at
+  p = 0.4 on the Haar-random pure inputs of seed 33;
+- decoupling: the 200 diamond norms (blocks 8, 8, 4) of the process
+  decoupling check of depolarizing p = 0.5 on two qubits, the first
+  qubit traced out, at sampler seed 11.
+
+The first two are the stacks of `tests/test_sdp.py`'s iteration-tail
+tests. BLAS runs on one thread unless the environment sets otherwise.
+"""
+
+import os
+import sys
+import time
+from pathlib import Path
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from minent import _sampling, channels, decoupling, dynamical, sdp  # noqa: E402
+from minent.entropies import cond_min_entropy_up_many  # noqa: E402
+
+
+def diamonds():
+    kraus = _sampling.random_channels_kraus(_sampling.stream(7, 0xBEEF),
+                                            2, 2, 2, 1000)
+    chois = [channels.choi_matrix(channels.QuantumChannel(ks),
+                                  normalized=False).matrix for ks in kraus]
+    js = np.stack([chois[i] - chois[i + 1] for i in range(0, 1000, 2)])
+    a, b = channels._diamond_problem_data(2, 2)
+    sdp.solve_stack([js] + [np.zeros(ab.shape[1:]) for ab in a[1:]], a, b,
+                    "max")
+
+
+def haar():
+    vecs = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C), 4, 2000)
+    outs = dynamical._pure_outputs(channels.dephasing2(0.4), vecs)
+    cond_min_entropy_up_many(outs, 2, 2)
+
+
+def decoupling_diamonds():
+    pair = channels.tensor_channels(channels.depolarizing(0.5),
+                                    channels.depolarizing(0.5))
+    tmap = channels.partial_trace_channel((2, 2), [0])
+    decoupling.decouple_channel_mc(pair, tmap, 200, 0.0,
+                                   decoupling.HaarSampler(4, seed=11))
+
+
+# name, the block dims of the stack's SDPs, the call that solves them
+STACKS = (("diamonds", (4, 4, 2), diamonds),
+          ("haar", (4,), haar),
+          ("decoupling", (8, 8, 4), decoupling_diamonds))
+
+
+def solve(dims, run):
+    """Run `run` and return the results and wall time of its
+    `sdp.solve_stack` calls on blocks `dims`."""
+    results, wall = [], 0.0
+    real = sdp.solve_stack
+
+    def spy(c, a, *args, **kwargs):
+        nonlocal wall
+        t0 = time.perf_counter()
+        res = real(c, a, *args, **kwargs)
+        if tuple(ab.shape[-1] for ab in a) == dims:
+            wall += time.perf_counter() - t0
+            results.append(res)
+        return res
+
+    sdp.solve_stack = spy
+    try:
+        run()
+    finally:
+        sdp.solve_stack = real
+    return results, wall
+
+
+def main():
+    for name, dims, run in STACKS:
+        results, wall = solve(dims, run)
+        iters = np.concatenate([r["iters"] for r in results])
+        names, counts = np.unique(np.concatenate([r["status_str"] for r in results]),
+                                  return_counts=True)
+        status = ", ".join(f"{s} {c}" for s, c in zip(names, counts))
+        print(f"{name:10s} {iters.size:5d} instances: instance-iters "
+              f"{iters.sum()}, mean {iters.mean():.1f}, "
+              f"p90 {np.percentile(iters, 90):g}, max {iters.max()}; "
+              f"{status}; {wall:.2f} s")
+
+
+if __name__ == "__main__":
+    main()
