@@ -46,9 +46,10 @@ SMOOTH_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.02, 0.04, 0.08,
 # weight of rho outside the support of sigma above which D_max is +inf
 SUPPORT_LEAK = 1e-10
 
-# states per sub-stack of the smoothing-ball check: the fidelities'
-# eigen-decompositions take several times their input in temporaries, and
-# past a few states the extra peak memory buys little speed
+# states per sub-stack of the smoothing-ball check of the mixing candidates,
+# the one third of the candidates not decided in closed form: the
+# fidelities' eigen-decompositions take several times their input in
+# temporaries, and past a few states the extra peak memory buys little speed
 SUBSTACK = 8
 
 
@@ -376,17 +377,27 @@ def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
 # smoothing (certified one-sided bounds)
 
 
+def _ball_mask(low, tr, fid, eps: float) -> np.ndarray:
+    """Smoothing-ball membership from candidates' smallest eigenvalues,
+    traces and generalized fidelities to their centers: PSD within
+    TOL.psd, trace at most 1 + TOL.trace, and within purified distance
+    eps of the center."""
+    return (low >= -TOL.psd) & (tr <= 1 + TOL.trace) \
+        & (np.sqrt(np.maximum(1.0 - fid, 0.0)) <= eps + 1e-12)
+
+
 def _in_ball(centers: np.ndarray, cands: np.ndarray, eps: float) -> np.ndarray:
-    """Membership mask of candidates (N, K, d, d) in the eps-balls around
-    centers (N, d, d): PSD within TOL.psd, trace at most 1 + TOL.trace,
-    and within purified distance eps (generalized fidelity) of the
-    center."""
-    inside = (np.linalg.eigvalsh(cands)[..., 0] >= -TOL.psd) \
-        & (np.trace(cands, axis1=-2, axis2=-1).real <= 1 + TOL.trace)
+    """Membership mask (`_ball_mask`) of candidates (N, K, d, d) in the
+    eps-balls around centers (N, d, d), with the fidelities from
+    `fidelity_many`. `_smooth_candidates` runs it on the mixing
+    candidates, which do not commute with their centers."""
+    low = np.linalg.eigvalsh(cands)[..., 0]
+    tr = np.trace(cands, axis1=-2, axis2=-1).real
     # rejected candidates may be non-PSD: score zero matrices in their place
-    scored = np.where(inside[..., None, None], cands, 0)
+    # (fidelity 1 passes the distance test, so this is the PSD and trace test)
+    scored = np.where(_ball_mask(low, tr, 1.0, eps)[..., None, None], cands, 0)
     fid = fidelity_many(centers[:, None], scored, generalized=True)
-    return inside & (np.sqrt(np.maximum(1.0 - fid, 0.0)) <= eps + 1e-12)
+    return _ball_mask(low, tr, fid, eps)
 
 
 def _smooth_candidates(mats: np.ndarray, da: int, db: int, eps: float):
@@ -395,7 +406,11 @@ def _smooth_candidates(mats: np.ndarray, da: int, db: int, eps: float):
     Returns (stack, mask): the stack is (N, 1 + 3 * len(SMOOTH_GRID), d, d)
     with each state in column 0 and its subnormalized candidates after
     it, and the mask keeps each center and the candidates inside its
-    eps-ball. At eps = 0 the stack holds the centers alone, (N, 1, d, d).
+    eps-ball, by the same tests as `_in_ball`. The trace-scaled and
+    top-trimmed candidates commute with their center, so their smallest
+    eigenvalue and root fidelity follow from the center's eigenvalues;
+    only the mixing candidates go through `_in_ball`. At eps = 0 the
+    stack holds the centers alone, (N, 1, d, d).
     """
     if eps == 0:
         return mats[:, None], np.ones((len(mats), 1), dtype=bool)
@@ -410,16 +425,32 @@ def _smooth_candidates(mats: np.ndarray, da: int, db: int, eps: float):
         np.einsum("ij,nkl->nikjl", np.eye(da) / da, rho_b).reshape(mats.shape),
         mats - w[:, -1, None, None] * top,
     ], axis=1)
-    t = np.asarray(SMOOTH_GRID)[:, None, None, None]
-    cands = hermitian_part((1 - t) * mats[:, None, None] + t * directions[:, None]) \
-        .reshape(len(mats), -1, da * db, da * db)
+    grid = np.asarray(SMOOTH_GRID)
+    t = grid[:, None, None, None]
+    cands = hermitian_part((1 - t) * mats[:, None, None] + t * directions[:, None])
+    # (1 - t) rho has eigenvalues (1 - t) w; rho - t w_max |v><v| keeps w but
+    # w_max -> (1 - t) w_max; ||sqrt(rho) sqrt(sigma)||_1 pairs them up, with
+    # eigenvalues in [-TOL.clamp, 0) taken as 0 as `psd_sqrt` does
+    lam, pos, shrink = w[:, -1:], np.maximum(w, 0.0), np.sqrt(1 - grid)
+    low = np.stack([(1 - grid) * w[:, :1],
+                    np.minimum(w[:, :1], (1 - grid) * lam)], axis=-1)
+    root = np.stack([shrink * pos.sum(axis=1, keepdims=True),
+                     pos[:, :-1].sum(axis=1, keepdims=True) + shrink * lam], axis=-1)
+    # the traces and the generalized term as `fidelity_many` takes them
+    tr = np.trace(cands[:, :, ::2], axis1=-2, axis2=-1).real
+    tr_rho = np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
+    root = root + np.sqrt(np.maximum(1 - tr_rho, 0.0) * np.maximum(1 - tr, 0.0))
+    inside = np.empty(cands.shape[:3], dtype=bool)
+    inside[:, :, ::2] = _ball_mask(low, tr, np.minimum(root * root, 1.0), eps)
     # the ball check takes several times its input's memory in temporaries:
     # check a few states at a time
-    inside = np.concatenate([_in_ball(mats[i:i + SUBSTACK],
-                                      cands[i:i + SUBSTACK], eps)
-                             for i in range(0, len(mats), SUBSTACK)])
+    inside[:, :, 1] = np.concatenate([_in_ball(mats[i:i + SUBSTACK],
+                                               cands[i:i + SUBSTACK, :, 1], eps)
+                                      for i in range(0, len(mats), SUBSTACK)])
+    cands = cands.reshape(len(mats), -1, da * db, da * db)
     stack = np.concatenate([mats[:, None], cands], axis=1)
-    mask = np.concatenate([np.ones((len(mats), 1), dtype=bool), inside], axis=1)
+    mask = np.concatenate([np.ones((len(mats), 1), dtype=bool),
+                           inside.reshape(len(mats), -1)], axis=1)
     return stack, mask
 
 

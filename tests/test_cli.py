@@ -153,6 +153,13 @@ DECOUPLE_SPECS = st.one_of(
                  max_leaves=4),
     st.fixed_dictionaries({}, optional={**SPEC_FIELDS, "channel": CHANNEL_SPECS}),
     st.fixed_dictionaries({"channel": CHANNEL_SPECS}, optional=SPEC_FIELDS))
+# qubit channels for the costs fuzz, valid at every drawn parameter
+QUBIT_SPECS = st.one_of(
+    st.fixed_dictionaries({"family": st.sampled_from(["depolarizing", "dephasing1",
+                                                      "dephasing2"]),
+                           "p": st.floats(0.0, 1.0)}),
+    st.sampled_from([{"family": "replacer", "omega": "maximally-mixed"},
+                     {"family": "unitary"}, {"family": "povm"}]))
 
 
 class TestDecouple:
@@ -353,6 +360,23 @@ class TestCosts:
         assert code == 3
         assert out == ""
         assert "erasure" in err
+
+    # stdout is strict JSON at mu > 0 too, where the preparation side is a
+    # smoothed bound and the erasure side the joint erasure SDP, which
+    # fails (exit 3) for some inputs, e.g. depolarizing p = 0.5 at mu 1e-9
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(spec=QUBIT_SPECS, mu=st.floats(1e-9, 0.95))
+    def test_fuzzed_smoothed_costs_json_is_strict(self, spec, mu):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["costs", f"--spec={json.dumps(spec)}", f"--mu={mu}",
+                         "--n=4", "--json"])
+        assert code in (0, 3)
+        if code == 0:
+            payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+            assert payload["certification"] == "certified-upper"
+        else:
+            assert out.getvalue() == ""
 
 
 class TestCheck:

@@ -125,7 +125,9 @@ class TestFidelity:
 
 def within(rho, sigma, eps) -> bool:
     """Whether sigma lies within purified distance eps of rho, as the
-    smoothing-ball check `entropies._in_ball` computes it inline."""
+    smoothing-ball check `entropies._in_ball` decides it: with the
+    generalized fidelity, which it computes for the mixing candidates
+    (the scaled and trimmed ones take the same tests in closed form)."""
     return bool(_in_ball(rho.matrix[None], sigma.matrix[None, None], eps)[0, 0])
 
 

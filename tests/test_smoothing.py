@@ -13,19 +13,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minent import _sampling, sdp
 from minent.channels import (apply_many, choi_matrix, dephasing1, dephasing2,
                              depolarizing, identity_channel, replacer)
 from minent.dynamical import (channel_min_entropy,
                               smooth_channel_min_entropy_lower_bound)
-from minent.entropies import (SMOOTH_GRID, _cond_min_up_sides,
+from minent.entropies import (SMOOTH_GRID, _cond_min_up_sides, _in_ball,
                               _smooth_candidates, cond_min_entropy_down_many,
                               cond_min_entropy_up,
                               smooth_min_entropy_lower_bound,
                               smooth_min_entropy_lower_bound_many)
-from minent.linalg import (TOL, DensityOperator, herm_eig, maximally_mixed,
-                           partial_trace)
+from minent.linalg import (TOL, DensityOperator, herm_eig, hermitian_part,
+                           maximally_mixed, partial_trace)
 
 from conftest import random_qubit_channels, random_two_qubit_states
 
@@ -234,6 +236,50 @@ class TestAgainstScalarReference:
         for eps, ref in expected.items():
             assert smooth_channel_min_entropy_lower_bound(eps, ch) == ref
             assert ref > channel_min_entropy(ch)
+
+
+# ---------------------------------------------------------------------------
+# closed-form ball membership
+
+
+# columns of the trace-scaled and top-trimmed candidates in a candidate
+# stack, after the center; the mixing candidates are every third from 2
+COMMUTING = 1 + np.flatnonzero(np.arange(3 * len(SMOOTH_GRID)) % 3 != 1)
+
+
+def scaled_distances(trace: float) -> list:
+    """Purified distances from a center of this trace, of any rank, to its
+    scaled candidates (1 - t) rho, one per t of the grid: sqrt(t) at trace
+    1, and about t sqrt(trace / (4 (1 - trace))) below it."""
+    return [math.sqrt(max(1 - (trace * math.sqrt(1 - t) + math.sqrt(
+        (1 - trace) * (1 - trace * (1 - t)))) ** 2, 0.0)) for t in SMOOTH_GRID]
+
+
+class TestClosedFormMembership:
+    # eps is drawn at least 1e-6 from the distance of every scaled candidate
+    # (at trace 1, from every sqrt(t)). At a tie such as eps = sqrt(t) for a
+    # normalized center, roundoff in the sqrt((1 - tr rho)(1 - tr sigma))
+    # term decides membership either way, in the closed form and in
+    # `_in_ball` alike. Over 3,686,400 comparisons on these dims, at every
+    # rank, with eps at each sqrt(t) and at 20 drawn values, the two
+    # disagreed 61 times, all at eps = 0.001 = sqrt(1e-6) on normalized
+    # centers. Trace 0.8 ties too: its scaled candidate at t = 1e-6 lies at
+    # distance 1e-6.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data(), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1), trace=st.floats(0.8, 1.0))
+    def test_commuting_candidates_match_in_ball(self, data, dims, seed, trace):
+        d = dims[0] * dims[1]
+        rank = data.draw(st.integers(1, d), label="rank")
+        ties = scaled_distances(trace)
+        eps = data.draw(st.floats(1e-6, 0.999).filter(
+            lambda e: min(abs(e - tie) for tie in ties) >= 1e-6), label="eps")
+        gen = _sampling.stream(seed, 0xBA11)
+        mats = hermitian_part(
+            trace * _sampling.random_density_matrices(gen, d, 4, rank=rank))
+        stack, mask = _smooth_candidates(mats, *dims, eps)
+        assert np.array_equal(mask[:, COMMUTING],
+                              _in_ball(mats, stack[:, COMMUTING], eps))
 
 
 # ---------------------------------------------------------------------------
