@@ -176,9 +176,9 @@ def povm_channel(elements) -> QuantumChannel:
     nx = len(els)
     ops = []
     for x, el in enumerate(els):
-        if np.linalg.eigvalsh((el + el.conj().T) / 2).min() < -TOL.psd:
-            raise ValueError("POVM elements must be PSD")
         w, v = np.linalg.eigh((el + el.conj().T) / 2)
+        if w[0] < -TOL.psd:
+            raise ValueError("POVM elements must be PSD")
         root = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
         for row in root:
             if np.abs(row).max() < 1e-14:

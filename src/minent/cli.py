@@ -48,7 +48,8 @@ def _channel_from_args(args) -> channels.QuantumChannel:
     if getattr(args, "p", None) is not None:
         spec["p"] = args.p
     if getattr(args, "omega", None):
-        spec["omega"] = args.omega
+        spec["omega"] = args.omega if args.omega == "maximally-mixed" \
+            else json.loads(args.omega)
     if getattr(args, "dims", None):
         spec["dims"] = args.dims
     return channels.channel_from_spec(spec)
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     channel = argparse.ArgumentParser(add_help=False)
     channel.add_argument("--family")
     channel.add_argument("--p", type=float)
-    channel.add_argument("--omega")
+    channel.add_argument("--omega", help="maximally-mixed or JSON [re, im] pairs")
     channel.add_argument("--dims", type=int)
     channel.add_argument("--spec", help="JSON channel spec (inline or path)")
 

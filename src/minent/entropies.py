@@ -16,9 +16,9 @@ import math
 import numpy as np
 
 from . import sdp
-from .linalg import (TOL, DensityOperator, HermitianOperator, fidelity_many,
-                     hermitian_basis, hermitian_part, partial_trace,
-                     psd_inv_sqrt, psd_sqrt, support_projector)
+from .linalg import (TOL, DensityOperator, HermitianOperator, _eig_apply,
+                     fidelity_many, hermitian_basis, hermitian_part,
+                     partial_trace, psd_inv_sqrt, support_projector)
 
 __all__ = [
     "d_max",
@@ -35,7 +35,6 @@ __all__ = [
     "cond_hypothesis_entropy_sup",
     "smooth_min_entropy_lower_bound",
     "smooth_min_entropy_lower_bound_many",
-    "max_fidelity_uniform",
 ]
 
 # mixing weights tried by the smoothing line search; a fixed grid keeps
@@ -101,13 +100,13 @@ def d_max_sdp(rho: DensityOperator, sigma: HermitianOperator) -> float:
 
 
 def _matrix_power_psd(m: np.ndarray, power: float) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    if power < 0:
-        vals = np.where(w > TOL.support, w, 1.0) ** power * (w > TOL.support)
-    else:
-        vals = w ** power
-    return (v * vals) @ v.conj().T
+    def f(w):
+        w = np.clip(w, 0.0, None)
+        if power < 0:
+            return np.where(w > TOL.support, w, 1.0) ** power * (w > TOL.support)
+        return w ** power
+
+    return _eig_apply(m, f)
 
 
 def petz_renyi(alpha, rho: DensityOperator, sigma: HermitianOperator) -> float:
@@ -153,13 +152,11 @@ def sandwiched_renyi(alpha, rho: DensityOperator, sigma: HermitianOperator) -> f
 def _umegaki(rm: np.ndarray, sm: np.ndarray) -> float:
     if _support_violation(rm, sm):
         return math.inf
-    wr, vr = np.linalg.eigh((rm + rm.conj().T) / 2)
-    ws, vs = np.linalg.eigh((sm + sm.conj().T) / 2)
-    wr = np.clip(wr, 0.0, None)
-    ws = np.clip(ws, 0.0, None)
-    log_r = (vr * np.log2(np.where(wr > TOL.support, wr, 1.0))) @ vr.conj().T
-    log_s = (vs * np.log2(np.where(ws > TOL.support, ws, 1.0))) @ vs.conj().T
-    return float(np.trace(rm @ (log_r - log_s)).real)
+
+    def log2(w):  # on the support only
+        return np.log2(np.where(w > TOL.support, w, 1.0))
+
+    return float(np.trace(rm @ (_eig_apply(rm, log2) - _eig_apply(sm, log2))).real)
 
 
 def d_hypothesis(eps: float, rho: DensityOperator, sigma: HermitianOperator) -> float:
@@ -495,61 +492,3 @@ def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
     of one state, the one-instance `smooth_min_entropy_lower_bound_many`."""
     return float(smooth_min_entropy_lower_bound_many(
         eps, rho.matrix[None], *_split_dims(rho), variant)[0])
-
-
-# ---------------------------------------------------------------------------
-# fidelity maximization against uniform-conditioned products
-
-
-def _fidelity_to_uniform(sqrt_rho: np.ndarray, sigma: np.ndarray,
-                         da: int) -> float:
-    half = np.kron(np.eye(da), psd_sqrt(sigma))
-    sv = np.linalg.svd(sqrt_rho @ half, compute_uv=False)
-    return float(sv.sum()) ** 2
-
-
-def max_fidelity_uniform(rho: DensityOperator) -> float:
-    """sup over states sigma_B of F(rho_AB, 1_A (x) sigma_B).
-
-    Equals 2^(S_1/2-up(A|B)); the workhorse behind the duality checks
-    and the environment-decoupling dual. Pure states admit the closed
-    form lambda_max(tr_A rho). Mixed states go through the fidelity SDP
-    (Watrous) restricted to the support of rho = K K^dag:
-
-        sqrt F = max Re tr X  s.t.  [[1, X], [X^dag, K^dag (1 (x) sigma) K]] >= 0,
-                                    sigma >= 0,  tr sigma = 1.
-
-    The returned value is the closed-form fidelity at the SDP's sigma
-    (clipped to PSD and normalized), so it is attained and can never
-    exceed the true supremum. Raises SdpFailure unless the SDP is optimal.
-    """
-    da, db = _split_dims(rho)
-    w, v = np.linalg.eigh(rho.matrix)
-    if w[-1] > rho.trace() - 1e-12:  # pure: F(psi, 1 (x) s) = <psi|1 (x) s|psi>
-        red = np.einsum("ikil->kl", rho.matrix.reshape(da, db, da, db))
-        return float(np.linalg.eigvalsh(red).max())
-    keep = w > TOL.support
-    r = int(keep.sum())
-    k3 = (v[:, keep] * np.sqrt(w[keep])).reshape(da, db, r)
-    basis = hermitian_basis(r)
-    # blocks: sigma (db), Z = [[P, X], [X^dag, Q]] (2r); P = 1 and
-    # Q = K^dag (1 (x) sigma) K, i.e. tr(E Q) = tr(tr_A(K E K^dag) sigma)
-    m = 2 * r * r + 1
-    sig = np.zeros((m, db, db), dtype=complex)
-    z = np.zeros((m, 2 * r, 2 * r), dtype=complex)
-    z[:r * r, :r, :r] = basis
-    z[r * r:-1, r:, r:] = basis
-    sig[r * r:-1] = -np.einsum("aei,kij,afj->kef", k3, basis, k3.conj())
-    sig[-1] = np.eye(db)
-    b = np.zeros(m)
-    b[:r * r] = np.einsum("kii->k", basis).real
-    b[-1] = 1.0
-    c = np.zeros((2 * r, 2 * r))
-    c[:r, r:] = c[r:, :r] = np.eye(r) / 2
-    res = sdp.solve_stack([np.zeros((db, db)), c], [sig, z], b, "max")
-    if not res["ok"][0]:
-        raise sdp.SdpFailure(f"fidelity SDP status {res['status_str'][0]}")
-    ws, vs = np.linalg.eigh(hermitian_part(res["x_complex"][0][0]))
-    ws = np.clip(ws, 0.0, None)
-    sigma = (vs * (ws / ws.sum())) @ vs.conj().T
-    return _fidelity_to_uniform(psd_sqrt(rho.matrix), sigma, da)

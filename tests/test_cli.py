@@ -49,6 +49,22 @@ class TestEntropy:
         assert payload["s_min"] == pytest.approx(1.0)
         assert payload["ppt"] is True
 
+    def test_replacer_omega_matrix(self, capsys):
+        # the replacer onto diag(3/4, 1/4) has S_min = -log2(3/4)
+        omega = "[[[0.75, 0], [0, 0]], [[0, 0], [0.25, 0]]]"
+        code, out, _ = run(capsys, "entropy", "--family", "replacer",
+                           "--omega", omega, "--n", "4", "--json")
+        assert code == 0
+        assert json.loads(out)["s_min"] == pytest.approx(-np.log2(0.75),
+                                                         abs=1e-9)
+
+    @pytest.mark.parametrize("omega", ["[[0.75", "pure", "[[1, 0], [0, 1]]"])
+    def test_bad_omega_exit_2(self, capsys, omega):
+        code, out, err = run(capsys, "entropy", "--family", "replacer",
+                             "--omega", omega, "--json")
+        assert code == 2
+        assert out == "" and "invalid channel spec" in err
+
     def test_invalid_spec_exit_code(self, capsys):
         code, _, err = run(capsys, "entropy", "--family", "warp", "--json")
         assert code == 2

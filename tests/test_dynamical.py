@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minent import _sampling
-from minent.channels import (compose, dephasing1, dephasing2, depolarizing,
+from minent.channels import (QuantumChannel, channel_from_spec, compose,
+                             dephasing1, dephasing2, depolarizing,
                              diamond_distance, identity_channel, is_ppt,
                              make_named_channel, replacer, unitary_channel)
 from minent.dynamical import (ChannelEntropyReport, _pruned_scan,
@@ -194,26 +197,21 @@ class TestDuals:
             assert val <= -channel_min_entropy(ch) + 1e-6
 
     def test_env_identity(self):
-        assert env_decoupling_dual(IDC, 64, 7) == pytest.approx(1.0, abs=1e-6)
+        assert env_decoupling_dual(IDC, 64, 7) == pytest.approx(1.0, abs=1e-9)
 
     def test_env_replacer(self):
-        assert env_decoupling_dual(RPI, 64, 7) == pytest.approx(-1.0, abs=1e-4)
+        assert env_decoupling_dual(RPI, 64, 7) == pytest.approx(-1.0, abs=1e-9)
 
     def test_env_below_negentropy(self):
-        for p in (0.2, 0.6):
-            ch = depolarizing(p)
+        for ch in random_qubit_channels(33, 6):
             val = env_decoupling_dual(ch, 64, 7)
-            target = -channel_min_entropy(ch)
-            assert val <= target + 1e-6
-            assert val >= target - 0.02  # mixed candidates reach the optimum
+            assert val <= -channel_min_entropy(ch) + 1e-9
 
     def test_env_dual_exact_on_depolarizing(self):
-        # covariance makes the maximally mixed input optimal, so the
-        # fidelity SDP at that input attains -S_min
         for p in (0.2, 0.6):
             ch = depolarizing(p)
             assert env_decoupling_dual(ch, 64, 7) == pytest.approx(
-                -channel_min_entropy(ch), abs=1e-6)
+                -channel_min_entropy(ch), abs=1e-9)
 
     def test_duals_reach_on_named_families(self):
         for fam, p in (("depolarizing", 0.3), ("dephasing1", 0.5),
@@ -223,7 +221,45 @@ class TestDuals:
             assert singlet_fidelity_dual(ch, 500, 7) == pytest.approx(
                 target, abs=0.02)
             assert env_decoupling_dual(ch, 500, 7) == pytest.approx(
-                target, abs=0.02)
+                target, abs=1e-9)
+
+
+NAMED_SPECS = st.one_of(
+    st.fixed_dictionaries({
+        "family": st.sampled_from(["depolarizing", "dephasing1", "dephasing2"]),
+        "p": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({
+        "family": st.sampled_from(["replacer", "unitary", "povm"]),
+        "dims": st.integers(1, 3)}))
+
+
+@st.composite
+def drawn_channels(draw):
+    """A random channel of in/out dims 1-3 with 1-4 Kraus operators, at
+    least the in_dim / out_dim that an isometry in -> out (x) env needs."""
+    d_in, d_out = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    kraus = draw(st.integers(-(-d_in // d_out), 4))
+    gen = _sampling.stream(draw(st.integers(0, 2 ** 16)), 0xE7A5)
+    return QuantumChannel(_sampling.random_channels_kraus(gen, d_in, d_out,
+                                                          kraus, 1)[0])
+
+
+class TestEnvDualExact:
+    """The environment-decoupling dual is evaluated at its explicit
+    maximizer, so it meets -S_min to roundoff at any sample count."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=NAMED_SPECS, n=st.integers(0, 16), seed=st.integers(0, 99))
+    def test_named_families(self, spec, n, seed):
+        ch = channel_from_spec(spec)
+        assert abs(env_decoupling_dual(ch, n, seed)
+                   + channel_min_entropy(ch)) <= 1e-9
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ch=drawn_channels(), n=st.integers(0, 16), seed=st.integers(0, 99))
+    def test_drawn_channels(self, ch, n, seed):
+        assert abs(env_decoupling_dual(ch, n, seed)
+                   + channel_min_entropy(ch)) <= 1e-9
 
 
 class TestSmoothing:

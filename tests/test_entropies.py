@@ -8,13 +8,11 @@ from minent.channels import apply, apply_many, depolarizing
 from minent.entropies import (_in_ball, cond_hypothesis_entropy,
                               cond_min_entropy_down, cond_min_entropy_down_many,
                               cond_min_entropy_down_sdp, cond_min_entropy_up,
-                              d_hypothesis, d_max, d_max_sdp,
-                              max_fidelity_uniform, petz_renyi,
+                              d_hypothesis, d_max, d_max_sdp, petz_renyi,
                               sandwiched_renyi, smooth_min_entropy_lower_bound)
 from minent.linalg import (DensityOperator, HermitianOperator,
                            hermitian_basis, maximally_entangled, maximally_mixed,
-                           partial_trace, permute_systems, pure_state,
-                           support_projector)
+                           partial_trace, permute_systems, support_projector)
 
 from conftest import (basis_state, random_qubit_channels,
                       random_two_qubit_states, stinespring_output)
@@ -27,16 +25,6 @@ IDENT2 = HermitianOperator(np.eye(2))
 
 def product_state(a, b):
     return DensityOperator(np.kron(a.matrix, b.matrix), (a.dim, b.dim))
-
-
-def fidelity_to_uniform(rho, sigma):
-    """F(rho_AB, 1_A (x) sigma_B) = ||sqrt(rho) (1 (x) sqrt(sigma))||_1^2."""
-    def sqrtm(m):
-        w, v = np.linalg.eigh(m)
-        return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    da = rho.dims[0]
-    prod = sqrtm(rho.matrix) @ np.kron(np.eye(da), sqrtm(sigma))
-    return float(np.linalg.svd(prod, compute_uv=False).sum()) ** 2
 
 
 class TestDmax:
@@ -203,16 +191,6 @@ class TestConditionalEntropies:
         # and the chain D_0 <= D_H^eps - log(1/(1-eps)) <= D_max pins Phi
         assert vals[1] == pytest.approx(-1 - math.log2(1 / 0.9), abs=1e-6)
 
-    def test_duality_via_fidelity(self, rng):
-        # for pure psi_ABC: S_min(A|B) = -log2 sup_sigma F(rho_AC, 1 x sigma)
-        for _ in range(4):
-            psi = pure_state(_sampling.random_pure_vectors(rng, 8, 1)[0],
-                             (2, 2, 2))
-            rho_ab = DensityOperator(partial_trace(psi.op, [0, 1]).matrix, (2, 2))
-            rho_ac = DensityOperator(partial_trace(psi.op, [0, 2]).matrix, (2, 2))
-            lhs = cond_min_entropy_up(rho_ab)
-            rhs = -math.log2(max_fidelity_uniform(rho_ac))
-            assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
 def down_reference(m, da, db):
@@ -366,30 +344,3 @@ class TestSmoothing:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             smooth_min_entropy_lower_bound(0.1, PHI, variant="sideways")
-
-
-class TestMaxFidelityUniform:
-    def test_maximally_entangled(self):
-        assert max_fidelity_uniform(PHI) == pytest.approx(0.5, abs=1e-9)
-
-    def test_product(self, rng):
-        sig = DensityOperator(_sampling.random_density_matrices(rng, 2, 1)[0])
-        rho = product_state(PI, sig)
-        assert max_fidelity_uniform(rho) == pytest.approx(2.0, abs=1e-7)
-
-    def test_full_rank_dominates_sampled_sigmas(self, rng):
-        # rank 4 = d: the support reduction keeps every eigenvector
-        for rho in random_two_qubit_states(61, 3):
-            assert np.linalg.matrix_rank(rho.matrix) == 4
-            best = max_fidelity_uniform(rho)
-            for sig in _sampling.random_density_matrices(rng, 2, 6):
-                assert best >= fidelity_to_uniform(rho, sig) - 1e-9
-
-    def test_rank_two_stinespring_outputs_dominate_sampled_sigmas(self, rng):
-        inputs = _sampling.random_density_matrices(rng, 2, 3)
-        for ch, rho_in in zip(random_qubit_channels(62, 3), inputs):
-            rho = stinespring_output(ch, DensityOperator(rho_in))
-            assert np.linalg.matrix_rank(rho.matrix, tol=1e-9) == 2
-            best = max_fidelity_uniform(rho)
-            for sig in _sampling.random_density_matrices(rng, rho.dims[1], 6):
-                assert best >= fidelity_to_uniform(rho, sig) - 1e-9
