@@ -193,10 +193,13 @@ def make_named_channel(family: str, p: float | None = None,
                        omega: DensityOperator | None = None,
                        unitary: np.ndarray | None = None,
                        povm=None, dims: int | None = None) -> QuantumChannel:
-    """Build one of the named channel families from its parameters."""
-    if not isinstance(family, str):
-        raise ValueError("channel family must be a string")
-    family = family.lower()
+    """Build one of the named channel families from its parameters.
+
+    Raises ValueError, naming the parameter, for one the family does not
+    use (`_family_of`)."""
+    family = _family_of(family, {name for name, value in (
+        ("p", p), ("omega", omega), ("unitary", unitary), ("povm", povm),
+        ("dims", dims)) if value is not None})
     if p is not None:
         p = _real(p, "p")
     if dims is not None:
@@ -216,13 +219,31 @@ def make_named_channel(family: str, p: float | None = None,
         if unitary is None:
             unitary = np.eye(dims or 2)
         return unitary_channel(unitary)
-    if family == "povm":
-        if povm is None:
-            d = dims or 2
-            povm = [np.diag([1.0 if i == k else 0.0 for i in range(d)])
-                    for k in range(d)]
-        return povm_channel(povm)
-    raise ValueError(f"unknown channel family {family!r}")
+    if povm is None:
+        d = dims or 2
+        povm = [np.diag([1.0 if i == k else 0.0 for i in range(d)])
+                for k in range(d)]
+    return povm_channel(povm)
+
+
+def _family_of(family, given) -> str:
+    """The lower-cased name of a named family, or ValueError unless it is
+    one that uses every field named in `given`: depolarizing and the two
+    dephasing families use p, the replacer omega and dims, and unitary
+    and povm their matrix or, in its place, dims."""
+    if not isinstance(family, str):
+        raise ValueError("channel family must be a string")
+    family = family.lower()
+    uses = {"depolarizing": {"p"}, "dephasing1": {"p"}, "dephasing2": {"p"},
+            "replacer": {"omega", "dims"},
+            "unitary": {"unitary"} if "unitary" in given else {"dims"},
+            "povm": {"povm"} if "povm" in given else {"dims"}}
+    if family not in uses:
+        raise ValueError(f"unknown channel family {family!r}")
+    unused = ", ".join(map(repr, sorted(given - uses[family])))
+    if unused:
+        raise ValueError(f"channel family {family!r} does not use {unused}")
+    return family
 
 
 def _need(value, name):
@@ -460,8 +481,10 @@ def channel_from_spec(spec) -> QuantumChannel:
 
     Fields: {family, p?, omega?, unitary?, povm?, dims?}; matrices are
     row-major [re, im] pair arrays; omega may also be the string
-    "maximally-mixed". Every malformed spec raises ValueError (or
-    json.JSONDecodeError, a ValueError, for text that is not JSON).
+    "maximally-mixed". A null field is absent. Every malformed spec, one
+    with a field that its family does not use among them, raises
+    ValueError (or json.JSONDecodeError, a ValueError, for text that is
+    not JSON).
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -469,6 +492,8 @@ def channel_from_spec(spec) -> QuantumChannel:
         raise ValueError("channel spec must be a JSON object")
     if "family" not in spec:
         raise ValueError("channel spec needs a 'family' field")
+    _family_of(spec["family"], {key for key, value in spec.items()
+                                if value is not None} - {"family"})
     # p and dims are validated by make_named_channel, whose default omega
     # is the maximally mixed state
     kw = {key: spec[key] for key in ("p", "dims") if spec.get(key) is not None}

@@ -79,7 +79,6 @@ class SubsystemSearchResult:
     a1_dim: int
     trace_distance_to_product: float
     delta_prime: float
-    unitary_used: np.ndarray
     guaranteed_dim: int
     # certified lower bound on the smoothed S_min(A|R) behind guaranteed_dim
     s_min_ar: float
@@ -260,12 +259,11 @@ def find_decoupled_subsystem(phi: DensityOperator, delta_prime: float,
             if dist <= delta_prime:
                 return SubsystemSearchResult(
                     a1_dim=d1, trace_distance_to_product=dist,
-                    delta_prime=delta_prime, unitary_used=u,
-                    guaranteed_dim=guaranteed, s_min_ar=s_ar)
+                    delta_prime=delta_prime, guaranteed_dim=guaranteed,
+                    s_min_ar=s_ar)
     return SubsystemSearchResult(
         a1_dim=1, trace_distance_to_product=0.0, delta_prime=delta_prime,
-        unitary_used=np.eye(da, dtype=complex), guaranteed_dim=guaranteed,
-        s_min_ar=s_ar)
+        guaranteed_dim=guaranteed, s_min_ar=s_ar)
 
 
 @dataclass(frozen=True)

@@ -45,12 +45,6 @@ SMOOTH_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 0.01, 0.02, 0.04, 0.08,
 # weight of rho outside the support of sigma above which D_max is +inf
 SUPPORT_LEAK = 1e-10
 
-# states per sub-stack of the smoothing-ball check of the mixing candidates,
-# the one third of the candidates not decided in closed form: the
-# fidelities' eigen-decompositions take several times their input in
-# temporaries, and past a few states the extra peak memory buys little speed
-SUBSTACK = 8
-
 
 def _support_violation(rho_m: np.ndarray, sigma_m: np.ndarray) -> bool:
     proj = support_projector(sigma_m)
@@ -439,11 +433,7 @@ def _smooth_candidates(mats: np.ndarray, da: int, db: int, eps: float):
     root = root + np.sqrt(np.maximum(1 - tr_rho, 0.0) * np.maximum(1 - tr, 0.0))
     inside = np.empty(cands.shape[:3], dtype=bool)
     inside[:, :, ::2] = _ball_mask(low, tr, np.minimum(root * root, 1.0), eps)
-    # the ball check takes several times its input's memory in temporaries:
-    # check a few states at a time
-    inside[:, :, 1] = np.concatenate([_in_ball(mats[i:i + SUBSTACK],
-                                               cands[i:i + SUBSTACK, :, 1], eps)
-                                      for i in range(0, len(mats), SUBSTACK)])
+    inside[:, :, 1] = _in_ball(mats, cands[:, :, 1], eps)
     cands = cands.reshape(len(mats), -1, da * db, da * db)
     stack = np.concatenate([mats[:, None], cands], axis=1)
     mask = np.concatenate([np.ones((len(mats), 1), dtype=bool),

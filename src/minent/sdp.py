@@ -58,6 +58,13 @@ Every fallback (eigenvalue clamp, Schur ridge) is per instance, so no
 instance's path depends on the rest of its stack; an instance whose
 iterate turns non-finite, or whose Schur factor fails at the largest
 ridge, ends with status "numerical-error".
+
+Each pass of the loop classifies every working instance in one step,
+which decides all four endings; the MAX_ITER ending is one more pass,
+which classifies by the loose certificate alone. The instances that
+ended are recorded and leave the working set in one compaction of every
+per-instance array (iterates, data, norms and step history), so the
+rest run on exactly as they would alone.
 """
 
 from __future__ import annotations
@@ -256,6 +263,13 @@ def _inner(a, b):
                for x, y in zip(a, b))
 
 
+def _take(keep, arrays):
+    """Each per-instance array, or list of per-block arrays, at the
+    instances `keep`."""
+    return [[a[keep] for a in v] if isinstance(v, list) else v[keep]
+            for v in arrays]
+
+
 def _ipm(a_blocks, c_blocks, b):
     """Batched NT path-following IPM on complex Hermitian blocks.
 
@@ -263,8 +277,14 @@ def _ipm(a_blocks, c_blocks, b):
     c_blocks: per block (B, nb, nb).
     b: (B, m) real.
 
-    Finished instances are compacted out of the working set, so a few
-    slowly converging stragglers do not drag the whole stack along.
+    Each pass of the loop first classifies every working instance, and
+    the one classification decides every ending: "numerical-error" for a
+    non-finite iterate, "optimal" by the certificates, "infeasible" for a
+    diverging dual objective, and after MAX_ITER steps the loose
+    certificate alone gives "optimal" or "max-iterations". The instances
+    that ended are recorded and compacted out of the working set in one
+    call, so a few slowly converging stragglers do not drag the whole
+    stack along.
     """
     nblk = len(a_blocks)
     m = a_blocks[0].shape[0]
@@ -300,107 +320,67 @@ def _ipm(a_blocks, c_blocks, b):
     b_norm = 1.0 + np.linalg.norm(b, axis=1)
     c_norm = 1.0 + np.sqrt(c_sq)
 
-    status = np.full(bsz, -1, dtype=int)
-    out = {
-        "pobj": np.zeros(bsz), "dobj": np.zeros(bsz), "gap": np.full(bsz, np.inf),
-        "pres": np.full(bsz, np.inf), "dres": np.full(bsz, np.inf),
-        "iters": np.zeros(bsz, dtype=int),
-        "x_complex": [np.zeros((bsz, nb, nb), dtype=complex) for nb in dims],
-        "y": np.zeros((bsz, m)),
-    }
+    # every instance is recorded once, when it ends; a numerical error
+    # keeps NaN values
+    out = {key: np.full(bsz, np.nan)
+           for key in ("pobj", "dobj", "gap", "pres", "dres")}
+    out.update(status=np.zeros(bsz, dtype=int), iters=np.zeros(bsz, dtype=int),
+               x_complex=[np.zeros((bsz, nb, nb), dtype=complex) for nb in dims],
+               y=np.zeros((bsz, m)))
     cur = np.arange(bsz)  # global index of each working instance
     stall = np.zeros(bsz, dtype=int)
     mu_prev = np.full(bsz, np.inf)
     step_prev = np.ones(bsz)  # min(primal, dual) step of the last iteration
 
-    def record(mask, code, pobj, dobj, pres, dres, it):
-        gidx = cur[mask]
-        status[gidx] = code
-        out["pobj"][gidx] = pobj[mask]
-        out["dobj"][gidx] = dobj[mask]
-        out["gap"][gidx] = np.abs(pobj - dobj)[mask]
-        out["pres"][gidx] = pres[mask]
-        out["dres"][gidx] = dres[mask]
-        out["iters"][gidx] = it
-        for i in range(nblk):
-            out["x_complex"][i][gidx] = x[i][mask]
-        out["y"][gidx] = y[mask]
-
-    def keep_only(keep):
-        # compact the working set down to the instances in `keep`
-        nonlocal cur, x, s, y, b, c_blocks, b_norm, c_norm, stall, mu_prev, \
-            step_prev
-        cur = cur[keep]
-        x = [xb[keep] for xb in x]
-        s = [sb[keep] for sb in s]
-        y, b = y[keep], b[keep]
-        c_blocks = [cb[keep] for cb in c_blocks]
-        b_norm, c_norm = b_norm[keep], c_norm[keep]
-        stall, mu_prev, step_prev = stall[keep], mu_prev[keep], step_prev[keep]
-
-    def drop_nonfinite(it):
+    for it in range(MAX_ITER + 1):
         # an iterate that overflowed (or a failed Schur factor, whose NaN
-        # direction lands here) ends that instance, and only that one
+        # direction lands here) ends that instance, and only that one; its
+        # residuals are NaN and go unrecorded
         finite = np.isfinite(y).all(axis=1)
         for xb, sb in zip(x, s):
             finite &= np.isfinite(xb).all(axis=(-1, -2))
             finite &= np.isfinite(sb).all(axis=(-1, -2))
-        if not finite.all():
-            nan = np.full(cur.size, np.nan)
-            record(~finite, 3, nan, nan, nan, nan, it)
-            keep_only(np.nonzero(finite)[0])
-
-    def residuals():
-        rp = b - op_a(x)
-        aty = op_at(y)
-        rd = [c_blocks[i] - s[i] - aty[i] for i in range(nblk)]
-        pobj = _inner(c_blocks, x)
-        dobj = np.einsum("bm,bm->b", y, b)
-        pres = np.linalg.norm(rp, axis=1)
-        dres = np.sqrt(_inner(rd, rd))
-        return rp, rd, pobj, dobj, pres, dres
-
-    def certified(pobj, dobj, pres, dres):
-        # the loose certificate: it ends a stalled instance, and it alone
-        # decides the status after MAX_ITER iterations
-        return (pres < 0.9 * TOL.sdp_feas) & \
-               (np.abs(pobj - dobj) < 0.9 * TOL.sdp_gap) & \
-               (dres / c_norm < 1e-7)
-
-    for it in range(1, MAX_ITER + 1):
-        drop_nonfinite(it - 1)
-        if not cur.size:
-            break
-        rp, rd, pobj, dobj, pres, dres = residuals()
-        mu = _inner(x, s) / ntot
-        gap = np.abs(pobj - dobj)
+        with np.errstate(invalid="ignore"):
+            aty = op_at(y)
+            rd = [c_blocks[i] - s[i] - aty[i] for i in range(nblk)]
+            pobj = _inner(c_blocks, x)
+            dobj = np.einsum("bm,bm->b", y, b)
+            gap = np.abs(pobj - dobj)
+            pres = np.linalg.norm(b - op_a(x), axis=1)
+            dres = np.sqrt(_inner(rd, rd))
+            mu = _inner(x, s) / ntot
 
         strict = (pres / b_norm < 1e-10) & (dres / c_norm < 1e-10) & \
                  (gap / (1.0 + np.abs(pobj) + np.abs(dobj)) < 1e-9)
-        loose = certified(pobj, dobj, pres, dres)
+        loose = (pres < 0.9 * TOL.sdp_feas) & (gap < 0.9 * TOL.sdp_gap) & \
+                (dres / c_norm < 1e-7)
         stall = np.where(mu > 0.9 * mu_prev, stall + 1, 0)
-        mu_prev = mu.copy()
+        mu_prev = mu
 
         # a certified instance ends once mu stalls (two iterations in a row
-        # each cut it by less than 10%) or is at roundoff
-        done = strict | (loose & ((stall >= 2) | (mu < 1e-13)))
-        if done.any():
-            record(done, 0, pobj, dobj, pres, dres, it - 1)
-        diverged = ~done & (np.abs(dobj) > DIVERGENCE * b_norm)
-        if diverged.any():
-            record(diverged, 1, pobj, dobj, pres, dres, it - 1)
-        active = ~(done | diverged)
-
-        if not active.any():
-            cur = cur[:0]
-            break
-
-        if not active.all():
-            keep = np.nonzero(active)[0]
-            keep_only(keep)
-            rp = rp[keep]
-            rd = [r[keep] for r in rd]
-            pres, mu = pres[keep], mu[keep]
+        # each cut it by less than 10%) or is at roundoff; after MAX_ITER
+        # steps the loose certificate alone decides, and every instance ends
+        last = it == MAX_ITER
+        done = loose if last else strict | (loose & ((stall >= 2) | (mu < 1e-13)))
+        ended = ~finite | done | last | (np.abs(dobj) > DIVERGENCE * b_norm)
+        if ended.any():
+            code = np.where(finite, np.where(done, 0, 2 if last else 1), 3)
+            gidx, fin = cur[ended], ended & finite
+            out["status"][gidx] = code[ended]
+            out["iters"][gidx] = it
+            for key, v in (("pobj", pobj), ("dobj", dobj), ("gap", gap),
+                           ("pres", pres), ("dres", dres)):
+                out[key][cur[fin]] = v[fin]
+            for i in range(nblk):
+                out["x_complex"][i][gidx] = x[i][ended]
+            out["y"][gidx] = y[ended]
+            if ended.all():
+                break
+            (cur, x, s, y, b, c_blocks, b_norm, c_norm, stall, mu_prev,
+             step_prev, rd, pres, mu) = _take(
+                np.nonzero(~ended)[0], (cur, x, s, y, b, c_blocks, b_norm,
+                                        c_norm, stall, mu_prev, step_prev,
+                                        rd, pres, mu))
 
         # one factorization per matrix: the SVD of Ls^H Lx gives the NT
         # scaling point, S^-1 and the whitening factors for the step lengths
@@ -480,14 +460,6 @@ def _ipm(a_blocks, c_blocks, b):
         y = y + ad[:, None] * dy
         step_prev = np.minimum(ap, ad)
 
-    drop_nonfinite(MAX_ITER)
-    if cur.size:
-        _, _, pobj, dobj, pres, dres = residuals()
-        ok = certified(pobj, dobj, pres, dres)
-        record(ok, 0, pobj, dobj, pres, dres, MAX_ITER)
-        record(~ok, 2, pobj, dobj, pres, dres, MAX_ITER)
-
-    out["status"] = status
     return out
 
 

@@ -89,6 +89,11 @@ class TestConstruction:
             make_named_channel("squeezer")
         with pytest.raises(ValueError):
             make_named_channel("depolarizing")  # missing p
+        with pytest.raises(ValueError, match="does not use 'p'"):
+            make_named_channel("replacer", p=0.3)
+        with pytest.raises(ValueError, match="does not use 'dims'"):
+            make_named_channel("unitary", unitary=pauli("x"), dims=2)
+        assert make_named_channel("unitary", dims=3).out_dim == 3
 
 
 class TestChoi:
@@ -336,6 +341,13 @@ MALFORMED_SPECS = [
     {"family": "depolarizing", "p": [1]},
     {"family": "unitary", "unitary": [[1]]},
     {"family": "replacer", "dims": 0},
+    # fields the family does not use
+    {"family": "depolarizing", "p": 0.3, "dims": 3},
+    {"family": "replacer", "p": 0.3},
+    {"family": "dephasing2", "p": 0.3, "omega": "maximally-mixed", "dim": 5},
+    {"family": "unitary", "unitary": _pairs(np.eye(2)), "dims": 2},
+    {"family": "povm", "povm": [_pairs(np.eye(2))], "dims": 2},
+    {"family": "dephasing1", "p": 0.3, "unitary": _pairs(np.eye(2))},
 ]
 
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(),

@@ -70,6 +70,18 @@ class TestEntropy:
         assert code == 2
         assert "invalid" in err
 
+    @pytest.mark.parametrize("argv, field", [
+        (["--family", "depolarizing", "--p", "0.3", "--dims", "3"], "'dims'"),
+        (["--family", "replacer", "--p", "0.3"], "'p'"),
+        (["--spec", '{"family": "dephasing2", "p": 0.3, '
+                    '"omega": "maximally-mixed", "dim": 5}'], "'dim', 'omega'"),
+    ])
+    def test_unused_field_exit_2(self, capsys, argv, field):
+        # each of these used to print the value without the field
+        code, out, err = run(capsys, "entropy", *argv, "--json")
+        assert code == 2
+        assert out == "" and f"does not use {field}" in err
+
     def test_spec_json_inline(self, capsys):
         code, out, _ = run(capsys, "entropy", "--spec",
                            '{"family": "dephasing2", "p": 0.5}',

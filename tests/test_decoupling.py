@@ -193,7 +193,7 @@ class TestSubsystemSearch:
 
     def test_result_invariant(self):
         with pytest.raises(ValueError):
-            SubsystemSearchResult(2, 0.5, 0.1, np.eye(4), 1, 0.0)
+            SubsystemSearchResult(2, 0.5, 0.1, 1, 0.0)
 
 
 def protocol_sampler(phi):

@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg
 
 from minent import _sampling, cli, sdp
-from minent.channels import (KrausMap, _diamond_problem_data, choi_matrix,
-                             dephasing2)
+from minent.channels import (KrausMap, QuantumChannel, _diamond_problem_data,
+                             choi_matrix, dephasing2)
 from minent.decoupling import _cp_choi_checked
 from minent.dynamical import _pure_outputs
 from minent.entropies import (_cond_min_up_sides, cond_min_entropy_down_many,
@@ -207,6 +207,22 @@ class TestSolveStack:
             single = solve_one(*cond_min_problem(mats[i], 2, 2))
             assert res["primal_value"][i] == pytest.approx(
                 single["primal_value"], abs=1e-6)
+
+    def test_compaction_is_exact(self):
+        # these 60 qubit diamond norms end at iterations 10 to 23, so the
+        # working set is compacted again and again: every field of every
+        # instance must come out bit for bit as it does alone
+        kraus = _sampling.random_channels_kraus(_sampling.stream(7, 0xBEEF),
+                                                2, 2, 2, 120)
+        chois = [choi_matrix(QuantumChannel(ks), normalized=False).matrix
+                 for ks in kraus]
+        js = np.stack([chois[i] - chois[i + 1] for i in range(0, 120, 2)])
+        a, b = _diamond_problem_data(2, 2)
+        res = solve_diamonds(js, a, b)
+        assert (res["iters"].min(), res["iters"].max()) == (10, 23)
+        for i, j in enumerate(js):
+            assert instance_bytes(res, i) == instance_bytes(
+                solve_diamonds(j, a, b), 0)
 
     def test_large_haar_stack(self, monkeypatch):
         # 2000 S_min-up instances of one stack, as a Haar scan of
@@ -446,6 +462,13 @@ def fail_factors(monkeypatch, caller, victims, calls):
     monkeypatch.setattr(sdp, "_chol_each", each)
     monkeypatch.setattr(sdp, caller, wrapped)
     return fired
+
+
+def instance_bytes(res, i):
+    """Every field of instance i of a solve, as {key: bytes}; x_complex
+    as one bytes per block."""
+    return {key: [xb[i].tobytes() for xb in value] if key == "x_complex"
+            else np.asarray(value[i]).tobytes() for key, value in res.items()}
 
 
 def assert_matches_solo(res, js, a, b, which=None):

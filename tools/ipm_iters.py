@@ -5,7 +5,9 @@
 solves each stack once, from this checkout's sources, and prints for each
 the instance-iterations (the sum of every instance's iteration count),
 the mean, p90 and max iterations per instance, the count of each status
-and the wall time spent in `sdp.solve_stack`:
+and the wall time spent in `sdp.solve_stack`, and on a second line a
+SHA-256 of every returned field of every instance (values, gap,
+residuals, statuses, iterations, y and the primal blocks X):
 
 - diamonds: 500 qubit diamond norms, the differences of 1000 random
   qubit channels of seed 7, in one stack;
@@ -17,8 +19,14 @@ and the wall time spent in `sdp.solve_stack`:
 
 The first two are the stacks of `tests/test_sdp.py`'s iteration-tail
 tests. BLAS runs on one thread unless the environment sets otherwise.
+Two trees give bit-for-bit equal results on these stacks exactly when
+their digest lines agree:
+
+    diff <(python tools/ipm_iters.py | grep sha256) \
+         <(python other/tools/ipm_iters.py | grep sha256)
 """
 
+import hashlib
 import os
 import sys
 import time
@@ -89,6 +97,16 @@ def solve(dims, run):
     return results, wall
 
 
+def digest(results):
+    """SHA-256 of every field of every result, fields in sorted order."""
+    h = hashlib.sha256()
+    for res in results:
+        for key in sorted(res):
+            for part in res[key] if key == "x_complex" else [res[key]]:
+                h.update(np.ascontiguousarray(part).tobytes())
+    return h.hexdigest()
+
+
 def main():
     for name, dims, run in STACKS:
         results, wall = solve(dims, run)
@@ -100,6 +118,7 @@ def main():
               f"{iters.sum()}, mean {iters.mean():.1f}, "
               f"p90 {np.percentile(iters, 90):g}, max {iters.max()}; "
               f"{status}; {wall:.2f} s")
+        print(f"{name:10s} sha256 {digest(results)}")
 
 
 if __name__ == "__main__":
