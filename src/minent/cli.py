@@ -283,8 +283,7 @@ def cmd_costs(args) -> int:
         print(f"invalid channel spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     try:
-        report = thermo.channel_costs(channel, args.mu, args.temperature,
-                                      n_samples=args.n, seed=args.seed)
+        report = thermo.channel_costs(channel, args.mu, args.temperature)
     except ValueError as exc:  # e.g. an erasure SDP too large to solve
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
@@ -292,6 +291,8 @@ def cmd_costs(args) -> int:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = report.to_json()
+    # costs draws nothing; --seed is accepted and echoed because
+    # perfbench/workloads.py (q_costs) still passes it
     payload["seed"] = args.seed
     if args.mu == 0:
         payload["zero_error_equality_gap"] = report.zero_error_gap
@@ -488,7 +489,7 @@ def _invariants(seed: int):
     ok = True
     for fam, p in (("depolarizing", 0.3), ("dephasing1", 0.5), ("dephasing2", 0.8)):
         ch3 = channels.make_named_channel(fam, p=p)
-        rep3 = thermo.channel_costs(ch3, 0.0, 300.0, n_samples=16, seed=seed)
+        rep3 = thermo.channel_costs(ch3, 0.0, 300.0)
         ok = ok and rep3.zero_error_gap < 1e-6
     yield "thermo.zero_error_identity", ok, ""
 
@@ -577,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="erasure/preparation cost report")
     p.add_argument("--mu", type=float, default=0.0)
     p.add_argument("--temperature", type=float, default=300.0)
-    p.add_argument("--n", type=int, default=64)
     p.set_defaults(func=cmd_costs)
 
     p = add("check", seed, help="run the invariant suite")

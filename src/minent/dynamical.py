@@ -58,7 +58,7 @@ class ChannelEntropyReport:
 def channel_min_entropy(n: QuantumChannel) -> float:
     """S_min of a channel: -log2(in_dim * lambda_max(Choi state))."""
     lam = float(np.linalg.eigvalsh(choi_matrix(n).matrix).max())
-    return -math.log2(n.in_dim * lam)
+    return -math.log2(n.in_dim * lam) + 0.0  # + 0.0 turns -0.0 into 0.0
 
 
 def channel_min_entropy_sdp(n: QuantumChannel) -> float:

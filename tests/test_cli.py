@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -299,8 +300,7 @@ class TestDecouple:
 
 class TestCosts:
     def test_identity(self, capsys):
-        code, out, _ = run(capsys, "costs", "--family", "unitary",
-                           "--n", "8", "--json")
+        code, out, _ = run(capsys, "costs", "--family", "unitary", "--json")
         payload = json.loads(out)
         assert code == 0
         assert payload["prep_bits"] == pytest.approx(1.0, abs=1e-9)
@@ -309,13 +309,13 @@ class TestCosts:
 
     def test_replacer(self, capsys):
         code, out, _ = run(capsys, "costs", "--family", "replacer",
-                           "--omega", "maximally-mixed", "--n", "8", "--json")
+                           "--omega", "maximally-mixed", "--json")
         payload = json.loads(out)
         assert payload["prep_bits"] == pytest.approx(-1.0, abs=1e-9)
 
     def test_depolarizing_half(self, capsys):
         code, out, _ = run(capsys, "costs", "--family", "depolarizing",
-                           "--p", "0.5", "--n", "8", "--json")
+                           "--p", "0.5", "--json")
         payload = json.loads(out)
         assert payload["prep_bits"] == pytest.approx(0.0, abs=1e-7)
         assert payload["certification"] == "exact"
@@ -325,7 +325,7 @@ class TestCosts:
         monkeypatch.setenv("KELVIN_DEFAULT", "100.0")
         for argv, kelvin in (([], 300.0), (["--temperature", "77"], 77.0)):
             code, out, _ = run(capsys, "costs", "--family", "unitary",
-                               "--n", "4", "--json", *argv)
+                               "--json", *argv)
             assert code == 0
             assert json.loads(out)["temperature_kelvin"] == kelvin
 
@@ -342,7 +342,7 @@ class TestCosts:
             raise AssertionError("costs computed for a refused temperature")
 
         monkeypatch.setattr(thermo, "channel_costs", no_work)
-        code, out, err = run(capsys, "costs", "--family", "unitary", "--n", "2",
+        code, out, err = run(capsys, "costs", "--family", "unitary",
                              "--temperature", kelvin, "--json")
         assert code == 2
         assert out == ""
@@ -354,7 +354,7 @@ class TestCosts:
         code, out, _ = run(capsys, "costs", "--spec",
                            '{"family": "replacer", "omega": '
                            '"maximally-mixed", "dims": 3}',
-                           "--mu", "0.1", "--n", "8", "--json")
+                           "--mu", "0.1", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["eras_bits"] == pytest.approx(
@@ -367,7 +367,7 @@ class TestCosts:
         code, out, err = run(capsys, "costs", "--spec",
                              '{"family": "replacer", "omega": '
                              '"maximally-mixed", "dims": 6}',
-                             "--mu", "0.1", "--n", "2", "--json")
+                             "--mu", "0.1", "--json")
         assert code == 2
         assert out == ""
         assert "exceeds 64" in err
@@ -384,7 +384,7 @@ class TestCosts:
 
         monkeypatch.setattr(sdp, "solve_stack", stalled)
         code, out, err = run(capsys, "costs", "--family", "depolarizing",
-                             "--p", "0.5", "--mu", "0.06", "--n", "4", "--json")
+                             "--p", "0.5", "--mu", "0.06", "--json")
         assert code == 3
         assert out == ""
         assert "erasure" in err
@@ -398,13 +398,26 @@ class TestCosts:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(["costs", f"--spec={json.dumps(spec)}", f"--mu={mu}",
-                         "--n=4", "--json"])
+                         "--json"])
         assert code in (0, 3)
         if code == 0:
             payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
             assert payload["certification"] == "certified-upper"
         else:
             assert out.getvalue() == ""
+
+
+class TestNoNegativeZero:
+    # -0.0 as a whole number, not the start of -0.05
+    NEGATIVE_ZERO = re.compile(r"(?<![0-9.])-0\.0(?![0-9])")
+
+    # the povm measures in the computational basis, where S_min is 0
+    @pytest.mark.parametrize("command", ["entropy", "costs"])
+    def test_povm_json(self, capsys, command):
+        code, out, _ = run(capsys, command, "--family", "povm", "--json")
+        assert code == 0
+        assert not self.NEGATIVE_ZERO.search(out)
+        assert "-0.0" not in map(repr, json.loads(out).values())
 
 
 class TestCheck:
@@ -477,6 +490,7 @@ class TestSharedFlags:
         ["sweep", "--seed", "7"],
         ["sweep", "--json"],
         ["check", "--json"],
+        ["costs", "--n", "4"],
     ])
     def test_unread_flag_exits_2(self, tmp_path, capsys, argv):
         if argv[0] == "sweep":

@@ -3,14 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minent import _sampling
 from minent.channels import (dephasing1, dephasing2, depolarizing,
                              identity_channel, make_named_channel, povm_channel,
                              replacer, stinespring_isometry, unitary_channel)
-from minent.dynamical import channel_min_entropy
+from minent.dynamical import (_pure_outputs, channel_min_entropy,
+                              smooth_channel_min_entropy_lower_bound)
 from minent.entropies import (cond_hypothesis_entropy,
-                              cond_hypothesis_entropy_sup)
+                              cond_hypothesis_entropy_sup,
+                              smooth_min_entropy_lower_bound_many)
 from minent.linalg import (DensityOperator, maximally_entangled,
                            maximally_mixed, pauli)
 from minent.thermo import (K_B, AdversarialBound, CostReport, WorkCost,
@@ -106,36 +110,36 @@ class TestSumBound:
 
 class TestChannelCosts:
     def test_identity(self):
-        rep = channel_costs(identity_channel(2), 0.0, 300.0, 24, 5)
+        rep = channel_costs(identity_channel(2), 0.0, 300.0)
         assert rep.prep_cost.bits == pytest.approx(1.0, abs=1e-9)
         assert rep.eras_cost.bits == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_replacer(self):
-        rep = channel_costs(replacer(PI), 0.0, 300.0, 24, 5)
+        rep = channel_costs(replacer(PI), 0.0, 300.0)
         assert rep.prep_cost.bits == pytest.approx(-1.0, abs=1e-9)
         assert rep.eras_cost.bits == pytest.approx(-1.0, abs=1e-9)
 
     def test_unitary_matches_identity(self):
-        rep = channel_costs(unitary_channel(pauli("y")), 0.0, 300.0, 24, 5)
+        rep = channel_costs(unitary_channel(pauli("y")), 0.0, 300.0)
         assert rep.prep_cost.bits == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("p,expect", [(0.5, 0.0), (0.75, -1.0),
                                           (0.1, math.log2(1.8))])
     def test_depolarizing_closed_form(self, p, expect):
-        rep = channel_costs(depolarizing(p), 0.0, 300.0, 32, 5)
+        rep = channel_costs(depolarizing(p), 0.0, 300.0)
         assert rep.prep_cost.bits == pytest.approx(expect, abs=1e-7)
         assert rep.eras_cost.bits == pytest.approx(expect, abs=1e-7)
 
     def test_zero_error_identity_never_exceeded(self):
         for fam in ("depolarizing", "dephasing1", "dephasing2"):
             ch = make_named_channel(fam, p=0.35)
-            rep = channel_costs(ch, 0.0, 300.0, 48, 5)
+            rep = channel_costs(ch, 0.0, 300.0)
             target = -channel_min_entropy(ch)
             assert rep.prep_cost.bits <= target + 1e-6
             assert rep.eras_cost.bits <= target + 1e-6
 
     def test_positive_mu_certified(self):
-        rep = channel_costs(depolarizing(0.3), 0.08, 300.0, 12, 5)
+        rep = channel_costs(depolarizing(0.3), 0.08, 300.0)
         assert rep.certification == "certified-upper"
         # the certified cost ceilings are asserted inside channel_costs
         assert rep.eras_cost.bits <= -rep.s_min_channel + math.log2(0.92) + 1e-6
@@ -153,39 +157,52 @@ class TestChannelCosts:
 
         monkeypatch.setattr(sdp, "solve_stack", stalled)
         with pytest.raises(sdp.SdpFailure, match="erasure"):
-            channel_costs(depolarizing(0.3), 0.08, 300.0, 12, 5)
+            channel_costs(depolarizing(0.3), 0.08, 300.0)
 
-    def test_oversize_erasure_refused_before_preparation(self, monkeypatch):
-        # the mu > 0 erasure SDP, and with it its size check, comes before
-        # the preparation scan, so an oversized channel never reaches it
-        from minent import entropies
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("preparation scan ran")
-
-        monkeypatch.setattr(entropies, "smooth_min_entropy_lower_bound_many",
-                            unreachable)
+    def test_oversize_erasure_refused(self):
+        # the mu > 0 erasure SDP's size check refuses an oversized channel
         ch = make_named_channel("replacer", dims=6)
         with pytest.raises(ValueError, match="exceeds 64"):
-            channel_costs(ch, 0.1, 300.0, 64, 42)
+            channel_costs(ch, 0.1, 300.0)
 
-    def test_positive_mu_names_first_optimal_input(self):
-        # the maximally entangled input attains the preparation optimum
-        # within 1e-9 at mu > 0 as at mu = 0, and comes first; the erasure
-        # SDP's optimal input is the maximally mixed one
-        rep = channel_costs(depolarizing(0.5), 0.06, 300.0, 64, 42)
+    def test_attained_input_labels(self):
+        # at mu = 0 the maximally entangled input attains -S_min; at mu > 0
+        # the preparation cost is the smoothed-channel ceiling, which names
+        # no input, and the erasure SDP's optimal input is the maximally
+        # mixed one
+        ch = depolarizing(0.5)
+        rep = channel_costs(ch, 0.0, 300.0)
         assert rep.attained_inputs["prep"] == "maximally-entangled reference input"
+        phi = np.eye(2, dtype=complex).reshape(-1) / math.sqrt(2)
+        down = smooth_min_entropy_lower_bound_many(
+            0.0, _pure_outputs(ch, phi[None]), 2, 2, "down")
+        assert abs(-down[0] - rep.prep_cost.bits) <= 1e-9
+        rep = channel_costs(ch, 0.06, 300.0)
+        assert rep.attained_inputs["prep"] == "smoothed-channel ceiling"
         assert rep.attained_inputs["eras"] == "SDP-optimal input"
         assert np.abs(rep.attained_inputs["eras_state"] - np.eye(2) / 2).max() < 1e-6
         assert rep.attained_inputs["skipped_samples"] == 0
 
+    @pytest.mark.parametrize("mu", [0.0, 0.06, 0.3])
+    @pytest.mark.parametrize("name", ["depolarizing", "dephasing2", "povm"])
+    def test_prep_is_smoothed_channel_ceiling(self, name, mu):
+        # bit for bit (repr round-trips a float), except that -0.0 turns
+        # into 0.0: the povm measures in the computational basis, where
+        # S_min is 0
+        ch = make_named_channel(name) if name == "povm" \
+            else make_named_channel(name, p=0.4)
+        prep = channel_costs(ch, mu, 300.0).prep_cost.bits
+        ceiling = -smooth_channel_min_entropy_lower_bound(mu, ch)
+        assert repr(prep) == repr(ceiling + 0.0)
+        assert repr(prep) != "-0.0"
+
     def test_zero_mu_names_sampled_input(self):
-        rep = channel_costs(depolarizing(0.5), 0.0, 300.0, 8, 5)
+        rep = channel_costs(depolarizing(0.5), 0.0, 300.0)
         assert rep.attained_inputs["eras"] == "maximally-mixed input"
         assert np.array_equal(rep.attained_inputs["eras_state"], np.eye(2) / 2)
 
     def test_json_schema(self):
-        rep = channel_costs(identity_channel(2), 0.0, 300.0, 8, 5)
+        rep = channel_costs(identity_channel(2), 0.0, 300.0)
         payload = rep.to_json()
         assert set(payload) == {"mu", "temperature_kelvin", "prep_bits",
                                 "eras_bits", "prep_joules", "eras_joules",
@@ -201,10 +218,51 @@ class TestChannelCosts:
         assert rep.zero_error_gap == 0.3
 
 
+@st.composite
+def ceiling_channels(draw):
+    """Random qubit and 2 -> 3 channels, and the named qubit families."""
+    kind = draw(st.sampled_from(["random-2", "random-3", "depolarizing",
+                                 "dephasing1", "dephasing2", "replacer",
+                                 "unitary", "povm"]))
+    if kind.startswith("random"):
+        return random_channel(draw(st.integers(0, 1 << 16)), 2, int(kind[-1]),
+                              draw(st.integers(1, 4)))
+    if kind in ("replacer", "unitary", "povm"):
+        return make_named_channel(kind)
+    return make_named_channel(kind, p=draw(st.floats(0.0, 1.0)))
+
+
+class TestPreparationCeiling:
+    # The preparation cost is the smoothed-channel ceiling. Its reference
+    # is the scan it replaced: Phi, the basis products and Haar inputs,
+    # each through the smoothed S_min-down bound L(psi) of N(psi). Since
+    # L(psi) >= S_down(N_t(psi)) >= S_min[N_t] for every admissible
+    # mixing weight t, no input's -L(psi) exceeds the ceiling.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(ch=ceiling_channels(),
+           mu=st.floats(0.0, 0.95, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 99))
+    def test_no_input_exceeds_ceiling(self, ch, mu, seed):
+        dr, da = ch.in_dim, ch.out_dim
+        phi = np.eye(dr, dtype=complex).reshape(1, -1) / math.sqrt(dr)
+        haar = _sampling.random_pure_vectors(_sampling.stream(seed, 0xC057),
+                                             dr * dr, 16)
+        vecs = np.concatenate([phi, np.eye(dr * dr, dtype=complex), haar])
+        lower = smooth_min_entropy_lower_bound_many(
+            mu, _pure_outputs(ch, vecs), da, dr, "down")
+        # prep_bits as channel_costs reports it, bit for bit
+        # (test_prep_is_smoothed_channel_ceiling); channel_costs itself
+        # would also solve the erasure SDP, which does not certify at
+        # every mu (exit 3 at depolarizing p = 0.5, mu = 1e-9)
+        prep_bits = -smooth_channel_min_entropy_lower_bound(mu, ch) + 0.0
+        assert float((-lower).max()) <= prep_bits + 1e-9
+
+
 def sampled_erasure_inputs(channel, n, seed):
-    """The mixed inputs a sampled erasure scan of `channel_costs` draws:
-    the maximally mixed state, the basis states and n // 2 random states,
-    drawn after the preparation side's n pure states."""
+    """Mixed reference inputs for the joint erasure SDP: the maximally
+    mixed state, the basis states and n // 2 random states, drawn after n
+    pure states as the sampled erasure scan that the SDP replaced drew
+    them."""
     gen = _sampling.stream(seed, 0xC057)
     dr = channel.in_dim
     _sampling.random_pure_vectors(gen, dr * dr, n)
@@ -316,7 +374,7 @@ class TestAdversarialBound:
         # thermodynamic bound >= resource-theoretic zero-error cost + margin
         for fam, p in (("depolarizing", 0.3), ("dephasing2", 0.6)):
             ch = make_named_channel(fam, p=p)
-            eras = channel_costs(ch, 0.0, 300.0, 16, 5).eras_cost.bits
+            eras = channel_costs(ch, 0.0, 300.0).eras_cost.bits
             adv = adversarial_erasure_bound(ch, 0.01, 2.0, 300.0)
             assert adv.bound.bits >= eras - 1e-6
 
