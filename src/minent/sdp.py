@@ -29,9 +29,14 @@ Ls of the primal and dual iterates feed one SVD, G = Ls^H Lx = U Sig V^H,
 as in Todd, Toh and Tutuncu, "On the Nesterov-Todd direction in
 semidefinite programming" (SIAM J. Optim. 1998). That SVD gives the NT
 scaling point W, S^-1 and the whitening factors Px, Ps for the step
-lengths, so no iterate factor is ever inverted. The Schur complement gets
-one Cholesky factor per instance, inverted once and applied by matmuls in
-the predictor, the corrector and their refinement steps.
+lengths, so no iterate factor is ever inverted. The blocks of one size
+share each of these batched LAPACK calls, as SDPT3 keeps its small blocks
+of one kind together: per iteration and block size, one Cholesky call
+factors every X and S, one SVD scales them, and one eigvalsh call in each
+of the predictor and the corrector takes the primal and the dual step
+lengths. The Schur complement gets one Cholesky factor per instance,
+inverted once and applied by matmuls in the predictor, the corrector and
+their refinement steps.
 
 An instance ends "optimal" once it meets the strict certificate, or once
 it meets the loose one (residual below 0.9 `sdp_feas`, gap below 0.9
@@ -52,12 +57,14 @@ lengths, after SDPT3: after short steps it centres more, so an iterate
 whose primal and dual affine steps are far apart recovers instead of
 jamming at the cone boundary.
 
-A stack is factored in one call to numpy's batched Cholesky gufunc, which
-writes NaN for exactly the instances whose own factorization fails.
-Every fallback (eigenvalue clamp, Schur ridge) is per instance, so no
-instance's path depends on the rest of its stack; an instance whose
-iterate turns non-finite, or whose Schur factor fails at the largest
-ridge, ends with status "numerical-error".
+The batched LAPACK calls are numpy's gufuncs, which treat each matrix on
+its own: the Cholesky gufunc writes NaN for exactly the matrices whose own
+factorization fails. Every fallback (eigenvalue clamp, Schur ridge) is per
+matrix or per instance, and sums over blocks run block by block in block
+order, so no instance's path depends on the rest of its stack or on how
+its blocks are grouped; an instance whose iterate turns non-finite, or
+whose Schur factor fails at the largest ridge, ends with status
+"numerical-error".
 
 Each pass of the loop classifies every working instance in one step,
 which decides all four endings; the MAX_ITER ending is one more pass,
@@ -101,12 +108,12 @@ def _h(m):
 
 
 def _chol_each(m):
-    """Cholesky factor of each instance, all NaN where that instance's own
-    factorization fails or is not finite.
+    """Cholesky factor of each matrix of a stack, all NaN where that
+    matrix's own factorization fails or is not finite.
 
     This is numpy's batched Cholesky gufunc itself, its complex loop for
     the iterates and its real loop for the Schur matrix: it factors each
-    instance on its own and writes NaN for the ones that fail, where
+    matrix on its own and writes NaN for the ones that fail, where
     np.linalg.cholesky would raise for the whole stack.
     """
     sig = "D->D" if m.dtype.kind == "c" else "d->d"
@@ -120,13 +127,13 @@ def _chol_psd(m):
     """Batched Cholesky with an eigenvalue-clamp fallback for stray
     indefiniteness from roundoff.
 
-    The fallback is per instance, so no instance's trajectory depends on
-    the rest of its stack. An instance is clamped when its own
+    The fallback is per matrix, so no instance's trajectory depends on
+    the rest of its stack. A matrix is clamped when its own
     factorization fails or when a squared pivot, which bounds its
     smallest eigenvalue from above, shows an eigenvalue below the clamp
     floor: a near-singular slack that still factors would otherwise
     blow the primal iterate up (replacer-channel scans do this). Each
-    instance of `m` must be exactly Hermitian, as the iterates are.
+    matrix of `m` must be exactly Hermitian, as the iterates are.
     """
     lf = _chol_each(m)
     piv = np.diagonal(lf, axis1=-2, axis2=-1).real.min(axis=-1) ** 2
@@ -144,22 +151,24 @@ def _chol_psd(m):
 def _nt_scaling(lx, ls):
     """NT scaling of X = Lx Lx^H and S = Ls Ls^H from one SVD.
 
-    With G = Ls^H Lx = U Sig V^H, returns (W, S^-1, Px, Ps):
+    With G = Ls^H Lx = U Sig V^H, returns (W, S^-1, P):
       W    = Lx V Sig^-1 V^H Lx^H, the NT point with W S W = X;
       S^-1 = Lx V Sig^-2 V^H Lx^H, since Ls^-H = Lx V Sig^-1 U^H;
-      Px   = Sig^-1 U^H Ls^H, with Px X Px^H = I;
-      Ps   = Sig^-1 V^H Lx^H, with Ps S Ps^H = I.
+      P    = (Px, Ps), stacked on a new first axis, with
+      Px   = Sig^-1 U^H Ls^H, so that Px X Px^H = I, and
+      Ps   = Sig^-1 V^H Lx^H, so that Ps S Ps^H = I.
     Px and Ps whiten X and S for `_max_step`, so neither factor is
     inverted.
     """
     u, sig, vh = np.linalg.svd(_h(ls) @ lx)
     sig = np.maximum(sig, 1e-150)[..., None]
     vlx = vh @ _h(lx)
-    ps = vlx / sig
-    px = (_h(u) @ _h(ls)) / sig
+    p = np.empty((2,) + vlx.shape, dtype=vlx.dtype)
+    np.divide(_h(u) @ _h(ls), sig, out=p[0])
+    ps = np.divide(vlx, sig, out=p[1])
     w = hermitian_part(_h(vlx) @ ps)
     s_inv = hermitian_part(_h(ps) @ ps)
-    return w, s_inv, px, ps
+    return w, s_inv, p
 
 
 def _tri_inv(lf):
@@ -181,8 +190,13 @@ def _tri_inv(lf):
 def _max_step(p, d):
     """Largest alpha with X + alpha D >= 0, from any factors P with
     P X P^H = I (the Px or Ps of `_nt_scaling`): it is
-    1 / lambda_max(-P D P^H), the same for every such P. NaN for an
-    instance whose direction is not finite."""
+    1 / lambda_max(-P D P^H), the same for every such P.
+
+    p, d: one array per block size, (..., k, n, n) for the k blocks of
+    that size, so each size takes one eigvalsh call. Returns, for each
+    leading index, the least step over every block; NaN for a leading
+    index whose direction is not finite in some block.
+    """
     steps = None
     for pb, db in zip(p, d):
         g = -hermitian_part(pb @ db @ _h(pb))
@@ -191,6 +205,7 @@ def _max_step(p, d):
         lam = np.linalg.eigvalsh(g)[..., -1]
         s = np.where(lam > 1e-13, 1.0 / np.where(lam > 1e-13, lam, 1.0), np.inf)
         s[~finite] = np.nan
+        s = s.min(axis=-1)
         steps = s if steps is None else np.minimum(steps, s)
     return steps
 
@@ -257,15 +272,9 @@ def _schur_inv_factor(schur, dscale):
     return li
 
 
-def _inner(a, b):
-    """sum over blocks of tr(A B), for Hermitian blocks."""
-    return sum((x.view(np.float64) * y.view(np.float64)).sum(axis=(-1, -2))
-               for x, y in zip(a, b))
-
-
 def _take(keep, arrays):
-    """Each per-instance array, or list of per-block arrays, at the
-    instances `keep`."""
+    """Each per-instance array, or list of such arrays, at the instances
+    `keep`."""
     return [[a[keep] for a in v] if isinstance(v, list) else v[keep]
             for v in arrays]
 
@@ -277,6 +286,16 @@ def _ipm(a_blocks, c_blocks, b):
     c_blocks: per block (B, nb, nb).
     b: (B, m) real.
 
+    The blocks of one size are held together: the iterates of the k
+    blocks of size n are one (2, B, k, n, n) array, X before S, and every
+    other per-block quantity one (B, k, n, n) array, so each batched
+    LAPACK kernel runs once per block size and phase: one Cholesky call
+    factors every X and S of that size, one SVD gives their NT scaling,
+    and one eigvalsh call in each of the predictor and the corrector takes
+    the primal and the dual step lengths. Sums over blocks (op_a, the
+    inner products, the Schur matrix) run on per-block views in block
+    order, so no result depends on how the blocks are grouped.
+
     Each pass of the loop first classifies every working instance, and
     the one classification decides every ending: "numerical-error" for a
     non-finite iterate, "optimal" by the certificates, "infeasible" for a
@@ -286,39 +305,57 @@ def _ipm(a_blocks, c_blocks, b):
     call, so a few slowly converging stragglers do not drag the whole
     stack along.
     """
-    nblk = len(a_blocks)
     m = a_blocks[0].shape[0]
     bsz = b.shape[0]
     dims = [a.shape[-1] for a in a_blocks]
     ntot = sum(dims)
+    sizes = list(dict.fromkeys(dims))  # distinct block sizes, first seen first
+    groups = [[i for i, nb in enumerate(dims) if nb == n] for n in sizes]
+    # (size, place within it) of each block, in block order
+    slot = [(sizes.index(nb), dims[:i].count(nb)) for i, nb in enumerate(dims)]
     a_flat = [a.view(np.float64).reshape(m, -1) for a in a_blocks]
+    a_size = [np.stack([a_flat[i] for i in g]) for g in groups]
 
-    def op_a(xb):
-        cnt = xb[0].shape[0]
-        return sum(xb[i].view(np.float64).reshape(cnt, 1, -1) @ a_flat[i].T
-                   for i in range(nblk)).reshape(cnt, m)
+    def each(v):
+        # per-block views, in block order, of per-size (B, k, n, n) arrays
+        return [v[g][:, j] for g, j in slot]
+
+    def op_a(v):
+        cnt = v[0].shape[0]
+        return sum(vb.view(np.float64).reshape(cnt, 1, -1) @ af.T
+                   for vb, af in zip(each(v), a_flat)).reshape(cnt, m)
 
     def op_at(yv):
-        # one (1, m) @ (m, 2 nb^2) product per instance, so an instance's
-        # rounding does not depend on its stack
+        # one (1, m) @ (m, 2 nb^2) product per instance and block, so an
+        # instance's rounding does not depend on its stack
         cnt = yv.shape[0]
-        return [(yv[:, None] @ af).view(complex).reshape(cnt, nb, nb)
-                for af, nb in zip(a_flat, dims)]
+        return [(yv[:, None, None] @ af).view(complex).reshape(cnt, -1, n, n)
+                for af, n in zip(a_size, sizes)]
+
+    def inner(u, v):
+        # sum over blocks, in block order, of tr(U V) for Hermitian blocks
+        tr = [(ub.view(np.float64) * vb.view(np.float64)).sum(axis=(-1, -2))
+              for ub, vb in zip(u, v)]
+        return sum(tr[g][:, j] for g, j in slot)
 
     # initial point: tau from least-squares fit of the equality constraints
     tr_a = sum(np.trace(a, axis1=-2, axis2=-1).real for a in a_blocks)
     denom = float(tr_a @ tr_a)
     tau_p = np.abs(b @ tr_a) / denom if denom > 0 else np.ones(bsz)
     tau_p = np.clip(tau_p, 1.0, 1e4)
-    c_sq = _inner(c_blocks, c_blocks)
+    c = [np.stack([c_blocks[i] for i in g], axis=1) for g in groups]
+    c_sq = inner(c, c)
     tau_d = np.clip(np.sqrt(c_sq / ntot), 1.0, 1e6)
 
-    x = [np.eye(nb, dtype=complex) * tau_p[:, None, None] for nb in dims]
-    s = [np.eye(nb, dtype=complex) * tau_d[:, None, None] for nb in dims]
+    tau = np.stack([tau_p, tau_d])[:, :, None, None, None]
+    z = [np.broadcast_to(np.eye(n) * tau, (2, bsz, len(g), n, n))
+         .astype(complex, order="C") for n, g in zip(sizes, groups)]
+    x, s = zip(*z)
     y = np.zeros((bsz, m))
 
     b_norm = 1.0 + np.linalg.norm(b, axis=1)
     c_norm = 1.0 + np.sqrt(c_sq)
+    pres = np.linalg.norm(b - op_a(x), axis=1)
 
     # every instance is recorded once, when it ends; a numerical error
     # keeps NaN values
@@ -337,18 +374,15 @@ def _ipm(a_blocks, c_blocks, b):
         # direction lands here) ends that instance, and only that one; its
         # residuals are NaN and go unrecorded
         finite = np.isfinite(y).all(axis=1)
-        for xb, sb in zip(x, s):
-            finite &= np.isfinite(xb).all(axis=(-1, -2))
-            finite &= np.isfinite(sb).all(axis=(-1, -2))
+        for zs in z:
+            finite &= np.isfinite(zs).all(axis=(0, 2, 3, 4))
         with np.errstate(invalid="ignore"):
-            aty = op_at(y)
-            rd = [c_blocks[i] - s[i] - aty[i] for i in range(nblk)]
-            pobj = _inner(c_blocks, x)
+            rd = [cs - ss - ats for cs, ss, ats in zip(c, s, op_at(y))]
+            pobj = inner(c, x)
             dobj = np.einsum("bm,bm->b", y, b)
             gap = np.abs(pobj - dobj)
-            pres = np.linalg.norm(b - op_a(x), axis=1)
-            dres = np.sqrt(_inner(rd, rd))
-            mu = _inner(x, s) / ntot
+            dres = np.sqrt(inner(rd, rd))
+            mu = inner(x, s) / ntot
 
         strict = (pres / b_norm < 1e-10) & (dres / c_norm < 1e-10) & \
                  (gap / (1.0 + np.abs(pobj) + np.abs(dobj)) < 1e-9)
@@ -371,30 +405,31 @@ def _ipm(a_blocks, c_blocks, b):
             for key, v in (("pobj", pobj), ("dobj", dobj), ("gap", gap),
                            ("pres", pres), ("dres", dres)):
                 out[key][cur[fin]] = v[fin]
-            for i in range(nblk):
-                out["x_complex"][i][gidx] = x[i][ended]
+            for xc, xb in zip(out["x_complex"], each(x)):
+                xc[gidx] = xb[ended]
             out["y"][gidx] = y[ended]
             if ended.all():
                 break
-            (cur, x, s, y, b, c_blocks, b_norm, c_norm, stall, mu_prev,
-             step_prev, rd, pres, mu) = _take(
-                np.nonzero(~ended)[0], (cur, x, s, y, b, c_blocks, b_norm,
-                                        c_norm, stall, mu_prev, step_prev,
-                                        rd, pres, mu))
+            keep = np.nonzero(~ended)[0]
+            z = [zs[:, keep] for zs in z]
+            x, s = zip(*z)
+            (cur, y, b, c, b_norm, c_norm, stall, mu_prev, step_prev, rd, pres,
+             mu) = _take(keep, (cur, y, b, c, b_norm, c_norm, stall, mu_prev,
+                                step_prev, rd, pres, mu))
 
-        # one factorization per matrix: the SVD of Ls^H Lx gives the NT
-        # scaling point, S^-1 and the whitening factors for the step lengths
-        w_nt, s_inv, px, ps = zip(*(_nt_scaling(_chol_psd(xb), _chol_psd(sb))
-                                    for xb, sb in zip(x, s)))
+        # one Cholesky call factors every X and S of one size, and the SVD
+        # of Ls^H Lx gives the NT scaling point, S^-1 and the whitening
+        # factors for the step lengths
+        w_nt, s_inv, p = zip(*(_nt_scaling(*_chol_psd(zs)) for zs in z))
 
-        schur = _schur_matrix(w_nt, a_blocks)
+        schur = _schur_matrix(each(w_nt), a_blocks)
         dscale = np.maximum(np.einsum("bii->b", schur) / m, 0.5)
         idx = np.arange(m)
         schur[:, idx, idx] += 0.5e-12  # absolute jitter; scale-free on purpose
         schur_inv = _schur_inv_factor(schur, dscale)
         schur_inv_t = schur_inv.swapaxes(-1, -2)
 
-        a_wrw = op_a([hermitian_part(w_nt[i] @ rd[i] @ w_nt[i]) for i in range(nblk)])
+        a_wrw = op_a([hermitian_part(w @ r @ w) for w, r in zip(w_nt, rd)])
         a_sinv = op_a(s_inv)
 
         def solve_schur(rhs):
@@ -409,23 +444,26 @@ def _ipm(a_blocks, c_blocks, b):
             return dy
 
         def newton(sigma_mu, corr=None):
+            # dy, and per size the directions (dX, dS) laid out as the iterate
             rhs = b - sigma_mu[:, None] * a_sinv + a_wrw
             if corr is not None:
                 rhs = rhs + op_a(corr)
             dy = solve_schur(rhs)
-            at_dy = op_at(dy)
-            ds = [rd[i] - at_dy[i] for i in range(nblk)]
-            dx = [hermitian_part(sigma_mu[:, None, None] * s_inv[i] - x[i]
-                                 - (corr[i] if corr is not None else 0.0)
-                                 - w_nt[i] @ ds[i] @ w_nt[i]) for i in range(nblk)]
-            return dy, dx, ds
+            d = [np.empty_like(zs) for zs in z]
+            for g, at_dy in enumerate(op_at(dy)):
+                ds = np.subtract(rd[g], at_dy, out=d[g][1])
+                d[g][0] = hermitian_part(
+                    sigma_mu[:, None, None, None] * s_inv[g] - x[g]
+                    - (corr[g] if corr is not None else 0.0)
+                    - w_nt[g] @ ds @ w_nt[g])
+            return dy, d
 
         # predictor (affine scaling) step fixes the centering parameter
-        _, dxa, dsa = newton(np.zeros(cur.size))
-        ap = np.minimum(_max_step(px, dxa), 1.0)
-        ad = np.minimum(_max_step(ps, dsa), 1.0)
-        mu_aff = (_inner(x, s) + ap * _inner(dxa, s) + ad * _inner(x, dsa)
-                  + ap * ad * _inner(dxa, dsa)) / ntot
+        _, da = newton(np.zeros(cur.size))
+        ap, ad = np.minimum(_max_step(p, da), 1.0)
+        dxa, dsa = zip(*da)
+        mu_aff = (inner(x, s) + ap * inner(dxa, s) + ad * inner(x, dsa)
+                  + ap * ad * inner(dxa, dsa)) / ntot
         ratio = np.minimum(np.maximum(mu_aff, 0.0) / np.maximum(mu, 1e-300), 2.0)
         # Mehrotra's cube after long steps, down to the plain ratio after
         # short ones: an iterate whose primal and dual affine steps are far
@@ -435,28 +473,32 @@ def _ipm(a_blocks, c_blocks, b):
         sigma = np.clip(ratio ** expon, 1e-3, 0.99)
 
         # Mehrotra second-order term, symmetrized HKM style
-        corr = [hermitian_part(dxa[i] @ dsa[i] @ s_inv[i]) for i in range(nblk)]
+        corr = [hermitian_part(dx @ ds @ si) for dx, ds, si in zip(dxa, dsa, s_inv)]
         # SDPT3's step fraction from the predictor's step lengths: 0.9 after
         # a short affine step, up to 0.99 after a full one
         gamma = 0.9 + 0.09 * np.minimum(ap, ad)
-        dy, dx, ds = newton(sigma * mu, corr)
-        ap = np.minimum(gamma * _max_step(px, dx), 1.0)
-        ad = np.minimum(gamma * _max_step(ps, ds), 1.0)
+        dy, d = newton(sigma * mu, corr)
+        ap, ad = np.minimum(gamma * _max_step(p, d), 1.0)
 
         # guard against inaccurate directions: shrink any step that makes
         # the attached residual grow beyond its linear model, unless it
         # stays below 0.05 sdp_feas; after six halvings the step is taken
-        # as it is (x and dx are exactly Hermitian, and so is each x_try)
+        # as it is (x and dx are exactly Hermitian, and so is each x_try).
+        # The last residual is the next pass's pres
+        z = [np.empty_like(zs) for zs in z]
         for _ in range(6):
-            x_try = [x[i] + ap[:, None, None] * dx[i] for i in range(nblk)]
+            x_try = [np.add(xs, ap[:, None, None, None] * dv[0], out=zs[0])
+                     for xs, dv, zs in zip(x, d, z)]
             pres_try = np.linalg.norm(b - op_a(x_try), axis=1)
             bad_p = pres_try > np.maximum((1 - 0.5 * ap) * pres,
                                            0.05 * TOL.sdp_feas)
             if not bad_p.any():
                 break
             ap = np.where(bad_p, 0.5 * ap, ap)
-        x = x_try
-        s = [hermitian_part(s[i] + ad[:, None, None] * ds[i]) for i in range(nblk)]
+        pres = pres_try
+        for zs, ss, dv in zip(z, s, d):
+            zs[1] = hermitian_part(ss + ad[:, None, None, None] * dv[1])
+        x, s = zip(*z)
         y = y + ad[:, None] * dy
         step_prev = np.minimum(ap, ad)
 

@@ -4,10 +4,12 @@ import scipy.linalg
 
 from minent import _sampling, cli, sdp
 from minent.channels import (KrausMap, QuantumChannel, _diamond_problem_data,
-                             choi_matrix, dephasing2)
+                             choi_matrix, dephasing2, depolarizing,
+                             stinespring_isometry)
 from minent.decoupling import _cp_choi_checked
 from minent.dynamical import _pure_outputs
-from minent.entropies import (_cond_min_up_sides, cond_min_entropy_down_many,
+from minent.entropies import (_cond_min_up_sides, _hypothesis_dual,
+                              cond_min_entropy_down_many,
                               cond_min_entropy_up_many)
 from minent.linalg import (TOL, hermitian_basis, hermitian_part,
                            maximally_entangled)
@@ -224,6 +226,55 @@ class TestSolveStack:
             assert instance_bytes(res, i) == instance_bytes(
                 solve_diamonds(j, a, b), 0)
 
+    def test_several_sizes_are_exact_per_instance(self):
+        # the joint erasure SDP of dephasing2 p = 0.4, blocks (2, 2, 4, 4),
+        # at five errors eps, so that the objective differs per instance:
+        # solved as one stack, each instance comes out bit for bit as it
+        # does alone
+        eps = np.array([0.02, 0.05, 0.1, 0.2, 0.4])
+        c, a, b = erasure_program(dephasing2(0.4), eps)
+        res = solve_stack(c, a, b, "max")
+        assert res["ok"].all()
+        assert len(set(res["primal_value"])) == len(eps)
+        for i, e in enumerate(eps):
+            assert instance_bytes(res, i) == instance_bytes(
+                solve_stack(*erasure_program(dephasing2(0.4), e), "max"), 0)
+
+    @pytest.mark.parametrize("program, calls", [
+        ("erasure-depol", 3), ("erasure-deph2", 2), ("diamond", 2),
+        ("dmax", 1)])
+    def test_lapack_calls_per_block_size(self, monkeypatch, program, calls):
+        # each iteration factors every X and S of one block size in one
+        # Cholesky call and scales them with one SVD, and takes the steps of
+        # each size in one eigvalsh call in each of the predictor and the
+        # corrector: blocks (4, 2, 8, 8) make 3 / 3 / 6 calls per
+        # iteration, (2, 2, 4, 4) and (4, 4, 2) 2 / 2 / 4, one block 1 / 1 / 2
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        args = {"erasure-depol": erasure_program(depolarizing(0.5), 0.06),
+                "erasure-deph2": erasure_program(dephasing2(0.4), 0.1),
+                "diamond": diamond_stack(39, 2),
+                "dmax": ([rho], [np.eye(4)[None] / 4], [1.0])}[program]
+        counts = {"chol": 0, "svd": 0, "eigvalsh": 0}
+
+        def counted(name, real):
+            def spy(m, *rest, **kwargs):
+                # only the complex iterate factors, not the real Schur one
+                counts[name] += name != "chol" or m.dtype.kind == "c"
+                return real(m, *rest, **kwargs)
+            return spy
+
+        monkeypatch.setattr(sdp, "_chol_each",
+                            counted("chol", sdp._chol_each))
+        for name in ("svd", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name,
+                                counted(name, getattr(np.linalg, name)))
+        res = (solve_diamonds(*args) if program == "diamond"
+               else solve_stack(*args, "max"))
+        iters = res["iters"][0]
+        assert res["ok"].all() and iters > 0
+        assert counts == {"chol": calls * iters, "svd": calls * iters,
+                          "eigvalsh": 2 * calls * iters}
+
     def test_large_haar_stack(self, monkeypatch):
         # 2000 S_min-up instances of one stack, as a Haar scan of
         # dephasing2 p = 0.4 at seed 33 would solve them without pruning;
@@ -249,7 +300,10 @@ class TestSolveStack:
         # definiteness to roundoff do; only those take the clamp
         js, a, b = diamond_stack(39, 12)
         victims = [1, 4]
-        calls = 3 * 2 * len(a)  # one X and one S factor per block
+        # one factor call per block size (4 and 2) and iteration covers the
+        # X and S of every block of that size, so the victims' X and S
+        # factors of every block fail in each of the first three iterations
+        calls = 3 * 2
         fired = fail_factors(monkeypatch, "_chol_psd", victims, calls)
         res = solve_diamonds(js, a, b)
         assert any(size > 1 for size in fired)
@@ -294,13 +348,13 @@ class TestSolveStack:
         nt_scaling = sdp._nt_scaling
 
         def poisoned(lx, ls):
-            # the first call scales the full stack's first block; its Px
-            # sets the victim's primal step
-            w, s_inv, px, ps = nt_scaling(lx, ls)
+            # the first call scales the full stack's blocks of size 4; the
+            # Px of the first of them sets the victim's primal step
+            w, s_inv, p = nt_scaling(lx, ls)
             if not done:
                 done.append(True)
-                px[victim] = np.inf
-            return w, s_inv, px, ps
+                p[0, victim, 0] = np.inf
+            return w, s_inv, p
 
         monkeypatch.setattr(sdp, "_nt_scaling", poisoned)
         res = solve_diamonds(js, a, b)
@@ -428,6 +482,20 @@ def diamond_stack(seed, count):
     return (js,) + _diamond_problem_data(2, 2)
 
 
+def erasure_program(channel, eps):
+    """Data (c, a, b) of the joint erasure SDP that
+    `entropies.cond_hypothesis_entropy_sup` solves for `channel`, one
+    instance per error in `eps` (a scalar or an array)."""
+    iso = stinespring_isometry(channel)
+    v = iso.isometry
+    eps = np.asarray(eps, dtype=float)
+    c, a, b = _hypothesis_dual(
+        0.0, iso.out_dim, iso.env_dim, v.shape[1],
+        lambda basis: hermitian_part(v.conj().T @ basis @ v))
+    c[1] = (1.0 - eps)[..., None, None] * c[1]
+    return c, a, b
+
+
 def solve_diamonds(js, a, b):
     """Solve the diamond-norm SDPs whose objective's W block is js, (4, 4)
     or (B, 4, 4); its other blocks are zero."""
@@ -447,8 +515,10 @@ def fail_factors(monkeypatch, caller, victims, calls):
         lf = real_each(m)
         if state["armed"]:
             state["armed"] = False
-            lf[victims] = np.nan
-            fired.append(len(m))
+            # instances first: the iterate factors are (2, B, k, n, n)
+            by_instance = lf.swapaxes(0, 1) if lf.ndim == 5 else lf
+            by_instance[victims] = np.nan
+            fired.append(len(by_instance))
         return lf
 
     def wrapped(*args):
@@ -521,21 +591,50 @@ class TestMaxStep:
             ds.append(hermitian_part(ginibre(rng, (count, nb, nb), field)))
         return xs, ds
 
+    @staticmethod
+    def by_size(blocks):
+        # per-block (count, n, n) arrays as `_max_step` takes them: one
+        # (count, k, n, n) array per size, its k blocks in block order
+        sizes = dict.fromkeys(x.shape[-1] for x in blocks)
+        return [np.stack([x for x in blocks if x.shape[-1] == n], axis=1)
+                for n in sizes]
+
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e10])
     def test_matches_generalized_eigenvalues(self, rng, cond):
-        xs, ds = self.stack(rng, 20, (4, 8), cond, self.field)
+        xs, ds = self.stack(rng, 20, (4, 8, 4), cond, self.field)
         assert np.linalg.cond(xs[1]).max() > 0.1 * cond
         l_inv = [sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
-        step = sdp._max_step(l_inv, ds)
+        step = sdp._max_step(self.by_size(l_inv), self.by_size(ds))
         assert np.all(np.isfinite(step))
         np.testing.assert_allclose(step, self.reference(xs, ds), rtol=1e-8)
 
     def test_psd_direction_is_unbounded(self, rng):
-        xs, ds = self.stack(rng, 10, (4, 8), 1e10, self.field)
+        xs, ds = self.stack(rng, 10, (4, 8, 4), 1e10, self.field)
         ds = [d @ dagger(d) for d in ds]
         l_inv = [sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
         assert np.all(self.reference(xs, ds) == np.inf)
-        assert np.all(sdp._max_step(l_inv, ds) == np.inf)
+        assert np.all(sdp._max_step(self.by_size(l_inv),
+                                    self.by_size(ds)) == np.inf)
+
+    def test_nonfinite_direction_spoils_only_its_step(self, rng):
+        # two pairs (X, D) per instance, laid out as the IPM's primal and
+        # dual pairs, (2, count, k, n, n) per size: a NaN in one block of
+        # one pair's direction makes that instance's step of that pair
+        # NaN, and no other step
+        pairs = [self.stack(rng, 6, (4, 8, 4), 1e4, self.field)
+                 for _ in range(2)]
+        l_inv = [[sdp._tri_inv(np.linalg.cholesky(x)) for x in xs]
+                 for xs, _ in pairs]
+        p = [np.stack(g) for g in zip(*map(self.by_size, l_inv))]
+        d = [np.stack(g) for g in zip(*(self.by_size(ds) for _, ds in pairs))]
+        d[0][1, 3, 1, 2, 0] = np.nan  # dual pair, instance 3, third block
+        step = sdp._max_step(p, d)
+        assert step.shape == (2, 6)
+        assert np.isnan(step[1, 3])
+        for k, (xs, ds) in enumerate(pairs):
+            ref = self.reference(xs, ds)
+            rest = np.arange(6) != 3 if k == 1 else slice(None)
+            np.testing.assert_allclose(step[k, rest], ref[rest], rtol=1e-8)
 
 
 class TestMaxStepComplex(TestMaxStep):
@@ -562,7 +661,7 @@ class TestNtScaling:
     def test_factors_from_one_svd(self, rng, cond, pairing):
         xs, ss, _, _, nt = self.pair(rng, cond, pairing, self.field)
         eps = np.finfo(float).eps
-        for x, s, (w, s_inv, px, ps) in zip(xs, ss, nt):
+        for x, s, (w, s_inv, (px, ps)) in zip(xs, ss, nt):
             eye = np.broadcast_to(np.eye(x.shape[-1]), x.shape)
             scale = np.linalg.norm(x, 2, axis=(-1, -2))[:, None, None]
             np.testing.assert_allclose((w @ s @ w - x) / scale, 0, atol=1e-12)
@@ -578,12 +677,15 @@ class TestNtScaling:
     def test_whitened_steps_match_generalized_eigenvalues(self, rng, cond,
                                                           pairing):
         xs, ss, dxs, dss, nt = self.pair(rng, cond, pairing, self.field)
-        px = [f[2] for f in nt]
-        ps = [f[3] for f in nt]
-        np.testing.assert_allclose(sdp._max_step(px, dxs),
-                                   TestMaxStep.reference(xs, dxs), rtol=1e-8)
-        np.testing.assert_allclose(sdp._max_step(ps, dss),
-                                   TestMaxStep.reference(ss, dss), rtol=1e-8)
+        # the primal and dual pairs in one call, as the IPM takes them: one
+        # (2, count, 1, n, n) array per size
+        p = [f[2][:, :, None] for f in nt]
+        d = [np.stack([dx, ds])[:, :, None] for dx, ds in zip(dxs, dss)]
+        step = sdp._max_step(p, d)
+        np.testing.assert_allclose(step[0], TestMaxStep.reference(xs, dxs),
+                                   rtol=1e-8)
+        np.testing.assert_allclose(step[1], TestMaxStep.reference(ss, dss),
+                                   rtol=1e-8)
 
 
 class TestNtScalingComplex(TestNtScaling):

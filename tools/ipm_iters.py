@@ -1,4 +1,4 @@
-"""Iteration counts of the interior-point solver on three fixed SDP stacks.
+"""Iteration counts of the interior-point solver on five fixed SDP stacks.
 
     python tools/ipm_iters.py
 
@@ -15,12 +15,16 @@ residuals, statuses, iterations, y and the primal blocks X):
   p = 0.4 on the Haar-random pure inputs of seed 33;
 - decoupling: the 200 diamond norms (blocks 8, 8, 4) of the process
   decoupling check of depolarizing p = 0.5 on two qubits, the first
-  qubit traced out, at sampler seed 11.
+  qubit traced out, at sampler seed 11;
+- erasure-depol: the one-instance joint erasure SDP (blocks 4, 2, 8, 8) of
+  `thermo.channel_costs` on depolarizing p = 0.5 at mu = 0.06;
+- erasure-deph2: the same SDP (blocks 2, 2, 4, 4) on dephasing2 p = 0.4
+  at mu = 0.1.
 
-The first two are the stacks of `tests/test_sdp.py`'s iteration-tail
-tests. BLAS runs on one thread unless the environment sets otherwise.
-Two trees give bit-for-bit equal results on these stacks exactly when
-their digest lines agree:
+The last two hold several blocks of one size. The first two are the
+stacks of `tests/test_sdp.py`'s iteration-tail tests. BLAS runs on one
+thread unless the environment sets otherwise. Two trees give bit-for-bit
+equal results on these stacks exactly when their digest lines agree:
 
     diff <(python tools/ipm_iters.py | grep sha256) \
          <(python other/tools/ipm_iters.py | grep sha256)
@@ -39,7 +43,8 @@ import numpy as np  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from minent import _sampling, channels, decoupling, dynamical, sdp  # noqa: E402
+from minent import (_sampling, channels, decoupling, dynamical, sdp,  # noqa: E402
+                    thermo)
 from minent.entropies import cond_min_entropy_up_many  # noqa: E402
 
 
@@ -68,10 +73,19 @@ def decoupling_diamonds():
                                    decoupling.HaarSampler(4, seed=11))
 
 
+def erasure(channel, mu):
+    """The costs call whose erasure side solves the joint erasure SDP."""
+    return lambda: thermo.channel_costs(channel, mu, 300.0)
+
+
 # name, the block dims of the stack's SDPs, the call that solves them
 STACKS = (("diamonds", (4, 4, 2), diamonds),
           ("haar", (4,), haar),
-          ("decoupling", (8, 8, 4), decoupling_diamonds))
+          ("decoupling", (8, 8, 4), decoupling_diamonds),
+          ("erasure-depol", (4, 2, 8, 8),
+           erasure(channels.depolarizing(0.5), 0.06)),
+          ("erasure-deph2", (2, 2, 4, 4),
+           erasure(channels.dephasing2(0.4), 0.1)))
 
 
 def solve(dims, run):
@@ -114,11 +128,11 @@ def main():
         names, counts = np.unique(np.concatenate([r["status_str"] for r in results]),
                                   return_counts=True)
         status = ", ".join(f"{s} {c}" for s, c in zip(names, counts))
-        print(f"{name:10s} {iters.size:5d} instances: instance-iters "
+        print(f"{name:13s} {iters.size:5d} instances: instance-iters "
               f"{iters.sum()}, mean {iters.mean():.1f}, "
               f"p90 {np.percentile(iters, 90):g}, max {iters.max()}; "
               f"{status}; {wall:.2f} s")
-        print(f"{name:10s} sha256 {digest(results)}")
+        print(f"{name:13s} sha256 {digest(results)}")
 
 
 if __name__ == "__main__":
