@@ -85,7 +85,7 @@ def _as_complex(m) -> np.ndarray:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """Return (M + M†)/2, for one matrix or a stack of them."""
-    return (m + m.conj().swapaxes(-1, -2)) / 2
+    return (m + m.conj().mT) / 2
 
 
 @dataclass(frozen=True)

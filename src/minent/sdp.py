@@ -57,14 +57,24 @@ lengths, after SDPT3: after short steps it centres more, so an iterate
 whose primal and dual affine steps are far apart recovers instead of
 jamming at the cone boundary.
 
-The batched LAPACK calls are numpy's gufuncs, which treat each matrix on
-its own: the Cholesky gufunc writes NaN for exactly the matrices whose own
-factorization fails. Every fallback (eigenvalue clamp, Schur ridge) is per
-matrix or per instance, and sums over blocks run block by block in block
-order, so no instance's path depends on the rest of its stack or on how
-its blocks are grouped; an instance whose iterate turns non-finite, or
-whose Schur factor fails at the largest ridge, ends with status
-"numerical-error".
+Every batched LAPACK call is one of numpy's `_umath_linalg` gufuncs,
+called directly: `cholesky_lo` for the iterate and Schur factors,
+`svd_f` for the NT scaling, `eigvalsh_lo` for the step lengths, `solve`
+for the leaves of the triangular inverse, and `eigh_lo` and
+`cholesky_lo` for the eigenvalue clamp. A gufunc treats each matrix on
+its own and writes NaN for exactly the matrices whose own factorization
+or decomposition fails, where the np.linalg wrappers would raise for the
+whole stack; the solve runs with invalid-value warnings off, since such
+a NaN ends its instance and no other. Every fallback (eigenvalue clamp,
+Schur ridge) is per matrix or per instance, and sums over blocks run
+block by block in block order, so no instance's path depends on the
+rest of its stack or on how its blocks are grouped; an instance whose
+iterate turns non-finite (a failed SVD, a NaN step length, or a Schur
+factor that fails at the largest ridge leads there) ends with status
+"numerical-error". Inside the loop the reductions are the ufuncs'
+`reduce` and einsum is numpy's C `c_einsum`, the very calls that the
+ndarray methods and np.einsum make, so a small program pays little
+Python dispatch per iteration.
 
 Each pass of the loop classifies every working instance in one step,
 which decides all four endings; the MAX_ITER ending is one more pass,
@@ -77,6 +87,7 @@ rest run on exactly as they would alone.
 from __future__ import annotations
 
 import numpy as np
+from numpy._core.multiarray import c_einsum
 from numpy.linalg import _umath_linalg
 
 from .linalg import TOL, hermitian_part
@@ -102,11 +113,7 @@ SCHUR_CHUNK = 1 << 18  # float64s in one Schur-assembly temporary
 # batched Hermitian core
 
 
-def _h(m):
-    """Conjugate transpose of each matrix of a stack (a view if real)."""
-    return m.conj().swapaxes(-1, -2)
-
-
+@np.errstate(invalid="ignore")
 def _chol_each(m):
     """Cholesky factor of each matrix of a stack, all NaN where that
     matrix's own factorization fails or is not finite.
@@ -116,10 +123,10 @@ def _chol_each(m):
     matrix on its own and writes NaN for the ones that fail, where
     np.linalg.cholesky would raise for the whole stack.
     """
-    sig = "D->D" if m.dtype.kind == "c" else "d->d"
-    with np.errstate(invalid="ignore"):
-        lf = _umath_linalg.cholesky_lo(m, signature=sig)
-    lf[~np.isfinite(lf).all(axis=(-1, -2))] = np.nan
+    lf = _umath_linalg.cholesky_lo(m)
+    finite = np.isfinite(lf)
+    if not np.logical_and.reduce(finite, axis=None):
+        lf[~np.logical_and.reduce(finite, axis=(-1, -2))] = np.nan
     return lf
 
 
@@ -136,15 +143,16 @@ def _chol_psd(m):
     matrix of `m` must be exactly Hermitian, as the iterates are.
     """
     lf = _chol_each(m)
-    piv = np.diagonal(lf, axis1=-2, axis2=-1).real.min(axis=-1) ** 2
+    piv = np.minimum.reduce(lf.diagonal(axis1=-2, axis2=-1).real, axis=-1) ** 2
     # the largest diagonal entry is a lower bound on the largest eigenvalue
-    scale = np.maximum(np.diagonal(m, axis1=-2, axis2=-1).real.max(axis=-1),
-                       1.0)
+    scale = np.maximum(
+        np.maximum.reduce(m.diagonal(axis1=-2, axis2=-1).real, axis=-1), 1.0)
     bad = ~(piv >= 1e-14 * scale)  # NaN factors count as failed
-    if bad.any():
-        w, q = np.linalg.eigh(m[bad])
+    if np.logical_or.reduce(bad, axis=None):
+        w, q = _umath_linalg.eigh_lo(m[bad])
         w = np.maximum(w, 1e-14 * np.maximum(w[..., -1:], 1.0))
-        lf[bad] = np.linalg.cholesky(hermitian_part((q * w[..., None, :]) @ _h(q)))
+        lf[bad] = _umath_linalg.cholesky_lo(
+            hermitian_part((q * w[..., None, :]) @ q.conj().mT))
     return lf
 
 
@@ -158,16 +166,17 @@ def _nt_scaling(lx, ls):
       Px   = Sig^-1 U^H Ls^H, so that Px X Px^H = I, and
       Ps   = Sig^-1 V^H Lx^H, so that Ps S Ps^H = I.
     Px and Ps whiten X and S for `_max_step`, so neither factor is
-    inverted.
+    inverted. A matrix whose SVD fails comes out all NaN.
     """
-    u, sig, vh = np.linalg.svd(_h(ls) @ lx)
+    ls_h = ls.conj().mT
+    u, sig, vh = _umath_linalg.svd_f(ls_h @ lx)
     sig = np.maximum(sig, 1e-150)[..., None]
-    vlx = vh @ _h(lx)
+    vlx = vh @ lx.conj().mT
     p = np.empty((2,) + vlx.shape, dtype=vlx.dtype)
-    np.divide(_h(u) @ _h(ls), sig, out=p[0])
+    np.divide(u.conj().mT @ ls_h, sig, out=p[0])
     ps = np.divide(vlx, sig, out=p[1])
-    w = hermitian_part(_h(vlx) @ ps)
-    s_inv = hermitian_part(_h(ps) @ ps)
+    w = hermitian_part(vlx.conj().mT @ ps)
+    s_inv = hermitian_part(ps.conj().mT @ ps)
     return w, s_inv, p
 
 
@@ -177,7 +186,7 @@ def _tri_inv(lf):
     batched solve against I on each leaf of at most 16 rows."""
     n = lf.shape[-1]
     if n <= 16:
-        return np.linalg.solve(lf, np.broadcast_to(np.eye(n), lf.shape))
+        return _umath_linalg.solve(lf, np.eye(n))
     h = n // 2
     ai, di = _tri_inv(lf[..., :h, :h]), _tri_inv(lf[..., h:, h:])
     out = np.zeros(lf.shape, dtype=lf.dtype)
@@ -195,17 +204,23 @@ def _max_step(p, d):
     p, d: one array per block size, (..., k, n, n) for the k blocks of
     that size, so each size takes one eigvalsh call. Returns, for each
     leading index, the least step over every block; NaN for a leading
-    index whose direction is not finite in some block.
+    index whose direction is not finite in some block, or whose
+    eigenvalue computation failed.
     """
     steps = None
     for pb, db in zip(p, d):
-        g = -hermitian_part(pb @ db @ _h(pb))
-        finite = np.isfinite(g).all(axis=(-1, -2))
-        g[~finite] = 0.0
-        lam = np.linalg.eigvalsh(g)[..., -1]
-        s = np.where(lam > 1e-13, 1.0 / np.where(lam > 1e-13, lam, 1.0), np.inf)
-        s[~finite] = np.nan
-        s = s.min(axis=-1)
+        g = -hermitian_part(pb @ db @ pb.conj().mT)
+        finite = np.isfinite(g)
+        spoiled = not np.logical_and.reduce(finite, axis=None)
+        if spoiled:
+            finite = np.logical_and.reduce(finite, axis=(-1, -2))
+            g[~finite] = 0.0
+        lam = _umath_linalg.eigvalsh_lo(g)[..., -1]
+        # a NaN eigenvalue fails both tests and gives a NaN step
+        s = np.where(lam <= 1e-13, np.inf, 1.0 / np.maximum(lam, 1e-13))
+        if spoiled:
+            s[~finite] = np.nan
+        s = np.minimum.reduce(s, axis=-1)
         steps = s if steps is None else np.minimum(steps, s)
     return steps
 
@@ -229,9 +244,9 @@ def _schur_matrix(w_nt, a_blocks):
         for lo in range(0, count, step):
             t_h = (a_rows @ w[lo:lo + step]).reshape(-1, m, nb, nb)
             k = t_h.shape[0]
-            np.conjugate(t_h.swapaxes(-1, -2), out=t[:k])
+            np.conjugate(t_h.mT, out=t[:k])
             schur[lo:lo + k] += t[:k].view(np.float64).reshape(k, m, -1) @ \
-                t_h.view(np.float64).reshape(k, m, -1).swapaxes(-1, -2)
+                t_h.view(np.float64).reshape(k, m, -1).mT
     return hermitian_part(schur)
 
 
@@ -239,11 +254,13 @@ def _inv_chol(m):
     """Inverse Cholesky factor of each instance, and a mask of the
     instances whose factor or inverse is not finite (their rows NaN)."""
     lf = _chol_each(m)
-    bad = ~np.isfinite(lf).all(axis=(-1, -2))
-    lf[bad] = np.eye(m.shape[-1])
+    bad = np.isnan(lf[..., 0, 0])  # a failed factor is NaN throughout
+    if np.logical_or.reduce(bad):
+        lf[bad] = np.eye(m.shape[-1])
     li = _tri_inv(lf)
-    bad |= ~np.isfinite(li).all(axis=(-1, -2))
-    li[bad] = np.nan
+    bad |= ~np.logical_and.reduce(np.isfinite(li), axis=(-1, -2))
+    if np.logical_or.reduce(bad):
+        li[bad] = np.nan
     return li, bad
 
 
@@ -257,11 +274,11 @@ def _schur_inv_factor(schur, dscale):
     that fails at the largest ridge.
     """
     li, bad = _inv_chol(schur)
-    idx = np.arange(schur.shape[-1])
     for ridge in SCHUR_RIDGES:
-        sel = np.nonzero(bad)[0]
-        if not sel.size:
+        if not np.logical_or.reduce(bad):
             break
+        sel = bad.nonzero()[0]
+        idx = np.arange(schur.shape[-1])
         trial = schur[sel]
         trial[:, idx, idx] += ridge * dscale[sel, None]
         lt, still = _inv_chol(trial)
@@ -279,11 +296,12 @@ def _take(keep, arrays):
             for v in arrays]
 
 
+@np.errstate(invalid="ignore")
 def _ipm(a_blocks, c_blocks, b):
     """Batched NT path-following IPM on complex Hermitian blocks.
 
     a_blocks: per block (m, nb, nb), shared across instances.
-    c_blocks: per block (B, nb, nb).
+    c_blocks: per block (nb, nb) or (B, nb, nb).
     b: (B, m) real.
 
     The blocks of one size are held together: the iterates of the k
@@ -314,7 +332,9 @@ def _ipm(a_blocks, c_blocks, b):
     # (size, place within it) of each block, in block order
     slot = [(sizes.index(nb), dims[:i].count(nb)) for i, nb in enumerate(dims)]
     a_flat = [a.view(np.float64).reshape(m, -1) for a in a_blocks]
-    a_size = [np.stack([a_flat[i] for i in g]) for g in groups]
+    a_size = [np.array([a_flat[i] for i in g]) for g in groups]
+    a_slot = list(zip(slot, [af.T for af in a_flat]))
+    diag = np.arange(m)
 
     def each(v):
         # per-block views, in block order, of per-size (B, k, n, n) arrays
@@ -322,8 +342,12 @@ def _ipm(a_blocks, c_blocks, b):
 
     def op_a(v):
         cnt = v[0].shape[0]
-        return sum(vb.view(np.float64).reshape(cnt, 1, -1) @ af.T
-                   for vb, af in zip(each(v), a_flat)).reshape(cnt, m)
+        rows = [vs.view(np.float64).reshape(cnt, vs.shape[1], 1, -1)
+                for vs in v]
+        acc = 0
+        for (g, j), af_t in a_slot:
+            acc = acc + rows[g][:, j] @ af_t
+        return acc[:, 0]
 
     def op_at(yv):
         # one (1, m) @ (m, 2 nb^2) product per instance and block, so an
@@ -333,29 +357,43 @@ def _ipm(a_blocks, c_blocks, b):
                 for af, n in zip(a_size, sizes)]
 
     def inner(u, v):
-        # sum over blocks, in block order, of tr(U V) for Hermitian blocks
-        tr = [(ub.view(np.float64) * vb.view(np.float64)).sum(axis=(-1, -2))
-              for ub, vb in zip(u, v)]
-        return sum(tr[g][:, j] for g, j in slot)
+        # sum over blocks, in block order, of tr(U V) for Hermitian blocks,
+        # from the real views of per-size (..., k, n, n) arrays
+        tr = [np.add.reduce(us * vs, axis=(-1, -2)) for us, vs in zip(u, v)]
+        acc = 0
+        for g, j in slot:
+            acc = acc + tr[g][..., j]
+        return acc
+
+    def real(v):
+        # the float64 views that `inner` takes, of per-size complex arrays
+        return [vs.view(np.float64) for vs in v]
 
     # initial point: tau from least-squares fit of the equality constraints
-    tr_a = sum(np.trace(a, axis1=-2, axis2=-1).real for a in a_blocks)
+    tr_a = sum(a.trace(axis1=-2, axis2=-1).real for a in a_blocks)
     denom = float(tr_a @ tr_a)
     tau_p = np.abs(b @ tr_a) / denom if denom > 0 else np.ones(bsz)
-    tau_p = np.clip(tau_p, 1.0, 1e4)
-    c = [np.stack([c_blocks[i] for i in g], axis=1) for g in groups]
-    c_sq = inner(c, c)
-    tau_d = np.clip(np.sqrt(c_sq / ntot), 1.0, 1e6)
+    tau_p = np.minimum(np.maximum(tau_p, 1.0), 1e4)
+    c = [np.empty((bsz, len(g), n, n), dtype=complex)
+         for n, g in zip(sizes, groups)]
+    for i, (g, j) in enumerate(slot):
+        c[g][:, j] = c_blocks[i]
+    c_re = real(c)
+    c_sq = inner(c_re, c_re)
+    tau_d = np.minimum(np.maximum(np.sqrt(c_sq / ntot), 1.0), 1e6)
 
-    tau = np.stack([tau_p, tau_d])[:, :, None, None, None]
-    z = [np.broadcast_to(np.eye(n) * tau, (2, bsz, len(g), n, n))
-         .astype(complex, order="C") for n, g in zip(sizes, groups)]
+    tau = np.array([tau_p, tau_d])[:, :, None, None, None]
+    z = [np.empty((2, bsz, len(g), n, n), dtype=complex)
+         for n, g in zip(sizes, groups)]
+    for zs in z:
+        zs[...] = np.eye(zs.shape[-1]) * tau
     x, s = zip(*z)
     y = np.zeros((bsz, m))
 
-    b_norm = 1.0 + np.linalg.norm(b, axis=1)
+    b_norm = 1.0 + np.sqrt(np.add.reduce(b * b, axis=1))
     c_norm = 1.0 + np.sqrt(c_sq)
-    pres = np.linalg.norm(b - op_a(x), axis=1)
+    res = b - op_a(x)
+    pres = np.sqrt(np.add.reduce(res * res, axis=1))
 
     # every instance is recorded once, when it ends; a numerical error
     # keeps NaN values
@@ -370,25 +408,29 @@ def _ipm(a_blocks, c_blocks, b):
     step_prev = np.ones(bsz)  # min(primal, dual) step of the last iteration
 
     for it in range(MAX_ITER + 1):
-        # an iterate that overflowed (or a failed Schur factor, whose NaN
-        # direction lands here) ends that instance, and only that one; its
-        # residuals are NaN and go unrecorded
-        finite = np.isfinite(y).all(axis=1)
+        # an iterate that overflowed (or a failed kernel, whose NaN lands
+        # here) ends that instance, and only that one; its residuals are
+        # NaN and go unrecorded
+        finite = np.logical_and.reduce(np.isfinite(y), axis=1)
         for zs in z:
-            finite &= np.isfinite(zs).all(axis=(0, 2, 3, 4))
-        with np.errstate(invalid="ignore"):
-            rd = [cs - ss - ats for cs, ss, ats in zip(c, s, op_at(y))]
-            pobj = inner(c, x)
-            dobj = np.einsum("bm,bm->b", y, b)
-            gap = np.abs(pobj - dobj)
-            dres = np.sqrt(inner(rd, rd))
-            mu = inner(x, s) / ntot
+            finite &= np.logical_and.reduce(np.isfinite(zs), axis=(0, 2, 3, 4))
+        z_re = real(z)
+        x_re, s_re = zip(*z_re)
+        rd = [cs - ss - ats for cs, ss, ats in zip(c, s, op_at(y))]
+        rd_re = real(rd)
+        pobj = inner(c_re, x_re)
+        dobj = c_einsum("bm,bm->b", y, b)
+        gap = np.abs(pobj - dobj)
+        dres = np.sqrt(inner(rd_re, rd_re))
+        tr_xs = inner(x_re, s_re)  # kept for the predictor's mu_aff
+        mu = tr_xs / ntot
 
-        strict = (pres / b_norm < 1e-10) & (dres / c_norm < 1e-10) & \
-                 (gap / (1.0 + np.abs(pobj) + np.abs(dobj)) < 1e-9)
+        dres_rel, dobj_abs = dres / c_norm, np.abs(dobj)
+        strict = (pres / b_norm < 1e-10) & (dres_rel < 1e-10) & \
+                 (gap / (1.0 + np.abs(pobj) + dobj_abs) < 1e-9)
         loose = (pres < 0.9 * TOL.sdp_feas) & (gap < 0.9 * TOL.sdp_gap) & \
-                (dres / c_norm < 1e-7)
-        stall = np.where(mu > 0.9 * mu_prev, stall + 1, 0)
+                (dres_rel < 1e-7)
+        stall = (stall + 1) * (mu > 0.9 * mu_prev)
         mu_prev = mu
 
         # a certified instance ends once mu stalls (two iterations in a row
@@ -396,8 +438,8 @@ def _ipm(a_blocks, c_blocks, b):
         # steps the loose certificate alone decides, and every instance ends
         last = it == MAX_ITER
         done = loose if last else strict | (loose & ((stall >= 2) | (mu < 1e-13)))
-        ended = ~finite | done | last | (np.abs(dobj) > DIVERGENCE * b_norm)
-        if ended.any():
+        ended = ~finite | done | last | (dobj_abs > DIVERGENCE * b_norm)
+        if np.logical_or.reduce(ended):
             code = np.where(finite, np.where(done, 0, 2 if last else 1), 3)
             gidx, fin = cur[ended], ended & finite
             out["status"][gidx] = code[ended]
@@ -408,39 +450,38 @@ def _ipm(a_blocks, c_blocks, b):
             for xc, xb in zip(out["x_complex"], each(x)):
                 xc[gidx] = xb[ended]
             out["y"][gidx] = y[ended]
-            if ended.all():
+            if np.logical_and.reduce(ended):
                 break
             keep = np.nonzero(~ended)[0]
             z = [zs[:, keep] for zs in z]
             x, s = zip(*z)
+            z_re = real(z)
             (cur, y, b, c, b_norm, c_norm, stall, mu_prev, step_prev, rd, pres,
-             mu) = _take(keep, (cur, y, b, c, b_norm, c_norm, stall, mu_prev,
-                                step_prev, rd, pres, mu))
+             mu, tr_xs) = _take(keep, (cur, y, b, c, b_norm, c_norm, stall,
+                                       mu_prev, step_prev, rd, pres, mu, tr_xs))
+            c_re = real(c)
 
         # one Cholesky call factors every X and S of one size, and the SVD
         # of Ls^H Lx gives the NT scaling point, S^-1 and the whitening
         # factors for the step lengths
-        w_nt, s_inv, p = zip(*(_nt_scaling(*_chol_psd(zs)) for zs in z))
+        w_nt, s_inv, p = zip(*[_nt_scaling(*_chol_psd(zs)) for zs in z])
 
         schur = _schur_matrix(each(w_nt), a_blocks)
-        dscale = np.maximum(np.einsum("bii->b", schur) / m, 0.5)
-        idx = np.arange(m)
-        schur[:, idx, idx] += 0.5e-12  # absolute jitter; scale-free on purpose
+        dscale = np.maximum(c_einsum("bii->b", schur) / m, 0.5)
+        schur[:, diag, diag] += 0.5e-12  # absolute jitter; scale-free on purpose
         schur_inv = _schur_inv_factor(schur, dscale)
-        schur_inv_t = schur_inv.swapaxes(-1, -2)
+        schur_inv_t = schur_inv.mT
 
         a_wrw = op_a([hermitian_part(w @ r @ w) for w, r in zip(w_nt, rd)])
         a_sinv = op_a(s_inv)
 
         def solve_schur(rhs):
-            # factored solve plus iterative refinement; the Schur matrix
-            # gets very ill-conditioned near degenerate optima
-            def apply(r):
-                return (schur_inv_t @ (schur_inv @ r[..., None]))[..., 0]
-
-            dy = apply(rhs)
+            # factored solve plus two steps of iterative refinement; the
+            # Schur matrix gets very ill-conditioned near degenerate optima
+            dy = (schur_inv_t @ (schur_inv @ rhs[..., None]))[..., 0]
             for _ in range(2):
-                dy = dy + apply(rhs - np.einsum("bmn,bn->bm", schur, dy))
+                r = rhs - c_einsum("bmn,bn->bm", schur, dy)
+                dy = dy + (schur_inv_t @ (schur_inv @ r[..., None]))[..., 0]
             return dy
 
         def newton(sigma_mu, corr=None):
@@ -449,28 +490,32 @@ def _ipm(a_blocks, c_blocks, b):
             if corr is not None:
                 rhs = rhs + op_a(corr)
             dy = solve_schur(rhs)
-            d = [np.empty_like(zs) for zs in z]
+            d = [np.empty(zs.shape, dtype=complex) for zs in z]
             for g, at_dy in enumerate(op_at(dy)):
                 ds = np.subtract(rd[g], at_dy, out=d[g][1])
-                d[g][0] = hermitian_part(
-                    sigma_mu[:, None, None, None] * s_inv[g] - x[g]
-                    - (corr[g] if corr is not None else 0.0)
-                    - w_nt[g] @ ds @ w_nt[g])
+                dx = sigma_mu[:, None, None, None] * s_inv[g] - x[g]
+                if corr is not None:
+                    dx = dx - corr[g]
+                d[g][0] = hermitian_part(dx - w_nt[g] @ ds @ w_nt[g])
             return dy, d
 
         # predictor (affine scaling) step fixes the centering parameter
         _, da = newton(np.zeros(cur.size))
         ap, ad = np.minimum(_max_step(p, da), 1.0)
         dxa, dsa = zip(*da)
-        mu_aff = (inner(x, s) + ap * inner(dxa, s) + ad * inner(x, dsa)
-                  + ap * ad * inner(dxa, dsa)) / ntot
+        # tr(dX S) and tr(X dS) in one product of (dX, dS) with (S, X)
+        da_re = real(da)
+        cross = inner(da_re, [zr[::-1] for zr in z_re])
+        dxa_re, dsa_re = zip(*da_re)
+        mu_aff = (tr_xs + ap * cross[0] + ad * cross[1]
+                  + ap * ad * inner(dxa_re, dsa_re)) / ntot
         ratio = np.minimum(np.maximum(mu_aff, 0.0) / np.maximum(mu, 1e-300), 2.0)
         # Mehrotra's cube after long steps, down to the plain ratio after
         # short ones: an iterate whose primal and dual affine steps are far
         # apart is recentred instead of sigma collapsing to its floor and
         # the steps shrinking further
         expon = np.maximum(1.0, 3.0 * step_prev ** 2)
-        sigma = np.clip(ratio ** expon, 1e-3, 0.99)
+        sigma = np.minimum(np.maximum(ratio ** expon, 1e-3), 0.99)
 
         # Mehrotra second-order term, symmetrized HKM style
         corr = [hermitian_part(dx @ ds @ si) for dx, ds, si in zip(dxa, dsa, s_inv)]
@@ -485,14 +530,15 @@ def _ipm(a_blocks, c_blocks, b):
         # stays below 0.05 sdp_feas; after six halvings the step is taken
         # as it is (x and dx are exactly Hermitian, and so is each x_try).
         # The last residual is the next pass's pres
-        z = [np.empty_like(zs) for zs in z]
+        z = [np.empty(zs.shape, dtype=complex) for zs in z]
         for _ in range(6):
             x_try = [np.add(xs, ap[:, None, None, None] * dv[0], out=zs[0])
                      for xs, dv, zs in zip(x, d, z)]
-            pres_try = np.linalg.norm(b - op_a(x_try), axis=1)
+            res = b - op_a(x_try)
+            pres_try = np.sqrt(np.add.reduce(res * res, axis=1))
             bad_p = pres_try > np.maximum((1 - 0.5 * ap) * pres,
                                            0.05 * TOL.sdp_feas)
-            if not bad_p.any():
+            if not np.logical_or.reduce(bad_p):
                 break
             ap = np.where(bad_p, 0.5 * ap, ap)
         pres = pres_try
@@ -586,9 +632,9 @@ def solve_stack(objective, constraints, rhs, sense="min"):
     b = np.asarray(rhs, dtype=float)
     bsz = _check_stack(c, a, b, sense)
     sgn = 1.0 if sense == "min" else -1.0
-    res = _ipm(a, [sgn * np.broadcast_to(cb, (bsz,) + cb.shape[-2:])
-                   for cb in c],
-               np.ascontiguousarray(np.broadcast_to(b, (bsz, b.shape[-1]))))
+    b_stack = np.empty((bsz, b.shape[-1]))
+    b_stack[...] = b
+    res = _ipm(a, [sgn * cb for cb in c], b_stack)
 
     # undo the sense flip
     res["primal_value"] = sgn * res.pop("pobj")

@@ -175,6 +175,21 @@ class TestSolveStackInput:
         assert res["ok"][0]
         assert res["primal_value"][0] == pytest.approx(0.7, abs=1e-7)
 
+    def test_accepts_any_memory_layout(self):
+        # an objective stack held transposed in memory (here the conjugate
+        # transpose view of a Hermitian stack, the same matrices) solves
+        # bit for bit as its C-ordered copy: the solver copies each block
+        # into its own per-size arrays, whose real views it sums
+        rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+        rho[0, 1], rho[1, 0] = 0.05j, -0.05j
+        stack = np.stack([rho, 0.5 * rho])
+        args = ([np.eye(4)[None] / 4], [1.0], "max")
+        res = solve_stack([stack.conj().swapaxes(-1, -2)], *args)
+        ref = solve_stack([stack], *args)
+        assert res["ok"].all()
+        for i in range(2):
+            assert instance_bytes(res, i) == instance_bytes(ref, i)
+
     def test_ok_mask_is_optimal_status(self):
         # min tr X s.t. tr X = b: optimal at b = 1, infeasible at b = -1
         res = solve_stack([np.eye(2)], [np.eye(2)[None]], [[1.0], [-1.0]])
@@ -248,7 +263,9 @@ class TestSolveStack:
         # Cholesky call and scales them with one SVD, and takes the steps of
         # each size in one eigvalsh call in each of the predictor and the
         # corrector: blocks (4, 2, 8, 8) make 3 / 3 / 6 calls per
-        # iteration, (2, 2, 4, 4) and (4, 4, 2) 2 / 2 / 4, one block 1 / 1 / 2
+        # iteration, (2, 2, 4, 4) and (4, 4, 2) 2 / 2 / 4, one block 1 / 1 / 2.
+        # The SVD and eigvalsh calls are counted at the gufuncs the solver
+        # calls
         rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
         args = {"erasure-depol": erasure_program(depolarizing(0.5), 0.06),
                 "erasure-deph2": erasure_program(dephasing2(0.4), 0.1),
@@ -265,9 +282,10 @@ class TestSolveStack:
 
         monkeypatch.setattr(sdp, "_chol_each",
                             counted("chol", sdp._chol_each))
-        for name in ("svd", "eigvalsh"):
-            monkeypatch.setattr(np.linalg, name,
-                                counted(name, getattr(np.linalg, name)))
+        for name, kernel in (("svd", "svd_f"), ("eigvalsh", "eigvalsh_lo")):
+            monkeypatch.setattr(sdp._umath_linalg, kernel,
+                                counted(name, getattr(sdp._umath_linalg,
+                                                      kernel)))
         res = (solve_diamonds(*args) if program == "diamond"
                else solve_stack(*args, "max"))
         iters = res["iters"][0]
@@ -363,6 +381,42 @@ class TestSolveStack:
         assert res["iters"][victim] == 1
         others = [i for i in range(len(js)) if i != victim]
         assert_matches_solo(res, js, a, b, others)
+
+    @pytest.mark.parametrize("kernel", ["eigvalsh_lo", "svd_f"])
+    def test_failed_kernel_ends_only_its_instance(self, monkeypatch, kernel):
+        # a LAPACK gufunc whose decomposition of one matrix fails writes NaN
+        # for that matrix and raises the invalid-value flag; here the first
+        # step-length eigvalsh (or NT SVD) call fails for one instance. That
+        # instance ends "numerical-error", and every other one comes out
+        # bit for bit as it does alone
+        js, a, b = diamond_stack(3, 12)
+        victim = 2
+        real = getattr(sdp._umath_linalg, kernel)
+        failed = []
+
+        def failing(m, *args, **kwargs):
+            out = real(m, *args, **kwargs)
+            if not failed:
+                failed.append(True)
+                # the first call covers the stack's blocks of size 4; the
+                # instances are axis 1 of the (primal, dual) step-length
+                # input and axis 0 of the SVD's
+                at = (slice(None), victim) if kernel == "eigvalsh_lo" else victim
+                for part in out if isinstance(out, tuple) else (out,):
+                    part[at] = np.nan
+                np.multiply(np.inf, 0.0)  # the flag a failed call raises
+            return out
+
+        monkeypatch.setattr(sdp._umath_linalg, kernel, failing)
+        res = solve_diamonds(js, a, b)
+        monkeypatch.undo()
+        assert failed
+        assert res["status_str"][victim] == "numerical-error"
+        assert res["iters"][victim] == 1
+        for i, j in enumerate(js):
+            if i != victim:
+                assert instance_bytes(res, i) == instance_bytes(
+                    solve_diamonds(j, a, b), 0)
 
 
 def bracket_states(da, db):

@@ -1,4 +1,4 @@
-"""Iteration counts of the interior-point solver on five fixed SDP stacks.
+"""Iteration counts of the interior-point solver on seven fixed SDP stacks.
 
     python tools/ipm_iters.py
 
@@ -19,9 +19,19 @@ residuals, statuses, iterations, y and the primal blocks X):
 - erasure-depol: the one-instance joint erasure SDP (blocks 4, 2, 8, 8) of
   `thermo.channel_costs` on depolarizing p = 0.5 at mu = 0.06;
 - erasure-deph2: the same SDP (blocks 2, 2, 4, 4) on dephasing2 p = 0.4
-  at mu = 0.1.
+  at mu = 0.1;
+- dmax: the one-instance 4x4 D_max SDP (`entropies.d_max_sdp`, one
+  constraint) of the SDP cross-check of `minent entropy` on dephasing2
+  p = 0.4;
+- scan: the pruned S_min-up stack of the same command's scan at seed 5,
+  the structured inputs and the 64 Haar inputs the closed form does not
+  certify (`dynamical._pruned_scan`).
 
-The last two hold several blocks of one size. The first two are the
+The erasure stacks hold several blocks of one size; the last two are
+the small programs of the query path. For dmax the tool also prints the
+cProfile function calls per iteration of one `sdp.solve_stack` call,
+input checks included, and its best-of-20 wall time per iteration, the
+two per-iteration costs of a small program. The first two are the
 stacks of `tests/test_sdp.py`'s iteration-tail tests. BLAS runs on one
 thread unless the environment sets otherwise. Two trees give bit-for-bit
 equal results on these stacks exactly when their digest lines agree:
@@ -30,6 +40,7 @@ equal results on these stacks exactly when their digest lines agree:
          <(python other/tools/ipm_iters.py | grep sha256)
 """
 
+import cProfile
 import hashlib
 import os
 import sys
@@ -73,6 +84,16 @@ def decoupling_diamonds():
                                    decoupling.HaarSampler(4, seed=11))
 
 
+def dmax():
+    dynamical.channel_min_entropy_sdp(channels.dephasing2(0.4))
+
+
+def scan():
+    ch = channels.dephasing2(0.4)
+    haar = _sampling.random_pure_vectors(_sampling.stream(5, 0xD15C), 4, 64)
+    dynamical._pruned_scan(ch, dynamical._structured_inputs(ch), haar)
+
+
 def erasure(channel, mu):
     """The costs call whose erasure side solves the joint erasure SDP."""
     return lambda: thermo.channel_costs(channel, mu, 300.0)
@@ -85,13 +106,15 @@ STACKS = (("diamonds", (4, 4, 2), diamonds),
           ("erasure-depol", (4, 2, 8, 8),
            erasure(channels.depolarizing(0.5), 0.06)),
           ("erasure-deph2", (2, 2, 4, 4),
-           erasure(channels.dephasing2(0.4), 0.1)))
+           erasure(channels.dephasing2(0.4), 0.1)),
+          ("dmax", (4,), dmax),
+          ("scan", (4,), scan))
 
 
 def solve(dims, run):
-    """Run `run` and return the results and wall time of its
+    """Run `run` and return the results, wall time and arguments of its
     `sdp.solve_stack` calls on blocks `dims`."""
-    results, wall = [], 0.0
+    results, wall, calls = [], 0.0, []
     real = sdp.solve_stack
 
     def spy(c, a, *args, **kwargs):
@@ -101,6 +124,7 @@ def solve(dims, run):
         if tuple(ab.shape[-1] for ab in a) == dims:
             wall += time.perf_counter() - t0
             results.append(res)
+            calls.append((c, a) + args)
         return res
 
     sdp.solve_stack = spy
@@ -108,7 +132,21 @@ def solve(dims, run):
         run()
     finally:
         sdp.solve_stack = real
-    return results, wall
+    return results, wall, calls
+
+
+def per_iteration(args, iters):
+    """cProfile function calls and best-of-20 wall time (us) per
+    iteration of `sdp.solve_stack(*args)`, which runs `iters` iterations."""
+    prof = cProfile.Profile()
+    prof.runcall(sdp.solve_stack, *args)
+    ncalls = sum(entry.callcount for entry in prof.getstats())
+    best = float("inf")
+    for _ in range(20):
+        t0 = time.perf_counter()
+        sdp.solve_stack(*args)
+        best = min(best, time.perf_counter() - t0)
+    return ncalls / iters, 1e6 * best / iters
 
 
 def digest(results):
@@ -123,7 +161,7 @@ def digest(results):
 
 def main():
     for name, dims, run in STACKS:
-        results, wall = solve(dims, run)
+        results, wall, calls = solve(dims, run)
         iters = np.concatenate([r["iters"] for r in results])
         names, counts = np.unique(np.concatenate([r["status_str"] for r in results]),
                                   return_counts=True)
@@ -133,6 +171,10 @@ def main():
               f"p90 {np.percentile(iters, 90):g}, max {iters.max()}; "
               f"{status}; {wall:.2f} s")
         print(f"{name:13s} sha256 {digest(results)}")
+        if name == "dmax":
+            ncalls, us = per_iteration(calls[0], iters.max())
+            print(f"{name:13s} per iteration: {ncalls:.0f} calls, "
+                  f"{us:.0f} us best of 20")
 
 
 if __name__ == "__main__":
