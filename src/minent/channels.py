@@ -282,13 +282,9 @@ def replacer_swap_dilation(omega: DensityOperator):
     out legs carry the displaced input.
     """
     d = omega.dim
-    swap = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            swap[j * d + i, i * d + j] = 1.0
+    swap4 = np.eye(d * d, dtype=complex).reshape(d, d, d, d).transpose(1, 0, 2, 3)
     w, v = np.linalg.eigh(omega.matrix)
     ops = []
-    swap4 = swap.reshape(d, d, d, d)
     for lam, vec in zip(w, v.T):
         if lam < TOL.support:
             continue
@@ -296,31 +292,20 @@ def replacer_swap_dilation(omega: DensityOperator):
         for e in range(d):
             # K = (1_A (x) <e|_E) SWAP (1_A' (x) amp|v>_E')
             ops.append(np.einsum("aij,j->ai", swap4[:, e, :, :], amp * vec))
-    return QuantumChannel(ops), swap
+    return QuantumChannel(ops), swap4.reshape(d * d, d * d)
 
 
 def partial_trace_channel(dims, keep) -> QuantumChannel:
     """Partial trace over the subsystems of `dims` not listed in `keep`."""
     dims = tuple(int(d) for d in dims)
     keep = sorted(set(int(k) for k in keep))
-    din = math.prod(dims)
-    dkeep = math.prod(dims[k] for k in keep)
-    traced = [k for k in range(len(dims)) if k not in keep]
-    ops = []
-    for idx in np.ndindex(*(dims[k] for k in traced)):
-        k = np.zeros((dkeep, din), dtype=complex)
-        for kidx in np.ndindex(*(dims[j] for j in keep)):
-            full = [0] * len(dims)
-            for pos, j in enumerate(keep):
-                full[j] = kidx[pos]
-            for pos, j in enumerate(traced):
-                full[j] = idx[pos]
-            row = int(np.ravel_multi_index(kidx, [dims[j] for j in keep])) \
-                if keep else 0
-            col = int(np.ravel_multi_index(full, dims))
-            k[row, col] = 1.0
-        ops.append(k)
-    return QuantumChannel(ops)
+    n, din = len(dims), math.prod(dims)
+    traced = [k for k in range(n) if k not in keep]
+    # the identity's output legs, traced ones first: Kraus operator t maps
+    # |k, t> to |k> for each value t of the traced subsystems
+    eye = np.eye(din, dtype=complex).reshape(dims + dims)
+    ops = eye.transpose(traced + keep + list(range(n, 2 * n)))
+    return QuantumChannel(ops.reshape(-1, math.prod(dims[k] for k in keep), din))
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ class TestConstruction:
         direct = replacer(omega)
         via_swap, swap = replacer_swap_dilation(omega)
         assert np.allclose(swap @ swap.conj().T, np.eye(4))
+        u, v = _sampling.random_pure_vectors(rng, 2, 2)
+        assert np.allclose(swap @ np.kron(u, v), np.kron(v, u))
         rho = random_state(rng, 2)
         assert np.abs(apply(direct, rho).matrix
                       - apply(via_swap, rho).matrix).max() < 1e-12
@@ -322,11 +324,14 @@ class TestDiamondBatch:
 
 
 class TestPartialTraceChannel:
-    def test_matches_partial_trace(self, rng):
-        ch = partial_trace_channel((2, 2), [0])
-        rho = random_state(rng, 4, (2, 2))
+    @pytest.mark.parametrize("dims, keep", [
+        ((2, 2), [0]), ((2, 3, 2), [0, 2]), ((2, 3, 2), []), ((2, 3, 2), [0, 1, 2]),
+    ], ids=["2x2-keep-0", "2x3x2-keep-0-2", "2x3x2-keep-none", "2x3x2-keep-all"])
+    def test_matches_partial_trace(self, rng, dims, keep):
+        ch = partial_trace_channel(dims, keep)
+        rho = random_state(rng, math.prod(dims), dims)
         out = apply(ch, rho)
-        assert np.abs(out.matrix - partial_trace(rho.op, [0]).matrix).max() < 1e-12
+        assert np.abs(out.matrix - partial_trace(rho.op, keep).matrix).max() < 1e-12
 
 
 def _pairs(m):

@@ -419,6 +419,20 @@ class TestNoNegativeZero:
         assert not self.NEGATIVE_ZERO.search(out)
         assert "-0.0" not in map(repr, json.loads(out).values())
 
+    # entropy --json over the qubit specs, among them channels whose S_min
+    # is 0 (povm, dephasing2 at p = 0.5), where a -0.0 could show
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(spec=QUBIT_SPECS, n=st.integers(1, 4))
+    def test_fuzzed_entropy_json(self, spec, n):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["entropy", f"--spec={json.dumps(spec)}", f"--n={n}",
+                         "--json"])
+        assert code == 0
+        payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert not self.NEGATIVE_ZERO.search(out.getvalue())
+        assert "-0.0" not in map(repr, payload.values())
+
 
 class TestCheck:
     def test_passes_and_deterministic(self, capsys):

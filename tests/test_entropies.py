@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minent import _sampling, sdp
 from minent.channels import apply, apply_many, depolarizing
@@ -10,9 +12,10 @@ from minent.entropies import (_in_ball, cond_hypothesis_entropy,
                               cond_min_entropy_down_sdp, cond_min_entropy_up,
                               d_hypothesis, d_max, d_max_sdp, petz_renyi,
                               sandwiched_renyi, smooth_min_entropy_lower_bound)
-from minent.linalg import (DensityOperator, HermitianOperator,
+from minent.linalg import (TOL, DensityOperator, HermitianOperator,
                            hermitian_basis, maximally_entangled, maximally_mixed,
-                           partial_trace, permute_systems, support_projector)
+                           partial_trace, permute_systems, pure_state,
+                           support_projector)
 
 from conftest import (basis_state, random_qubit_channels,
                       random_two_qubit_states, stinespring_output)
@@ -130,15 +133,67 @@ class TestRenyi:
                 sandwiched_renyi(bad, PI, PI.op)
 
 
+def dh_problem(eps, rho, sigma):
+    """min tr(sigma L) s.t. 0 <= L <= 1, tr(rho L) >= 1 - eps, the
+    hypothesis test behind `d_hypothesis`, as SDP data (c, a, b) for
+    `sdp.solve_stack` with sense "min": blocks L (d), K = 1 - L (d) and
+    the slack s of the error constraint (1), one equality L + K = 1 per
+    element E_k of the Hermitian basis and tr(rho L) - s = 1 - eps."""
+    d = rho.dim
+    basis = hermitian_basis(d)
+    a = [np.concatenate([basis, rho.matrix[None]]),
+         np.concatenate([basis, np.zeros((1, d, d))]),
+         np.concatenate([np.zeros((d * d, 1, 1)), -np.ones((1, 1, 1))])]
+    b = np.append(np.einsum("kii->k", basis).real, 1.0 - eps)
+    return [sigma.matrix, np.zeros((d, d)), np.zeros((1, 1))], a, b
+
+
+def dh_interval(eps, rho, sigma):
+    """An interval that holds the minimum test value beta, from the
+    certified solve of `dh_problem`.
+
+    The primal blocks X meet the constraints to pres, below
+    TOL.sdp_feas, so with y* the optimal multipliers
+    tr(C X) >= beta - |y*| pres, and the returned y stands in for y*. The
+    dual value b.y bounds beta from below up to the negative eigenvalues
+    of the slack S = C - sum_i y_i A_i: over feasible X, where
+    tr L + tr K = d and s <= eps, tr(S X) is at least
+    d min(lambda_min(S_L), lambda_min(S_K), 0) + eps min(S_s, 0).
+    """
+    c, a, b = dh_problem(eps, rho, sigma)
+    res = sdp.solve_stack(c, a, b, "min")
+    assert res["ok"][0]
+    assert res["gap"][0] < TOL.sdp_gap and res["pres"][0] < TOL.sdp_feas
+    y = res["y"][0]
+    neg = [min(np.linalg.eigvalsh(cb - np.einsum("k,kij->ij", y, ab))[0], 0.0)
+           for cb, ab in zip(c, a)]
+    return (res["dual_value"][0] + rho.dim * min(neg[:2]) + eps * neg[2],
+            res["primal_value"][0] + np.linalg.norm(y) * res["pres"][0])
+
+
+@st.composite
+def dh_cases(draw):
+    """(eps, rho, sigma): d in {2, 3, 4}, each state of a drawn rank.
+
+    eps stays in [1e-4, 1 - 1e-4], where the reference certifies: at
+    eps = 1e-6 its solve ends max-iterations for a third of drawn pairs.
+    """
+    d = draw(st.integers(2, 4))
+    gen = _sampling.stream(draw(st.integers(0, 2 ** 32)), 0xD4)
+    rho, sigma = (DensityOperator(_sampling.random_density_matrices(
+        gen, d, 1, rank=draw(st.integers(1, d)))[0]) for _ in range(2))
+    return draw(st.floats(1e-4, 1 - 1e-4)), rho, sigma
+
+
 class TestHypothesisTesting:
     def test_zero_error_projector_form(self):
         assert d_hypothesis(0, KET0, PI.op) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.5])
+    @pytest.mark.parametrize("eps", [1e-6, 0.05, 0.2, 0.5])
     def test_self_test_closed_form(self, eps, rng):
         rho = DensityOperator(_sampling.random_density_matrices(rng, 3, 1)[0])
         got = d_hypothesis(eps, rho, rho.op)
-        assert got == pytest.approx(-math.log2(1 - eps), abs=1e-6)
+        assert got == pytest.approx(-math.log2(1 - eps), abs=1e-12)
 
     def test_sandwich_chain(self, rng):
         eps = 0.25
@@ -153,6 +208,30 @@ class TestHypothesisTesting:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             d_hypothesis(1.0, PI, PI.op)
+
+    # a test on the kernel of sigma alone reaches tr(rho L) >= 1 - eps,
+    # so beta = 0
+    @pytest.mark.parametrize("rho, eps", [
+        (KET0, 0.1),
+        (pure_state(np.sqrt([0.8, 0.2])), 0.3),
+    ], ids=["orthogonal", "kernel-weight-0.8"])
+    def test_infinite_when_beta_is_zero(self, rho, eps):
+        assert d_hypothesis(eps, rho, basis_state(2, 1).op) == math.inf
+
+    def test_kernel_weight_short_of_the_error(self):
+        # the best test projects onto the vector u at |<u|v>|^2 = 0.9 on
+        # the side of |0>, u = (cos t, sin t) with sin^2 t = 1 / 50
+        rho = pure_state(np.sqrt([0.8, 0.2]))
+        got = d_hypothesis(0.1, rho, basis_state(2, 1).op)
+        assert abs(got - math.log2(50)) <= 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=dh_cases())
+    def test_within_reference_sdp(self, case):
+        eps, rho, sigma = case
+        beta = 2.0 ** -d_hypothesis(eps, rho, sigma.op)
+        low, high = dh_interval(eps, rho, sigma)
+        assert low <= beta <= high
 
 
 class TestConditionalEntropies:

@@ -485,13 +485,12 @@ class TestIterationTail:
         assert res["iters"].mean() <= 18
         assert res["iters"].max() <= 60
 
-    def test_check_hypothesis_sandwich(self, monkeypatch):
-        # the hypothesis-testing SDP of `minent check --seed 3` (blocks
-        # (2, 2, 1)): 19 iterations here, 124 before
+    def test_check_solves_no_hypothesis_sdp(self, monkeypatch):
+        # D_H comes from its one-dimensional dual, so `minent check` solves
+        # no hypothesis-testing SDP (blocks (2, 2, 1))
         iters = spy_iterations(monkeypatch)
         assert all(ok for _, ok, _ in cli._invariants(3))
-        tails = [it for blocks, it in iters if blocks == (2, 2, 1)]
-        assert len(tails) == 1 and tails[0][0] <= 30
+        assert iters and all(blocks != (2, 2, 1) for blocks, _ in iters)
 
     @pytest.mark.parametrize("seed", [1243, 1675, 2983])
     def test_check_seed_certifies(self, seed):
