@@ -226,8 +226,8 @@ def find_decoupled_subsystem(phi: DensityOperator, delta_prime: float,
         raise ValueError("state must carry dims (R, A, E)")
     if not 0 <= eps < 1:
         raise ValueError("eps must lie in [0, 1)")
-    if 2 * delta_prime - 12 * eps <= 0:
-        raise ValueError("need delta' > 6*eps for a meaningful target")
+    if not 0 < 2 * delta_prime - 12 * eps < math.inf:
+        raise ValueError("need a finite delta' > 6*eps for a meaningful target")
     dr, da, de = phi.dims
     if da < 2:
         raise ValueError("subsystem A must have dimension at least 2")
@@ -287,7 +287,8 @@ def erasure_protocol_work(phi: DensityOperator, delta_prime: float, eps: float,
     entropic form.
     """
     _, da, _ = phi.dims
-    # raises ValueError where the bound is undefined, delta' <= 6 eps
+    # raises ValueError where the bound is undefined: delta' <= 6 eps or
+    # not finite
     found = find_decoupled_subsystem(phi, delta_prime, eps, sampler)
     work_bits = math.log2(da) - 2 * math.log2(found.a1_dim)
     bound_bits = -found.s_min_ar - 2 * math.log2(2 * delta_prime - 12 * eps)

@@ -35,7 +35,6 @@ __all__ = [
     "cond_hypothesis_entropy",
     "cond_hypothesis_entropy_sup",
     "smooth_min_entropy_lower_bound",
-    "smooth_min_entropy_lower_bound_many",
 ]
 
 # mixing weights tried by the smoothing line search; a fixed grid keeps
@@ -388,117 +387,61 @@ def cond_hypothesis_entropy(eps: float, rho: DensityOperator) -> float:
 # smoothing (certified one-sided bounds)
 
 
-def _ball_mask(low, tr, fid, eps: float) -> np.ndarray:
-    """Smoothing-ball membership from candidates' smallest eigenvalues,
-    traces and generalized fidelities to their centers: PSD within
-    TOL.psd, trace at most 1 + TOL.trace, and within purified distance
-    eps of the center."""
-    return (low >= -TOL.psd) & (tr <= 1 + TOL.trace) \
-        & (np.sqrt(np.maximum(1.0 - fid, 0.0)) <= eps + 1e-12)
+def _in_ball(center: np.ndarray, cands: np.ndarray, eps: float) -> np.ndarray:
+    """Membership mask of candidates (K, d, d) in the smoothing ball of
+    radius eps around center (d, d): PSD within TOL.psd, trace at most
+    1 + TOL.trace, and within purified distance eps of the center by the
+    generalized fidelity, which `fidelity_many` computes for the
+    candidates that pass the first two tests."""
+    inside = (np.linalg.eigvalsh(cands)[:, 0] >= -TOL.psd) \
+        & (np.trace(cands, axis1=-2, axis2=-1).real <= 1 + TOL.trace)
+    fid = fidelity_many(center, cands[inside], generalized=True)
+    inside[inside] = np.sqrt(np.maximum(1.0 - fid, 0.0)) <= eps + 1e-12
+    return inside
 
 
-def _in_ball(centers: np.ndarray, cands: np.ndarray, eps: float) -> np.ndarray:
-    """Membership mask (`_ball_mask`) of candidates (N, K, d, d) in the
-    eps-balls around centers (N, d, d), with the fidelities from
-    `fidelity_many`. `_smooth_candidates` runs it on the mixing
-    candidates, which do not commute with their centers."""
-    low = np.linalg.eigvalsh(cands)[..., 0]
-    tr = np.trace(cands, axis1=-2, axis2=-1).real
-    # rejected candidates may be non-PSD: score zero matrices in their place
-    # (fidelity 1 passes the distance test, so this is the PSD and trace test)
-    scored = np.where(_ball_mask(low, tr, 1.0, eps)[..., None, None], cands, 0)
-    fid = fidelity_many(centers[:, None], scored, generalized=True)
-    return _ball_mask(low, tr, fid, eps)
-
-
-def _smooth_candidates(mats: np.ndarray, da: int, db: int, eps: float):
-    """Smoothing candidates of a stack of Hermitian states (N, d, d).
-
-    Returns (stack, mask): the stack is (N, 1 + 3 * len(SMOOTH_GRID), d, d)
-    with each state in column 0 and its subnormalized candidates after
-    it, and the mask keeps each center and the candidates inside its
-    eps-ball, by the same tests as `_in_ball`. The trace-scaled and
-    top-trimmed candidates commute with their center, so their smallest
-    eigenvalue and root fidelity follow from the center's eigenvalues;
-    only the mixing candidates go through `_in_ball`. At eps = 0 the
-    stack holds the centers alone, (N, 1, d, d).
-    """
+def _smooth_candidates(m: np.ndarray, da: int, db: int, eps: float) -> np.ndarray:
+    """Smoothing candidates of a Hermitian state m (d, d): a (K, d, d)
+    stack holding m and then its subnormalized candidates inside its
+    eps-ball (`_in_ball`), for each t of SMOOTH_GRID in turn the trace
+    scaling (1 - t) m, the mixing towards pi_A (x) m_B and the trimming
+    of the top eigenvector. At eps = 0 the stack is m alone."""
     if eps == 0:
-        return mats[:, None], np.ones((len(mats), 1), dtype=bool)
-    rho_b = hermitian_part(np.einsum("nakal->nkl",
-                                     mats.reshape(-1, da, db, da, db)))
-    w, v = np.linalg.eigh(mats)
-    top = v[:, :, -1, None] * v[:, None, :, -1].conj()
-    # per state: pure trace scaling, mixing towards pi_A (x) rho_B, and
-    # trimming the top eigenvector
-    directions = np.stack([
-        np.zeros_like(mats),
-        np.einsum("ij,nkl->nikjl", np.eye(da) / da, rho_b).reshape(mats.shape),
-        mats - w[:, -1, None, None] * top,
-    ], axis=1)
-    grid = np.asarray(SMOOTH_GRID)
-    t = grid[:, None, None, None]
-    cands = hermitian_part((1 - t) * mats[:, None, None] + t * directions[:, None])
-    # (1 - t) rho has eigenvalues (1 - t) w; rho - t w_max |v><v| keeps w but
-    # w_max -> (1 - t) w_max; ||sqrt(rho) sqrt(sigma)||_1 pairs them up, with
-    # eigenvalues in [-TOL.clamp, 0) taken as 0 as `psd_sqrt` does
-    lam, pos, shrink = w[:, -1:], np.maximum(w, 0.0), np.sqrt(1 - grid)
-    low = np.stack([(1 - grid) * w[:, :1],
-                    np.minimum(w[:, :1], (1 - grid) * lam)], axis=-1)
-    root = np.stack([shrink * pos.sum(axis=1, keepdims=True),
-                     pos[:, :-1].sum(axis=1, keepdims=True) + shrink * lam], axis=-1)
-    # the traces and the generalized term as `fidelity_many` takes them
-    tr = np.trace(cands[:, :, ::2], axis1=-2, axis2=-1).real
-    tr_rho = np.trace(mats, axis1=-2, axis2=-1).real[:, None, None]
-    root = root + np.sqrt(np.maximum(1 - tr_rho, 0.0) * np.maximum(1 - tr, 0.0))
-    inside = np.empty(cands.shape[:3], dtype=bool)
-    inside[:, :, ::2] = _ball_mask(low, tr, np.minimum(root * root, 1.0), eps)
-    inside[:, :, 1] = _in_ball(mats, cands[:, :, 1], eps)
-    cands = cands.reshape(len(mats), -1, da * db, da * db)
-    stack = np.concatenate([mats[:, None], cands], axis=1)
-    mask = np.concatenate([np.ones((len(mats), 1), dtype=bool),
-                           inside.reshape(len(mats), -1)], axis=1)
-    return stack, mask
-
-
-def smooth_min_entropy_lower_bound_many(eps: float, mats: np.ndarray, da: int,
-                                        db: int, variant: str = "up") -> np.ndarray:
-    """Certified lower bounds on the eps-smoothed conditional min-entropy
-    of a stack of states (N, dab, dab).
-
-    Every candidate evaluated lies inside its state's smoothing ball
-    (checked with the generalized fidelity), so the maximum over a
-    state's candidates never exceeds its true smoothed value; at eps = 0
-    the only candidate is the state and the bound is the unsmoothed
-    value. The down variant smooths the conditioning marginal along with
-    the state and is closed form. The up variant solves all candidates of
-    all states in one SDP stack and reads each on its sigma (dual) side,
-    the low side of `_cond_min_up_sides`: each state itself must certify
-    (else SdpFailure), other candidates that do not are skipped.
-    """
-    if not 0 <= eps < 1:
-        raise ValueError("eps must lie in [0, 1)")
-    if variant not in ("up", "down"):
-        raise ValueError("variant must be 'up' or 'down'")
-    mats = hermitian_part(np.asarray(mats, dtype=complex))
-    stack, mask = _smooth_candidates(mats, da, db, eps)
-    best = np.full(mask.shape, -np.inf)
-    if variant == "down":
-        best[mask] = cond_min_entropy_down_many(stack[mask], da, db)
-        return best.max(axis=1)
-    # the sigma side, which bounds each candidate's S_min-up from below
-    vals, _, ok = _cond_min_up_sides(stack[mask], da, db)
-    certified = np.zeros_like(mask)
-    certified[mask] = ok
-    if not certified[:, 0].all():
-        raise sdp.SdpFailure("conditional min-entropy SDP did not certify")
-    best[certified] = vals[ok]
-    return best.max(axis=1)
+        return m[None]
+    rho_b = hermitian_part(np.einsum("akal->kl", m.reshape(da, db, da, db)))
+    w, v = np.linalg.eigh(m)
+    directions = np.stack([np.zeros_like(m), np.kron(np.eye(da) / da, rho_b),
+                           m - w[-1] * np.outer(v[:, -1], v[:, -1].conj())])
+    t = np.asarray(SMOOTH_GRID)[:, None, None, None]
+    cands = hermitian_part((1 - t) * m + t * directions).reshape(-1, *m.shape)
+    return np.concatenate([m[None], cands[_in_ball(m, cands, eps)]])
 
 
 def smooth_min_entropy_lower_bound(eps: float, rho: DensityOperator,
                                    variant: str = "up") -> float:
     """Certified lower bound on the eps-smoothed conditional min-entropy
-    of one state, the one-instance `smooth_min_entropy_lower_bound_many`."""
-    return float(smooth_min_entropy_lower_bound_many(
-        eps, rho.matrix[None], *_split_dims(rho), variant)[0])
+    of one state.
+
+    Every candidate evaluated lies inside the state's smoothing ball
+    (checked with the generalized fidelity), so the maximum over the
+    candidates never exceeds the true smoothed value; at eps = 0 the only
+    candidate is the state and the bound is the unsmoothed value. The
+    down variant smooths the conditioning marginal along with the state
+    and is closed form. The up variant solves all candidates in one SDP
+    stack and reads each on its sigma (dual) side, the low side of
+    `_cond_min_up_sides`: the state itself must certify (else
+    SdpFailure), other candidates that do not are skipped.
+    """
+    if not 0 <= eps < 1:
+        raise ValueError("eps must lie in [0, 1)")
+    if variant not in ("up", "down"):
+        raise ValueError("variant must be 'up' or 'down'")
+    da, db = _split_dims(rho)
+    stack = _smooth_candidates(hermitian_part(rho.matrix), da, db, eps)
+    if variant == "down":
+        return float(cond_min_entropy_down_many(stack, da, db).max())
+    # the sigma side, which bounds each candidate's S_min-up from below
+    vals, _, ok = _cond_min_up_sides(stack, da, db)
+    if not ok[0]:
+        raise sdp.SdpFailure("conditional min-entropy SDP did not certify")
+    return float(vals[ok].max())

@@ -246,8 +246,8 @@ def adversarial_erasure_bound(channel: QuantumChannel, eps: float, delta: float,
     1 - sqrt(2^(-Delta/2) + 12 eps); the probability is clamped to [0,1]
     and flagged invalid when the raw expression is negative.
     """
-    if eps < 0 or delta <= 0:
-        raise ValueError("need eps >= 0 and delta > 0")
+    if not (eps >= 0 and 0 < delta < math.inf):
+        raise ValueError("need eps >= 0 and a finite delta > 0")
     smin_eps = dynamical.smooth_channel_min_entropy_lower_bound(eps, channel)
     bits = -smin_eps + delta
     raw = 1.0 - math.sqrt(2.0 ** (-delta / 2.0) + 12.0 * eps)

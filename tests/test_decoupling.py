@@ -254,3 +254,10 @@ class TestErasureProtocol:
         phi = pure_state(np.kron([1.0, 0.0], va), (2, 4, 4))
         with pytest.raises(ValueError):
             erasure_protocol_work(phi, 0.05, 0.01, 300.0, protocol_sampler(phi))
+
+    @pytest.mark.parametrize("delta_prime", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_prime_refused(self, delta_prime):
+        phi = _stinespring_state(depolarizing(0.9), 2)
+        with pytest.raises(ValueError, match="delta'"):
+            erasure_protocol_work(phi, delta_prime, 0.0, 300.0,
+                                  protocol_sampler(phi))

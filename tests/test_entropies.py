@@ -393,12 +393,10 @@ class TestSmoothing:
         outside = product_state(PI, PI).matrix
         negative = PHI.matrix - 1e-6 * np.eye(4)
         cands = np.stack([PHI.matrix, shrunk, outside, negative])
-        assert _in_ball(PHI.matrix[None], cands[None], 0.1).tolist() \
-            == [[True, True, False, False]]
-        # one mask row per center
-        mask = _in_ball(np.stack([PHI.matrix, outside]),
-                        np.stack([cands[:2], cands[2:]]), 0.1)
-        assert mask.tolist() == [[True, True], [True, False]]
+        assert _in_ball(PHI.matrix, cands, 0.1).tolist() \
+            == [True, True, False, False]
+        # one call per center
+        assert _in_ball(outside, cands[2:], 0.1).tolist() == [True, False]
 
     def test_zero_eps_exact(self):
         got = smooth_min_entropy_lower_bound(0.0, PHI)

@@ -125,10 +125,9 @@ class TestFidelity:
 
 def within(rho, sigma, eps) -> bool:
     """Whether sigma lies within purified distance eps of rho, as the
-    smoothing-ball check `entropies._in_ball` decides it: with the
-    generalized fidelity, which it computes for the mixing candidates
-    (the scaled and trimmed ones take the same tests in closed form)."""
-    return bool(_in_ball(rho.matrix[None], sigma.matrix[None, None], eps)[0, 0])
+    smoothing-ball check `entropies._in_ball` decides it for every
+    smoothing candidate: with the generalized fidelity."""
+    return bool(_in_ball(rho.matrix, sigma.matrix[None], eps)[0])
 
 
 class TestPurifiedDistance:

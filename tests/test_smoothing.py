@@ -1,32 +1,30 @@
-"""Stacked smoothing against one-candidate-at-a-time references.
+"""One-state smoothing against one-candidate-at-a-time references.
 
 The references below are the earlier scalar code paths, kept here
 verbatim in behaviour: a generator that wraps each candidate in a
 DensityOperator and checks ball membership with a scalar fidelity, a
 loop that solves one SDP per candidate, and a per-probe purified
 distance check for the channel bound (which the library replaces by the
-sqrt(t) <= eps certificate alone). The stacked library code must
-reproduce them bitwise.
+sqrt(t) <= eps certificate alone). The library builds a state's
+candidates as one stack, checks them with one ball test and evaluates
+them in one stacked call; it must reproduce the references bitwise.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from minent import _sampling, sdp
 from minent.channels import (apply_many, choi_matrix, dephasing1, dephasing2,
                              depolarizing, identity_channel, replacer)
 from minent.dynamical import (channel_min_entropy,
                               smooth_channel_min_entropy_lower_bound)
-from minent.entropies import (SMOOTH_GRID, _cond_min_up_sides, _in_ball,
+from minent.entropies import (SMOOTH_GRID, _cond_min_up_sides,
                               _smooth_candidates, cond_min_entropy_down_many,
                               cond_min_entropy_up,
-                              smooth_min_entropy_lower_bound,
-                              smooth_min_entropy_lower_bound_many)
-from minent.linalg import (TOL, DensityOperator, herm_eig, hermitian_part,
+                              smooth_min_entropy_lower_bound)
+from minent.linalg import (TOL, DensityOperator, herm_eig,
                            maximally_mixed, partial_trace)
 
 from conftest import random_qubit_channels, random_two_qubit_states
@@ -155,9 +153,8 @@ class TestAgainstScalarReference:
         for rho in seeded_states():
             for eps in STATE_EPS:
                 ref = np.stack([c.matrix for c in ref_candidates(rho, eps)])
-                stack, mask = _smooth_candidates(rho.matrix[None], 2, 2, eps)
-                assert mask[0, 0] and np.array_equal(stack[0, 0], rho.matrix)
-                got = stack[mask]
+                got = _smooth_candidates(rho.matrix, 2, 2, eps)
+                assert np.array_equal(got[0], rho.matrix)
                 assert got.shape == ref.shape
                 assert np.array_equal(got, ref)
                 total += got.shape[0]
@@ -177,31 +174,15 @@ class TestAgainstScalarReference:
                 assert smooth_min_entropy_lower_bound(eps, rho, "up") \
                     == ref_smooth_bound(eps, rho, "up")
 
-    def test_down_stack(self):
-        # more states than the ball check takes at a time
-        states = seeded_states() + random_two_qubit_states(95, 13)
-        mats = np.stack([rho.matrix for rho in states])
-        for eps in STATE_EPS:
-            got = smooth_min_entropy_lower_bound_many(eps, mats, 2, 2, "down")
-            assert got.tolist() == [ref_smooth_bound(eps, rho, "down")
-                                    for rho in states]
-
-    def test_up_stack(self):
-        # per-state calls are pinned to the candidate-by-candidate loop above
-        mats = np.stack([rho.matrix for rho in seeded_states()])
-        for eps in (0.0, 0.05, 0.2):
-            got = smooth_min_entropy_lower_bound_many(eps, mats, 2, 2, "up")
-            assert got.tolist() == [smooth_min_entropy_lower_bound(eps, rho, "up")
-                                    for rho in seeded_states()]
-
-    def test_stack_is_symmetrized(self):
-        # off-Hermitian roundoff, as in raw channel outputs, is averaged
-        # away on entry, as DensityOperator does for the one-state form
-        raw = seeded_states()[0].matrix + np.triu(np.full((4, 4), 1e-14j), 1)
-        for variant in ("up", "down"):
-            got = smooth_min_entropy_lower_bound_many(0.1, raw[None], 2, 2, variant)
-            assert got[0] == smooth_min_entropy_lower_bound(
-                0.1, DensityOperator(raw, (2, 2)), variant)
+    @pytest.mark.parametrize("seed, index, rank", [(3, 1, 2), (17, 0, 2),
+                                                   (55, 0, 1)])
+    def test_up_bound_at_grid_tie(self, seed, index, rank):
+        # eps = 0.001 = sqrt(1e-6) ties with the purified distance of the
+        # scaled candidate at t = 1e-6, where roundoff decides membership;
+        # the bound must decide it as the reference does
+        rho = random_two_qubit_states(seed, 2, rank=rank)[index]
+        assert smooth_min_entropy_lower_bound(0.001, rho, "up") \
+            == ref_smooth_bound(0.001, rho, "up")
 
     def test_zero_eps_is_unsmoothed(self):
         # the low side of the unsmoothed value, within the solver's gap
@@ -239,50 +220,6 @@ class TestAgainstScalarReference:
 
 
 # ---------------------------------------------------------------------------
-# closed-form ball membership
-
-
-# columns of the trace-scaled and top-trimmed candidates in a candidate
-# stack, after the center; the mixing candidates are every third from 2
-COMMUTING = 1 + np.flatnonzero(np.arange(3 * len(SMOOTH_GRID)) % 3 != 1)
-
-
-def scaled_distances(trace: float) -> list:
-    """Purified distances from a center of this trace, of any rank, to its
-    scaled candidates (1 - t) rho, one per t of the grid: sqrt(t) at trace
-    1, and about t sqrt(trace / (4 (1 - trace))) below it."""
-    return [math.sqrt(max(1 - (trace * math.sqrt(1 - t) + math.sqrt(
-        (1 - trace) * (1 - trace * (1 - t)))) ** 2, 0.0)) for t in SMOOTH_GRID]
-
-
-class TestClosedFormMembership:
-    # eps is drawn at least 1e-6 from the distance of every scaled candidate
-    # (at trace 1, from every sqrt(t)). At a tie such as eps = sqrt(t) for a
-    # normalized center, roundoff in the sqrt((1 - tr rho)(1 - tr sigma))
-    # term decides membership either way, in the closed form and in
-    # `_in_ball` alike. Over 3,686,400 comparisons on these dims, at every
-    # rank, with eps at each sqrt(t) and at 20 drawn values, the two
-    # disagreed 61 times, all at eps = 0.001 = sqrt(1e-6) on normalized
-    # centers. Trace 0.8 ties too: its scaled candidate at t = 1e-6 lies at
-    # distance 1e-6.
-    @settings(max_examples=100, deadline=None, derandomize=True)
-    @given(data=st.data(), dims=st.sampled_from([(2, 2), (2, 3), (3, 2)]),
-           seed=st.integers(0, 2 ** 32 - 1), trace=st.floats(0.8, 1.0))
-    def test_commuting_candidates_match_in_ball(self, data, dims, seed, trace):
-        d = dims[0] * dims[1]
-        rank = data.draw(st.integers(1, d), label="rank")
-        ties = scaled_distances(trace)
-        eps = data.draw(st.floats(1e-6, 0.999).filter(
-            lambda e: min(abs(e - tie) for tie in ties) >= 1e-6), label="eps")
-        gen = _sampling.stream(seed, 0xBA11)
-        mats = hermitian_part(
-            trace * _sampling.random_density_matrices(gen, d, 4, rank=rank))
-        stack, mask = _smooth_candidates(mats, *dims, eps)
-        assert np.array_equal(mask[:, COMMUTING],
-                              _in_ball(mats, stack[:, COMMUTING], eps))
-
-
-# ---------------------------------------------------------------------------
 # the certification rule of the up variant
 
 
@@ -314,8 +251,7 @@ class TestCertificationRule:
             smooth_min_entropy_lower_bound(0.0, self.RHO, "up")
 
     def test_other_candidates_are_skipped(self, monkeypatch):
-        stack, mask = _smooth_candidates(self.RHO.matrix[None], 2, 2, self.EPS)
-        cands = stack[mask]
+        cands = _smooth_candidates(self.RHO.matrix, 2, 2, self.EPS)
         vals, _, ok = _cond_min_up_sides(cands, 2, 2)
         assert ok.all()
         best = int(np.argmax(vals))
@@ -324,12 +260,3 @@ class TestCertificationRule:
         got = smooth_min_entropy_lower_bound(self.EPS, self.RHO, "up")
         assert got == np.delete(vals, best).max()
         assert got < vals[best]
-
-    def test_every_center_of_a_stack_must_certify(self, monkeypatch):
-        states = seeded_states()[:3]
-        mats = np.stack([rho.matrix for rho in states])
-        _, mask = _smooth_candidates(mats, 2, 2, self.EPS)
-        second = int(mask[0].sum())  # the second state's center in the SDP stack
-        mark_nonoptimal(monkeypatch, second)
-        with pytest.raises(sdp.SdpFailure):
-            smooth_min_entropy_lower_bound_many(self.EPS, mats, 2, 2, "up")

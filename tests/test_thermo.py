@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from minent import _sampling
@@ -14,7 +14,7 @@ from minent.dynamical import (_pure_outputs, channel_min_entropy,
                               smooth_channel_min_entropy_lower_bound)
 from minent.entropies import (cond_hypothesis_entropy,
                               cond_hypothesis_entropy_sup,
-                              smooth_min_entropy_lower_bound_many)
+                              smooth_min_entropy_lower_bound)
 from minent.linalg import (DensityOperator, maximally_entangled,
                            maximally_mixed, pauli)
 from minent.thermo import (K_B, AdversarialBound, CostReport, WorkCost,
@@ -174,9 +174,9 @@ class TestChannelCosts:
         rep = channel_costs(ch, 0.0, 300.0)
         assert rep.attained_inputs["prep"] == "maximally-entangled reference input"
         phi = np.eye(2, dtype=complex).reshape(-1) / math.sqrt(2)
-        down = smooth_min_entropy_lower_bound_many(
-            0.0, _pure_outputs(ch, phi[None]), 2, 2, "down")
-        assert abs(-down[0] - rep.prep_cost.bits) <= 1e-9
+        out = DensityOperator(_pure_outputs(ch, phi[None])[0], (2, 2))
+        down = smooth_min_entropy_lower_bound(0.0, out, "down")
+        assert abs(-down - rep.prep_cost.bits) <= 1e-9
         rep = channel_costs(ch, 0.06, 300.0)
         assert rep.attained_inputs["prep"] == "smoothed-channel ceiling"
         assert rep.attained_inputs["eras"] == "SDP-optimal input"
@@ -248,8 +248,9 @@ class TestPreparationCeiling:
         haar = _sampling.random_pure_vectors(_sampling.stream(seed, 0xC057),
                                              dr * dr, 16)
         vecs = np.concatenate([phi, np.eye(dr * dr, dtype=complex), haar])
-        lower = smooth_min_entropy_lower_bound_many(
-            mu, _pure_outputs(ch, vecs), da, dr, "down")
+        lower = np.array([smooth_min_entropy_lower_bound(
+            mu, DensityOperator(out, (da, dr)), "down")
+            for out in _pure_outputs(ch, vecs)])
         # prep_bits as channel_costs reports it, bit for bit
         # (test_prep_is_smoothed_channel_ceiling); channel_costs itself
         # would also solve the erasure SDP, which does not certify at
@@ -349,7 +350,38 @@ class TestJointErasureSdp:
             cond_hypothesis_entropy_sup(0.1, v4, 4, 16)
 
 
+class TestErasureMonotoneInMu:
+    # the objective (1 - mu) tr P - tr Z of the joint erasure SDP falls
+    # pointwise as mu grows, so its optimum cannot rise
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(ch=ceiling_channels(),
+           mus=st.lists(st.floats(1e-3, 0.9), min_size=2, max_size=2,
+                        unique=True))
+    def test_not_increasing(self, ch, mus):
+        iso = stinespring_isometry(ch)
+        # (bits, ok) at mu1 < mu2
+        (bits1, ok1), (bits2, ok2) = (
+            cond_hypothesis_entropy_sup(mu, iso.isometry, ch.out_dim,
+                                        iso.env_dim)[::2]
+            for mu in sorted(mus))
+        assume(ok1 and ok2)
+        assert bits1 >= bits2 - 1e-6
+
+
 class TestAdversarialBound:
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(ch=ceiling_channels(), delta=st.floats(0.0, 64.0, exclude_min=True))
+    def test_zero_eps_arithmetic(self, ch, delta):
+        rep = adversarial_erasure_bound(ch, 0.0, delta, 300.0)
+        assert abs(rep.bound.bits - (-channel_min_entropy(ch) + delta)) <= 1e-12
+        assert abs(rep.probability - (1 - math.sqrt(2 ** (-delta / 2)))) <= 1e-12
+        assert rep.valid
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_refused(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            adversarial_erasure_bound(identity_channel(2), 0.0, delta, 300.0)
+
     def test_identity_arithmetic(self):
         rep = adversarial_erasure_bound(identity_channel(2), 0.0, 4.0, 300.0)
         assert rep.bound.bits == pytest.approx(5.0)
