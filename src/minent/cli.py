@@ -423,7 +423,7 @@ def _invariants(seed: int):
         agree = abs(smin - dynamical.channel_min_entropy_sdp(ch2)) < 1e-6
         yield f"dynamical.bounds_and_sdp {fam}", in_range and agree, f"{smin:.4f}"
 
-    dual = dynamical.singlet_fidelity_dual(ch, 24, seed)
+    dual = dynamical.singlet_fidelity_dual(ch)
     yield "dynamical.singlet_dual_below", \
         dual <= -dynamical.channel_min_entropy(ch) + 1e-6, f"{dual:.4f}"
 

@@ -228,6 +228,8 @@ def find_decoupled_subsystem(phi: DensityOperator, delta_prime: float,
         raise ValueError("eps must lie in [0, 1)")
     if not 0 < 2 * delta_prime - 12 * eps < math.inf:
         raise ValueError("need a finite delta' > 6*eps for a meaningful target")
+    if max_tries < 1:
+        raise ValueError("need at least one try")
     dr, da, de = phi.dims
     if da < 2:
         raise ValueError("subsystem A must have dimension at least 2")

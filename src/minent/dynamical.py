@@ -6,10 +6,11 @@ The closed form comes from the Choi spectrum; independent routes
 singlet-fidelity and environment-decoupling duals) exist so that every
 number can be cross-checked. Scans return certified relations only:
 sampled infima upper-bound the true infimum, sampled suprema
-lower-bound the true supremum. The scans and the singlet dual include
-the input psi* that attains the closed form, and the
-environment-decoupling dual is evaluated at its explicit maximizer, so
-each meets the closed form within solver slack or roundoff.
+lower-bound the true supremum. The scans include the input psi* that
+attains the closed form, so they meet it within solver slack. The two
+duals solve no SDP and draw no sample: each is evaluated at its explicit
+optimizers and meets the closed form to roundoff, and the singlet dual
+checks its primal and dual certificates before it returns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import entropies, _sampling
+from . import entropies, linalg, _sampling
 from .channels import (QuantumChannel, apply_many, choi_matrix,
                        stinespring_isometry)
 from .linalg import TOL, DensityOperator, permute_systems, psd_sqrt
@@ -167,47 +168,55 @@ def channel_min_entropy_scan(n: QuantumChannel, n_samples: int,
     )
 
 
-def singlet_fidelity_dual(n: QuantumChannel, n_samples: int, seed: int) -> float:
-    """log2 of the best sampled |A| F(M (x) N(psi), Phi).
+def singlet_fidelity_dual(n: QuantumChannel) -> float:
+    """log2 |A| F(M (x) N(psi*), Phi) at its explicit optimizers, which is
+    -S_min[N] (the min/max-entropy duality of Koenig, Renner and
+    Schaffner, IEEE Trans. Inf. Theory 2009, with its optimizers written
+    out).
 
-    Per input the inner supremum over recovery channels M equals
-    2^(-S_min-up(A|R)), so the estimate is the negated sampled infimum
-    over the inputs of `_pruned_scan`; it can only fall below -S_min[N],
-    and psi* reaches it."""
-    gen = _sampling.stream(seed, 0x51D9)
-    vals, ok = _pruned_scan(
-        n, _structured_inputs(n),
-        _sampling.random_pure_vectors(gen, n.in_dim ** 2, n_samples))
-    if not ok.any():
-        raise RuntimeError("every dual sample failed to certify")
-    return float(-np.min(vals[ok]))
+    For a top eigenpair (lambda, v) of the normalized Choi state J on
+    (R, A) and rho* = tr_A |v><v|, the input psi* of `_structured_inputs`
+    gives omega = N(psi*) = d (sqrt(rho*) (x) 1) J (sqrt(rho*) (x) 1). The
+    recovery Choi operator X* = (rho*^-1/2 (x) 1)|v><v|(rho*^-1/2 (x) 1)
+    + (1 - P_rho*) (x) 1_A / d_A is PSD with tr_A X* = 1_R and gives
+    tr(omega X*) = d lambda; sigma* = d lambda rho* has
+    sigma* (x) 1_A >= omega and tr sigma* = d lambda, so no recovery does
+    better. Both certificates are checked; RuntimeError if one fails.
+    """
+    dr, da = n.in_dim, n.out_dim
+    w, vecs = np.linalg.eigh(choi_matrix(n).matrix)
+    top = vecs[:, -1].reshape(dr, da)
+    rho = top @ top.conj().T
+    omega = apply_many(n, psd_sqrt(rho).reshape(1, -1), left=dr)[0]
+    v = (linalg.psd_inv_sqrt(rho) @ top).reshape(-1)
+    x = np.outer(v, v.conj()) + np.kron(
+        np.eye(dr) - linalg.support_projector(rho), np.eye(da) / da)
+    sigma = np.kron(dr * w[-1] * rho, np.eye(da))  # sigma* (x) 1_A
+    value = float(np.vdot(x, omega).real)
+    ptr = np.einsum("iaja->ij", x.reshape(dr, da, dr, da))  # tr_A X*
+    low = np.linalg.eigvalsh(np.stack([x, sigma - omega]))[:, 0].min()
+    if (np.abs(ptr - np.eye(dr)).max() > TOL.trace or low < -TOL.psd
+            or abs(value - np.trace(sigma).real / da) > TOL.trace):
+        raise RuntimeError("singlet-fidelity certificate failed")
+    return math.log2(value)
 
 
 def env_decoupling_dual(n: QuantumChannel, n_samples: int, seed: int) -> float:
     """log2 of the best |A| F(V(rho), pi_A (x) sigma_E), which is -S_min[N].
 
-    Pure inputs psi (the computational basis and n_samples Haar vectors)
-    give the closed form lambda_max(tr_A V|psi><psi|V^dag). The supremum
-    over mixed inputs is attained at sigma* = |s><s| for a top eigenvector
-    s of M = tr_A VV^dag and P* = V^dag (1 (x) sigma*) V / tr(.): since
-    F(VPV^dag, X) = F(P, V^dag X V) and F(P, cP) = c for a normalized P,
-    the fidelity there is the Rayleigh quotient <s|M|s> = lambda_max(M) =
-    2^(-S_min) (the min/max-entropy duality of Koenig, Renner and
-    Schaffner, IEEE Trans. Inf. Theory 2009, with its optimizer written
-    out). Every candidate is attained, so none exceeds -S_min[N].
+    The supremum over inputs is attained at sigma* = |s><s| for a top
+    eigenvector s of M = tr_A VV^dag and P* = V^dag (1 (x) sigma*) V /
+    tr(.): since F(VPV^dag, X) = F(P, V^dag X V) and F(P, cP) = c for a
+    normalized P, the fidelity there is the Rayleigh quotient <s|M|s> =
+    lambda_max(M) = 2^(-S_min) (the min/max-entropy duality of Koenig,
+    Renner and Schaffner, IEEE Trans. Inf. Theory 2009, with its
+    optimizer written out). n_samples and seed are accepted and unused.
     """
-    gen = _sampling.stream(seed, 0xE49A)
     iso = stinespring_isometry(n)
     v = iso.isometry.reshape(iso.out_dim, iso.env_dim, n.in_dim)
-    pure = np.concatenate([
-        np.eye(n.in_dim, dtype=complex),
-        _sampling.random_pure_vectors(gen, n.in_dim, max(n_samples, 1))])
-    outs = np.einsum("aei,bi->bae", v, pure)
-    lam = np.linalg.eigvalsh(np.einsum("bae,baf->bef", outs, outs.conj()))
     m = np.einsum("aei,afi->ef", v, v.conj())
     s = np.linalg.eigh(m)[1][:, -1]
-    attained = float((s.conj() @ m @ s).real)
-    return math.log2(max(float(lam.max()), attained))
+    return math.log2(float((s.conj() @ m @ s).real))
 
 
 def smooth_channel_min_entropy_lower_bound(eps: float, n: QuantumChannel) -> float:

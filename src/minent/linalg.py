@@ -52,11 +52,14 @@ class Tolerances:
 
     def parse_override(self, item: str) -> tuple[str, float]:
         """(name, value) from a NAME=VALUE string; ValueError if it is
-        malformed or NAME is not a tolerance."""
+        malformed, NAME is not a tolerance, or VALUE is not a finite
+        nonnegative number."""
         name, value = item.split("=", 1)
         name = name.strip()
         if name not in {f.name for f in fields(self)}:
             raise ValueError(f"unknown tolerance {name!r}")
+        if not 0 <= float(value) < math.inf:
+            raise ValueError(f"tolerance {name} must be finite and nonnegative")
         return name, float(value)
 
     @contextmanager

@@ -253,6 +253,15 @@ class TestDecouple:
         for key in ("a1_dim", "trace_distance_to_product", "delta_prime"):
             assert smoothed[key] == exact[key]
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_subsystem_mode_refuses_fewer_than_one_try(self, capsys, n):
+        code, out, err = run(capsys, "decouple", "--mode", "subsystem", "--spec",
+                             '{"channel": {"family": "depolarizing", "p": 0.9}}',
+                             "--n", n, "--json")
+        assert code == 2
+        assert out == ""
+        assert "at least one try" in err
+
     def test_invalid_spec(self, capsys):
         code, _, _ = run(capsys, "decouple", "--mode", "channel",
                          "--spec", '{"post": "identity"}', "--json")
@@ -419,14 +428,17 @@ class TestNoNegativeZero:
         assert not self.NEGATIVE_ZERO.search(out)
         assert "-0.0" not in map(repr, json.loads(out).values())
 
-    # entropy --json over the qubit specs, among them channels whose S_min
-    # is 0 (povm, dephasing2 at p = 0.5), where a -0.0 could show
+    # entropy --json and costs --json at mu = 0 over the qubit specs, among
+    # them channels whose S_min is 0 (povm, dephasing2 at p = 0.5), where a
+    # -0.0 could show
+    @pytest.mark.parametrize("command", ["entropy", "costs"])
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(spec=QUBIT_SPECS, n=st.integers(1, 4))
-    def test_fuzzed_entropy_json(self, spec, n):
+    def test_fuzzed_json(self, command, spec, n):
+        scan = [f"--n={n}"] if command == "entropy" else []
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(["entropy", f"--spec={json.dumps(spec)}", f"--n={n}",
+            code = main([command, f"--spec={json.dumps(spec)}", *scan,
                          "--json"])
         assert code == 0
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
@@ -588,3 +600,26 @@ class TestToleranceOverride:
         code, _, _ = run(capsys, "entropy", "--family", "unitary",
                          "--tolerance", "bogus=1")
         assert code == 2
+
+    # a NaN, infinite or negative tolerance would let every check pass
+    # (psd=inf admits any matrix as a state) or fail with a misleading error
+    @pytest.mark.parametrize("command, item", [
+        ("entropy", "psd=inf"), ("entropy", "sdp_gap=-1"),
+        ("entropy", "support=nan"), ("check", "sdp_feas=-1"),
+        ("entropy", "trace=-inf")])
+    def test_refuses_bad_value(self, capsys, command, item):
+        from minent.linalg import TOL
+        before = TOL.psd
+        argv = [command, "--tolerance", "psd=1e-9", "--tolerance", item]
+        if command == "entropy":
+            argv += ["--family", "unitary", "--n", "4"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite and nonnegative" in err
+        assert TOL.psd == before
+
+    def test_zero_is_accepted(self, capsys):
+        code, _, _ = run(capsys, "entropy", "--family", "unitary", "--n", "4",
+                         "--tolerance", "clamp=0", "--json")
+        assert code == 0

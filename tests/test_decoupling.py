@@ -191,6 +191,14 @@ class TestSubsystemSearch:
         assert res.a1_dim == 2
         assert res.trace_distance_to_product <= 0.2
 
+    # zero tries reported a1_dim 1 as if it had searched; a negative count
+    # failed inside numpy
+    @pytest.mark.parametrize("tries", [0, -3])
+    def test_refuses_fewer_than_one_try(self, tries):
+        phi = _stinespring_state(depolarizing(0.9), 2)
+        with pytest.raises(ValueError, match="at least one try"):
+            find_decoupled_subsystem(phi, 0.2, 0.0, HaarSampler(2, 1), tries)
+
     def test_result_invariant(self):
         with pytest.raises(ValueError):
             SubsystemSearchResult(2, 0.5, 0.1, 1, 0.0)

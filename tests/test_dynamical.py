@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minent import _sampling
+from minent import _sampling, dynamical, sdp
 from minent.channels import (QuantumChannel, channel_from_spec, compose,
                              dephasing1, dephasing2, depolarizing,
                              diamond_distance, identity_channel, is_ppt,
@@ -120,8 +120,7 @@ class TestPsiStar:
         rep = channel_min_entropy_scan(ch, 16, seed=5)
         assert rep.gap_flags["scan_gap"] <= 1e-7
         assert rep.n_scan_samples == ch.in_dim ** 2 + 2 + 16
-        assert singlet_fidelity_dual(ch, 8, 7) == pytest.approx(-closed,
-                                                                abs=1e-7)
+        assert singlet_fidelity_dual(ch) == pytest.approx(-closed, abs=1e-9)
 
     def test_transposed_convention_misses(self):
         misses = []
@@ -186,15 +185,10 @@ class TestPruning:
 
 class TestDuals:
     def test_singlet_identity(self):
-        assert singlet_fidelity_dual(IDC, 32, 7) == pytest.approx(1.0, abs=1e-6)
+        assert singlet_fidelity_dual(IDC) == pytest.approx(1.0, abs=1e-9)
 
     def test_singlet_replacer(self):
-        assert singlet_fidelity_dual(RPI, 32, 7) == pytest.approx(-1.0, abs=1e-6)
-
-    def test_singlet_below_negentropy(self):
-        for ch in random_qubit_channels(33, 6):
-            val = singlet_fidelity_dual(ch, 24, 7)
-            assert val <= -channel_min_entropy(ch) + 1e-6
+        assert singlet_fidelity_dual(RPI) == pytest.approx(-1.0, abs=1e-9)
 
     def test_env_identity(self):
         assert env_decoupling_dual(IDC, 64, 7) == pytest.approx(1.0, abs=1e-9)
@@ -218,8 +212,8 @@ class TestDuals:
                        ("dephasing2", 0.7)):
             ch = make_named_channel(fam, p=p)
             target = -channel_min_entropy(ch)
-            assert singlet_fidelity_dual(ch, 500, 7) == pytest.approx(
-                target, abs=0.02)
+            assert singlet_fidelity_dual(ch) == pytest.approx(target,
+                                                              abs=1e-9)
             assert env_decoupling_dual(ch, 500, 7) == pytest.approx(
                 target, abs=1e-9)
 
@@ -244,22 +238,45 @@ def drawn_channels(draw):
                                                           kraus, 1)[0])
 
 
-class TestEnvDualExact:
-    """The environment-decoupling dual is evaluated at its explicit
-    maximizer, so it meets -S_min to roundoff at any sample count."""
+class TestDualsExact:
+    """Both duals are evaluated at their explicit optimizers, so each meets
+    -S_min to roundoff; the environment-decoupling dual at any sample count
+    and seed, which it accepts and does not use."""
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(spec=NAMED_SPECS, n=st.integers(0, 16), seed=st.integers(0, 99))
     def test_named_families(self, spec, n, seed):
         ch = channel_from_spec(spec)
-        assert abs(env_decoupling_dual(ch, n, seed)
-                   + channel_min_entropy(ch)) <= 1e-9
+        target = -channel_min_entropy(ch)
+        assert abs(env_decoupling_dual(ch, n, seed) - target) <= 1e-9
+        assert abs(singlet_fidelity_dual(ch) - target) <= 1e-9
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(ch=drawn_channels(), n=st.integers(0, 16), seed=st.integers(0, 99))
     def test_drawn_channels(self, ch, n, seed):
-        assert abs(env_decoupling_dual(ch, n, seed)
-                   + channel_min_entropy(ch)) <= 1e-9
+        target = -channel_min_entropy(ch)
+        assert abs(env_decoupling_dual(ch, n, seed) - target) <= 1e-9
+        assert abs(singlet_fidelity_dual(ch) - target) <= 1e-9
+
+    def test_no_sdp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a dual solved an SDP")
+
+        monkeypatch.setattr(sdp, "solve_stack", refuse)
+        ch = depolarizing(0.3)
+        target = -channel_min_entropy(ch)
+        assert singlet_fidelity_dual(ch) == pytest.approx(target, abs=1e-9)
+        assert env_decoupling_dual(ch, 64, 7) == pytest.approx(target,
+                                                               abs=1e-9)
+
+    def test_singlet_certificate_failure_raises(self, monkeypatch):
+        # an output 1% too heavy breaks sigma* (x) 1_A >= omega and
+        # tr(omega X*) = tr sigma*
+        original = dynamical.apply_many
+        monkeypatch.setattr(dynamical, "apply_many",
+                            lambda *args, **kw: 1.01 * original(*args, **kw))
+        with pytest.raises(RuntimeError, match="certificate"):
+            singlet_fidelity_dual(depolarizing(0.3))
 
 
 class TestSmoothing:
