@@ -428,18 +428,23 @@ class TestNoNegativeZero:
         assert not self.NEGATIVE_ZERO.search(out)
         assert "-0.0" not in map(repr, json.loads(out).values())
 
-    # entropy --json and costs --json at mu = 0 over the qubit specs, among
-    # them channels whose S_min is 0 (povm, dephasing2 at p = 0.5), where a
-    # -0.0 could show
-    @pytest.mark.parametrize("command", ["entropy", "costs"])
+    # entropy --json over the qubit specs, among them channels whose S_min
+    # is 0 (povm, dephasing2 at p = 0.5), where a -0.0 could show
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(spec=QUBIT_SPECS, n=st.integers(1, 4))
-    def test_fuzzed_json(self, command, spec, n):
-        scan = [f"--n={n}"] if command == "entropy" else []
+    def test_fuzzed_entropy_json(self, spec, n):
+        self._strict_json("entropy", f"--spec={json.dumps(spec)}", f"--n={n}")
+
+    # costs --json at mu = 0 over the same specs
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(spec=QUBIT_SPECS)
+    def test_fuzzed_costs_json(self, spec):
+        self._strict_json("costs", f"--spec={json.dumps(spec)}")
+
+    def _strict_json(self, *argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([command, f"--spec={json.dumps(spec)}", *scan,
-                         "--json"])
+            code = main([*argv, "--json"])
         assert code == 0
         payload = json.loads(out.getvalue(), parse_constant=_reject_constant)
         assert not self.NEGATIVE_ZERO.search(out.getvalue())
