@@ -70,7 +70,7 @@ def _emit(payload: dict, as_json: bool) -> None:
 def cmd_entropy(args) -> int:
     try:
         channel = _channel_from_args(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError among them
         print(f"invalid channel spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     try:
@@ -78,7 +78,7 @@ def cmd_entropy(args) -> int:
     except ValueError as exc:  # a sample count below 1, or an SDP too large
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    except (sdp.SdpFailure, RuntimeError) as exc:
+    except RuntimeError as exc:  # sdp.SdpFailure among them
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = {
@@ -107,7 +107,8 @@ def _sweep_value(family: str, p: float) -> float:
 
 def cmd_sweep(args) -> int:
     families = [f.strip() for f in args.families.split(",") if f.strip()]
-    for fam in families:
+    # a list that names no family ("" or ",") is refused as it was given
+    for fam in families or [args.families]:
         if fam not in SWEEP_FAMILIES:
             print(f"unknown sweep family {fam!r}", file=sys.stderr)
             return EXIT_BAD_SPEC
@@ -204,7 +205,7 @@ def cmd_decouple(args) -> int:
     except (ValueError, KeyError) as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    except (sdp.SdpFailure, RuntimeError) as exc:
+    except RuntimeError as exc:  # sdp.SdpFailure among them
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     if report.skipped > 0.1 * (report.n_samples + report.skipped):
@@ -279,7 +280,7 @@ def cmd_costs(args) -> int:
         return EXIT_BAD_SPEC
     try:
         channel = _channel_from_args(args)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # json.JSONDecodeError among them
         print(f"invalid channel spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     try:
@@ -287,7 +288,7 @@ def cmd_costs(args) -> int:
     except ValueError as exc:  # e.g. an erasure SDP too large to solve
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
-    except (sdp.SdpFailure, RuntimeError) as exc:
+    except RuntimeError as exc:  # sdp.SdpFailure among them
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     payload = report.to_json()
@@ -513,13 +514,17 @@ def _invariants(seed: int):
 
 def cmd_check(args) -> int:
     failures = 0
-    for name, passed, detail in _invariants(args.seed):
-        tag = "ok  " if passed else "FAIL"
-        line = f"{tag} {name}"
-        if detail:
-            line += f"  [{detail}]"
-        print(line)
-        failures += 0 if passed else 1
+    try:
+        for name, passed, detail in _invariants(args.seed):
+            tag = "ok  " if passed else "FAIL"
+            line = f"{tag} {name}"
+            if detail:
+                line += f"  [{detail}]"
+            print(line)
+            failures += 0 if passed else 1
+    except (ValueError, RuntimeError) as exc:  # e.g. under a zero tolerance
+        print(f"FAIL {type(exc).__name__}: {exc}")
+        failures += 1
     print(f"{'all invariants hold' if not failures else f'{failures} failures'}"
           f" (seed {args.seed})")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED

@@ -6,8 +6,9 @@ The closed form comes from the Choi spectrum; independent routes
 singlet-fidelity and environment-decoupling duals) exist so that every
 number can be cross-checked. Scans return certified relations only:
 sampled infima upper-bound the true infimum, sampled suprema
-lower-bound the true supremum. The scans include the input psi* that
-attains the closed form, so they meet it within solver slack. The two
+lower-bound the true supremum. The scan takes the value of the input
+psi*, which attains the closed form, from the singlet dual's checked
+pair, so it meets the closed form to roundoff. The two
 duals solve no SDP and draw no sample: each is evaluated at its explicit
 optimizers and meets the closed form to roundoff, and the singlet dual
 checks its primal and dual certificates before it returns.
@@ -72,22 +73,12 @@ def channel_min_entropy_sdp(n: QuantumChannel) -> float:
 
 
 def _structured_inputs(n: QuantumChannel) -> np.ndarray:
-    """Deterministic scan inputs: the maximally entangled Phi, the input
-    psi* that attains S_min, and the computational products.
-
-    psi* = vec(sqrt(rho*)), R first, with rho* = tr_A |v><v| for a top
-    eigenvector v of the normalized Choi state J on (R, A). By Sion's
-    minimax over input marginals, S_min-up(A|R) of N(psi*) equals the
-    closed form -log2(d lambda_max(J)); the transposed purification
-    vec(sqrt(rho*)^T) does not in general.
-    """
+    """Deterministic scan inputs: the maximally entangled Phi and the
+    computational products."""
     dr = n.in_dim
     phi = np.zeros(dr * dr, dtype=complex)
     phi[:: dr + 1] = 1.0 / math.sqrt(dr)
-    top = np.linalg.eigh(choi_matrix(n).matrix)[1][:, -1].reshape(dr, n.out_dim)
-    psi = psd_sqrt(top @ top.conj().T).reshape(-1)
-    return np.concatenate([phi[None], psi[None],
-                           np.eye(dr * dr, dtype=complex)])
+    return np.concatenate([phi[None], np.eye(dr * dr, dtype=complex)])
 
 
 def _pure_outputs(n: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
@@ -99,70 +90,56 @@ def _pure_outputs(n: QuantumChannel, vecs: np.ndarray) -> np.ndarray:
                .reshape(-1, dr * da, dr * da)
 
 
-def _scan_entropies(n: QuantumChannel, vecs: np.ndarray):
-    """S_min-up(A|R) of N(psi) for a batch of pure inputs psi_RA'."""
-    return entropies.cond_min_entropy_up_many(_pure_outputs(n, vecs),
-                                              n.out_dim, n.in_dim)
+def _pruned_scan(n: QuantumChannel, m: float, vecs: np.ndarray):
+    """S_min-up(A|R) of N(psi) for the pure inputs psi_RA' in `vecs` that
+    the closed form does not certify to lie at or above m.
 
-
-def _pruned_scan(n: QuantumChannel, structured: np.ndarray,
-                 haar: np.ndarray):
-    """S_min-up(A|R) over the pure inputs `structured` and those of the
-    pure inputs `haar` that the closed form does not already certify.
-
-    The structured inputs are solved first; m is their smallest
-    certified value. A Haar input is pruned, and not solved, when its
-    marginal rho_R has full rank (every eigenvalue above TOL.support) and
-    its S_min-down is at least m - TOL.sdp_gap: S_min-up >= S_min-down,
-    and for full-rank rho_R S_min-down equals the closed form, so the
-    input cannot undercut m. Rank-deficient inputs are always solved,
-    since S_min-down jumps where rho_R loses rank. With psi* among the
-    structured inputs m is the closed form and every full-rank input is
-    pruned; when no structured input certifies, every input is solved.
-    Returns (values, ok) of the solved inputs only.
+    An input is pruned, and not solved, when its marginal rho_R has full
+    rank (every eigenvalue above TOL.support) and its S_min-down is at
+    least m - TOL.sdp_gap: S_min-up >= S_min-down, and for full-rank
+    rho_R S_min-down equals the closed form, so the input cannot undercut
+    m. Rank-deficient inputs are always solved, since S_min-down jumps
+    where rho_R loses rank. The inputs not pruned are solved in one
+    stack. Returns (values, ok) of the solved inputs only.
     """
     da, dr = n.out_dim, n.in_dim
-    vals, ok = _scan_entropies(n, structured)
-    m = float(vals[ok].min()) if ok.any() else math.inf
-    outs = _pure_outputs(n, haar)
-    mats = haar.reshape(-1, dr, dr)
+    outs = _pure_outputs(n, vecs)
+    mats = vecs.reshape(-1, dr, dr)
     full = np.linalg.eigvalsh(mats @ mats.conj().swapaxes(-1, -2))[:, 0] \
         > TOL.support
     down = entropies.cond_min_entropy_down_many(outs, da, dr)
     solve = ~(full & (down >= m - TOL.sdp_gap))
-    if solve.any():
-        more_vals, more_ok = entropies.cond_min_entropy_up_many(outs[solve],
-                                                                da, dr)
-        vals = np.concatenate([vals, more_vals])
-        ok = np.concatenate([ok, more_ok])
-    return vals, ok
+    if not solve.any():
+        return np.zeros(0), np.zeros(0, dtype=bool)
+    return entropies.cond_min_entropy_up_many(outs[solve], da, dr)
 
 
 def channel_min_entropy_scan(n: QuantumChannel, n_samples: int,
                              seed: int) -> ChannelEntropyReport:
-    """Infimum scan of S_min-up(A|R) over pure inputs: the structured
-    inputs (psi*, which attains the closed form, among them) and
+    """Infimum scan of S_min-up(A|R) over pure inputs: psi*, which attains
+    the closed form and is read from the checked pair of
+    `singlet_fidelity_dual`, then Phi, the computational products and
     n_samples Haar inputs, of which only those the closed form does not
     certify are solved (`_pruned_scan`).
 
-    The sampled infimum always sits above the closed form (minus solver
-    slack); the report carries both plus the SDP cross-check.
+    The scan value is the smallest of psi*'s value and the certified
+    solved values, so it sits at or above the closed form (minus
+    roundoff); the report carries both plus the SDP cross-check.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    m = -singlet_fidelity_dual(n) + 0.0  # + 0.0 turns -0.0 into 0.0
     gen = _sampling.stream(seed, 0xD15C)
-    structured = _structured_inputs(n)
     haar = _sampling.random_pure_vectors(gen, n.in_dim ** 2, n_samples)
-    vals, ok = _pruned_scan(n, structured, haar)
-    if not ok.any():
-        raise RuntimeError("every scan sample failed to certify")
-    scan_min = float(vals[ok].min())
+    vecs = np.concatenate([_structured_inputs(n), haar])
+    vals, ok = _pruned_scan(n, m, vecs)
+    scan_min = float(min([m, *vals[ok]]))
     closed = channel_min_entropy(n)
     return ChannelEntropyReport(
         s_min=closed,
         sdp_value=channel_min_entropy_sdp(n),
         inf_scan_value=scan_min,
-        n_scan_samples=len(structured) + n_samples,
+        n_scan_samples=len(vecs) + 1,  # psi* counts too
         gap_flags={"skipped_samples": int((~ok).sum()),
                    "scan_gap": scan_min - closed},
     )
@@ -175,8 +152,10 @@ def singlet_fidelity_dual(n: QuantumChannel) -> float:
     out).
 
     For a top eigenpair (lambda, v) of the normalized Choi state J on
-    (R, A) and rho* = tr_A |v><v|, the input psi* of `_structured_inputs`
-    gives omega = N(psi*) = d (sqrt(rho*) (x) 1) J (sqrt(rho*) (x) 1). The
+    (R, A) and rho* = tr_A |v><v|, the input psi* = vec(sqrt(rho*)), R
+    first, gives omega = N(psi*) = d (sqrt(rho*) (x) 1) J (sqrt(rho*) (x) 1),
+    whose S_min-up(A|R) is the closed form (the transposed purification
+    vec(sqrt(rho*)^T) does not attain it in general). The
     recovery Choi operator X* = (rho*^-1/2 (x) 1)|v><v|(rho*^-1/2 (x) 1)
     + (1 - P_rho*) (x) 1_A / d_A is PSD with tr_A X* = 1_R and gives
     tr(omega X*) = d lambda; sigma* = d lambda rho* has

@@ -102,6 +102,20 @@ class TestEntropy:
         assert out == ""
         assert "invalid arguments" in err and message in err
 
+    def test_singlet_certificate_failure_exit_3(self, capsys, monkeypatch):
+        # the scan reads psi*'s value from the singlet dual's checked pair,
+        # with no SDP to fall back on; an output 1% too heavy breaks it
+        from minent import dynamical
+
+        original = dynamical.apply_many
+        monkeypatch.setattr(dynamical, "apply_many",
+                            lambda *args, **kw: 1.01 * original(*args, **kw))
+        code, out, err = run(capsys, "entropy", "--family", "depolarizing",
+                             "--p", "0.3", "--json")
+        assert code == 3
+        assert out == ""
+        assert "solver failure" in err and "certificate" in err
+
 
 class TestSweep:
     def test_csv_endpoints(self, tmp_path, capsys):
@@ -151,6 +165,15 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--families", "amplitude",
                          "--out", "/tmp/x.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("families", ["", ",", " , "])
+    def test_no_family_refused(self, tmp_path, capsys, families):
+        out_file, svg_file = tmp_path / "x.csv", tmp_path / "x.svg"
+        code, out, err = run(capsys, "sweep", "--families", families,
+                             "--out", str(out_file), "--svg", str(svg_file))
+        assert code == 2
+        assert out == "" and "unknown sweep family" in err
+        assert not out_file.exists() and not svg_file.exists()
 
 
 DECOUPLE_MODES = ("states", "channel", "subsystem")
@@ -432,6 +455,9 @@ class TestNoNegativeZero:
     # is 0 (povm, dephasing2 at p = 0.5), where a -0.0 could show
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(spec=QUBIT_SPECS, n=st.integers(1, 4))
+    @example(spec={"family": "dephasing2", "p": 0.5}, n=1)
+    @example(spec={"family": "dephasing1", "p": 1.0}, n=1)
+    @example(spec={"family": "povm"}, n=1)
     def test_fuzzed_entropy_json(self, spec, n):
         self._strict_json("entropy", f"--spec={json.dumps(spec)}", f"--n={n}")
 
@@ -483,6 +509,18 @@ class TestCheck:
         code, out, _ = run(capsys, "check")
         assert code == 1
         assert "FAIL" in out
+
+    # a zero tolerance can make a library call raise inside the suite;
+    # the raise is one FAIL line, not a traceback
+    @pytest.mark.parametrize("item", ["psd=0", "herm=0", "trace=0",
+                                      "support=0"])
+    def test_raise_is_a_failure(self, capsys, item):
+        code, out, _ = run(capsys, "check", "--tolerance", item)
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[-2].startswith(("FAIL ValueError: ",
+                                     "FAIL RuntimeError: "))
+        assert re.fullmatch(r"\d+ failures \(seed 42\)", lines[-1])
 
     @pytest.mark.parametrize("fault", ["status", "primal-not-psd",
                                        "slack-not-psd", "dual-above-primal"])

@@ -6,17 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minent import _sampling, dynamical, sdp
-from minent.channels import (QuantumChannel, channel_from_spec, compose,
-                             dephasing1, dephasing2, depolarizing,
+from minent.channels import (QuantumChannel, channel_from_spec, choi_matrix,
+                             compose, dephasing1, dephasing2, depolarizing,
                              diamond_distance, identity_channel, is_ppt,
                              make_named_channel, replacer, unitary_channel)
 from minent.dynamical import (ChannelEntropyReport, _pruned_scan,
-                              _scan_entropies, _structured_inputs,
+                              _pure_outputs, _structured_inputs,
                               channel_min_entropy, channel_min_entropy_scan,
                               channel_min_entropy_sdp, env_decoupling_dual,
                               singlet_fidelity_dual,
                               smooth_channel_min_entropy_lower_bound)
-from minent.linalg import maximally_mixed, pauli
+from minent.entropies import cond_min_entropy_up_many
+from minent.linalg import maximally_mixed, pauli, psd_sqrt
 
 from conftest import basis_state, random_channel, random_qubit_channels
 
@@ -100,6 +101,20 @@ class TestScan:
             ChannelEntropyReport(0.0, 0.0, -1.0, 1)
 
 
+def psi_star(ch):
+    """vec(sqrt(rho*)), R first, with rho* = tr_A |v><v| for a top
+    eigenvector v of the Choi state on (R, A)."""
+    d = ch.in_dim
+    top = np.linalg.eigh(choi_matrix(ch).matrix)[1][:, -1].reshape(d, ch.out_dim)
+    return psd_sqrt(top @ top.conj().T).reshape(-1)
+
+
+def sdp_values(ch, vecs):
+    """S_min-up(A|R) of N(psi) by SDP for every pure input psi in vecs."""
+    return cond_min_entropy_up_many(_pure_outputs(ch, vecs), ch.out_dim,
+                                    ch.in_dim)
+
+
 # seeded random channels of each shape, and a pure replacer, whose rho* is
 # rank-deficient
 PSI_STAR_CASES = {f"random-{a}-{b}": random_channel(10 * a + b, a, b, 2)
@@ -108,17 +123,18 @@ PSI_STAR_CASES["replacer-pure"] = replacer(basis_state(2, 0))
 
 
 class TestPsiStar:
-    """psi* = vec(sqrt(rho*)), R first, attains the closed form."""
+    """psi* = vec(sqrt(rho*)), R first, attains the closed form; the scan
+    reads its value from the singlet dual instead of solving it."""
 
     @pytest.mark.parametrize("name", sorted(PSI_STAR_CASES))
     def test_attains_closed_form(self, name):
         ch = PSI_STAR_CASES[name]
         closed = channel_min_entropy(ch)
-        vals, ok = _scan_entropies(ch, _structured_inputs(ch)[1:2])
+        vals, ok = sdp_values(ch, psi_star(ch)[None])
         assert ok[0]
         assert abs(vals[0] - closed) <= 1e-7
         rep = channel_min_entropy_scan(ch, 16, seed=5)
-        assert rep.gap_flags["scan_gap"] <= 1e-7
+        assert abs(rep.gap_flags["scan_gap"]) <= 1e-12
         assert rep.n_scan_samples == ch.in_dim ** 2 + 2 + 16
         assert singlet_fidelity_dual(ch) == pytest.approx(-closed, abs=1e-9)
 
@@ -126,25 +142,28 @@ class TestPsiStar:
         misses = []
         for ch in PSI_STAR_CASES.values():
             d = ch.in_dim
-            root = _structured_inputs(ch)[1].reshape(d, d)
-            vals, ok = _scan_entropies(ch, root.T.reshape(1, -1))
+            root = psi_star(ch).reshape(d, d)
+            vals, ok = sdp_values(ch, root.T.reshape(1, -1))
             assert ok[0]
             misses.append(vals[0] - channel_min_entropy(ch))
         assert max(misses) > 1e-3
 
 
+QUBIT_CHANNELS = [("depolarizing", 0.3), ("depolarizing", 0.8),
+                  ("depolarizing", 0.9), ("dephasing1", 0.5),
+                  ("dephasing2", 0.4), ("dephasing2", 0.5),
+                  ("replacer", None), ("unitary", None)]
+
+
 class TestPruning:
-    @pytest.mark.parametrize("family, p", [
-        ("depolarizing", 0.3), ("depolarizing", 0.8), ("depolarizing", 0.9),
-        ("dephasing1", 0.5), ("dephasing2", 0.4), ("dephasing2", 0.5),
-        ("replacer", None), ("unitary", None)])
+    @pytest.mark.parametrize("family, p", QUBIT_CHANNELS)
     def test_pruned_equals_unpruned(self, family, p):
-        # the unpruned minimum solves every input, as the scan did before
+        # the unpruned minimum solves every input, psi* among them
         ch = make_named_channel(family, p=p)
-        structured = _structured_inputs(ch)
         haar = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
                                              4, 200)
-        vals, ok = _scan_entropies(ch, np.concatenate([structured, haar]))
+        vecs = np.concatenate([_structured_inputs(ch), haar])
+        vals, ok = sdp_values(ch, np.concatenate([psi_star(ch)[None], vecs]))
         unpruned = vals[ok].min()
         rep = channel_min_entropy_scan(ch, 200, seed=33)
         # every solve reads the upper side of its S_min-up, so none ends
@@ -153,9 +172,11 @@ class TestPruning:
         assert unpruned >= rep.s_min - 1e-10
         assert rep.inf_scan_value >= unpruned - 1e-9
         assert rep.inf_scan_value <= unpruned + 1e-9
-        # every Haar input is full-rank and certified by the closed form
-        pruned_vals, _ = _pruned_scan(ch, structured, haar)
-        assert len(pruned_vals) == len(structured)
+        # Phi and every Haar input are full-rank and certified by the
+        # closed form; only the d^2 products are solved
+        m = -singlet_fidelity_dual(ch) + 0.0
+        pruned_vals, _ = _pruned_scan(ch, m, vecs)
+        assert len(pruned_vals) == ch.in_dim ** 2
 
     def test_solve_reads_upper_side(self):
         # input 1691 of the seed-33 scan stream: an optimal solve whose
@@ -163,24 +184,46 @@ class TestPruning:
         ch = depolarizing(0.8)
         haar = _sampling.random_pure_vectors(_sampling.stream(33, 0xD15C),
                                              4, 2000)
-        vals, ok = _scan_entropies(ch, haar[1691:1692])
+        vals, ok = sdp_values(ch, haar[1691:1692])
         assert ok[0]
         assert vals[0] >= channel_min_entropy(ch) - 1e-10
 
     def test_rank_deficient_inputs_are_solved(self):
         ch = depolarizing(0.3)
-        structured = _structured_inputs(ch)
+        m = -singlet_fidelity_dual(ch) + 0.0
         product = np.eye(4, dtype=complex)[:1]
-        vals, ok = _pruned_scan(ch, structured, product)
-        assert len(vals) == len(structured) + 1 and ok.all()
+        vals, ok = _pruned_scan(
+            ch, m, np.concatenate([_structured_inputs(ch), product]))
+        assert len(vals) == ch.in_dim ** 2 + 1 and ok.all()
 
-    def test_no_pruning_above_closed_form(self):
-        # without Phi and psi*, the running minimum sits above the closed
-        # form, so no full-rank input is certified and every one is solved
-        ch = depolarizing(0.3)
-        haar = _sampling.random_pure_vectors(_sampling.stream(3, 0), 4, 5)
-        vals, ok = _pruned_scan(ch, _structured_inputs(ch)[2:], haar)
-        assert len(vals) == 4 + 5 and ok.all()
+    @staticmethod
+    def scan_stacks(monkeypatch, ch):
+        """Instance counts of the S_min-up stacks that a scan solves."""
+        stacks = []
+        real = sdp.solve_stack
+
+        def spy(objective, constraints, rhs, sense="min"):
+            if len(rhs) > 1:  # the D_max cross-check has one constraint
+                stacks.append(len(objective[0]))
+            return real(objective, constraints, rhs, sense)
+
+        monkeypatch.setattr(sdp, "solve_stack", spy)
+        channel_min_entropy_scan(ch, 64, 5)
+        return stacks
+
+    @pytest.mark.parametrize("family, p", QUBIT_CHANNELS)
+    def test_scan_solves_one_stack_of_products(self, family, p, monkeypatch):
+        # psi* comes from the singlet dual and Phi and the Haar inputs are
+        # pruned, so the scan's one S_min-up stack holds the 4 products
+        ch = make_named_channel(family, p=p)
+        assert self.scan_stacks(monkeypatch, ch) == [4]
+
+    def test_one_dim_input_solves_no_stack(self, monkeypatch):
+        # every input of a 1-dim input space has a full-rank marginal
+        ch = channel_from_spec({"family": "povm", "dims": 1})
+        assert self.scan_stacks(monkeypatch, ch) == []
+        rep = channel_min_entropy_scan(ch, 4, 5)
+        assert rep.inf_scan_value == rep.s_min == 0.0
 
 
 class TestDuals:

@@ -23,9 +23,10 @@ residuals, statuses, iterations, y and the primal blocks X):
 - dmax: the one-instance 4x4 D_max SDP (`entropies.d_max_sdp`, one
   constraint) of the SDP cross-check of `minent entropy` on dephasing2
   p = 0.4;
-- scan: the pruned S_min-up stack of the same command's scan at seed 5,
-  the structured inputs and the 64 Haar inputs the closed form does not
-  certify (`dynamical._pruned_scan`).
+- scan: the pruned S_min-up stack of the same command's scan at seed 5:
+  those of Phi, the computational products and the 64 Haar inputs that
+  the closed form does not certify (`dynamical._pruned_scan`; the scan
+  reads psi* from the singlet dual and solves no SDP for it).
 
 The erasure stacks hold several blocks of one size; the last two are
 the small programs of the query path. For dmax the tool also prints the
@@ -91,7 +92,9 @@ def dmax():
 def scan():
     ch = channels.dephasing2(0.4)
     haar = _sampling.random_pure_vectors(_sampling.stream(5, 0xD15C), 4, 64)
-    dynamical._pruned_scan(ch, dynamical._structured_inputs(ch), haar)
+    m = -dynamical.singlet_fidelity_dual(ch)
+    dynamical._pruned_scan(
+        ch, m, np.concatenate([dynamical._structured_inputs(ch), haar]))
 
 
 def erasure(channel, mu):
